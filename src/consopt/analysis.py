@@ -9,11 +9,14 @@ of a trace against that oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .problem import ConfigError, Problem, QUADRATIC, sum_grad, sum_value
-from .engine import RunTrace, StepSchedule
+
+if TYPE_CHECKING:
+    from .engine import RunTrace, StepSchedule
 
 ORACLE_RESIDUAL_TOL = 1e-6
 BOUND_SLACK = 1e-9
@@ -111,6 +114,23 @@ def disagreement_bound(p: BoundParams, steps: StepSchedule, k: int) -> float:
     return factor * (lead + p.l_bar * tail)
 
 
+def disagreement_caps(p: BoundParams, steps: StepSchedule, k_max: int) -> np.ndarray:
+    """The disagreement cap at every iteration t = 0..k_max, by recursion.
+
+    Runs h_t = nu h_{t-1} + l_bar alpha_t from h_0 = nu delta0 and returns
+    (S-1)/S * h_t, which equals :func:`disagreement_bound` at t; entry 0 is
+    the algebraic cap (S-1)/S * delta0 on the initial states.
+    """
+    factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
+    caps = np.empty(k_max + 1)
+    caps[0] = factor * p.delta0
+    h = p.nu * p.delta0
+    for t in range(1, k_max + 1):
+        h = p.nu * h + p.l_bar * float(steps.at(t))
+        caps[t] = factor * h
+    return caps
+
+
 @dataclass(frozen=True)
 class BoundCheckReport:
     applicable: bool
@@ -144,17 +164,8 @@ def check_disagreement_bound(trace: RunTrace, p: BoundParams, steps: StepSchedul
     if p.nu >= 1.0:
         return BoundCheckReport(False, 0, (), float("nan"))
     ks = trace.ks
-    max_k = int(ks[-1])
-    factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
-    # geometric recursion h_t = nu h_{t-1} + l_bar alpha_t, h_0 = nu delta0
-    bounds = np.empty(max_k + 1)
-    bounds[0] = factor * p.delta0
-    g = p.nu * p.delta0
-    for t in range(1, max_k + 1):
-        g = p.nu * g + p.l_bar * float(steps.at(t))
-        bounds[t] = factor * g
     observed = trace.max_delta
-    caps = bounds[ks]
+    caps = disagreement_caps(p, steps, int(ks[-1]))[ks]
     margins = observed - caps
     bad = np.where(margins > BOUND_SLACK)[0]
     violations = tuple(
@@ -182,18 +193,20 @@ class OracleSolution:
         }
 
 
-def _residual(prob: Problem, x: np.ndarray, gamma: float) -> float:
+def _pg_step(prob: Problem, x: np.ndarray, gamma: float) -> np.ndarray:
     g = sum_grad(prob, x[None, :])[0]
-    step = prob.feasible_set.project_many((x - gamma * g)[None, :])[0]
-    return float(np.linalg.norm(x - step) / gamma)
+    return prob.feasible_set.project_many((x - gamma * g)[None, :])[0]
+
+
+def _residual(prob: Problem, x: np.ndarray, gamma: float) -> float:
+    return float(np.linalg.norm(x - _pg_step(prob, x, gamma)) / gamma)
 
 
 def _projected_gradient(prob: Problem, x0: np.ndarray, gamma: float, budget: int) -> np.ndarray:
-    fs = prob.feasible_set
     x = x0.copy()
     stop = gamma * 1e-13
     for _ in range(budget):
-        x_new = fs.project_many((x - gamma * sum_grad(prob, x[None, :])[0])[None, :])[0]
+        x_new = _pg_step(prob, x, gamma)
         if np.linalg.norm(x_new - x) <= stop:
             return x_new
         x = x_new

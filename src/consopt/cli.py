@@ -8,6 +8,7 @@ the CONSOPT_OUT environment variable, falling back to ./runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -212,14 +213,8 @@ def cmd_compare(config_path, *, seed=None, iterations=None, out_dir=None, force=
         if sc.graph is None:
             raise ConfigError("compare needs a 'graph' field to schedule the original problem")
         orig_schedule = StaticSchedule(build_metropolis(sc.graph))
-    orig = Scenario(
-        name=sc.name, raw=sc.raw, problem=sc.problem, graph=sc.graph, transformed=None,
-        schedule=orig_schedule, steps=sc.steps, transform_kind="none",
-        n_iterations=sc.n_iterations, seeds=sc.seeds, decimate=sc.decimate,
-        connectivity_mode=sc.connectivity_mode, q_window=sc.q_window,
-        tol_consensus=sc.tol_consensus, tol_gap=sc.tol_gap,
-        init_points=None, oracle_budget=sc.oracle_budget,
-    )
+    orig = dataclasses.replace(sc, transformed=None, schedule=orig_schedule,
+                               transform_kind="none", init_points=None)
     res_o = execute_run(orig, use_seed, root / "original", iterations=iterations)
 
     payload = {

@@ -11,13 +11,15 @@ iteration records plus a terminal summary of the fusion invariants
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ConfigError, Problem, POLYNOMIAL, SINE_QUADRATIC
+from .analysis import BoundParams, disagreement_caps, max_delta, max_disagreement
+from .problem import ConfigError, Problem, sum_value
 from .network import WeightMatrix, WeightSchedule
 
 _STREAM_INIT = 11
@@ -63,91 +65,6 @@ def step_size(s: StepSchedule, k: int) -> float:
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
     return float(s.at(k))
-
-
-# ---------------------------------------------------------------------------
-# stacked per-agent evaluation (row j uses component j)
-
-
-class _StackedComponents:
-    """Vectorized per-agent values/gradients for one problem.
-
-    Groups components by family so a round costs a handful of numpy calls:
-    quadratic and sine-perturbed components share one einsum path (pure
-    quadratics get zero amplitudes), separable polynomials share a Horner
-    sweep over degree-padded coefficient tensors.
-    """
-
-    def __init__(self, prob: Problem):
-        dim = prob.dimension
-        qi, pi = [], []
-        for j, c in enumerate(prob.components):
-            (pi if c.family == POLYNOMIAL else qi).append(j)
-        self.q_idx = np.array(qi, dtype=int)
-        self.p_idx = np.array(pi, dtype=int)
-        self.n = len(prob.components)
-        self.dim = dim
-        if qi:
-            comps = [prob.components[j] for j in qi]
-            self.qa = np.stack([c.params["a"] for c in comps])
-            self.qb = np.stack([c.params["b"] for c in comps])
-            self.qc = np.array([c.params["c"] for c in comps])
-            self.amp = np.stack([
-                c.params["amplitude"] if c.family == SINE_QUADRATIC else np.zeros(dim)
-                for c in comps
-            ])
-            self.freq = np.stack([
-                c.params["frequency"] if c.family == SINE_QUADRATIC else np.ones(dim)
-                for c in comps
-            ])
-        if pi:
-            comps = [prob.components[j] for j in pi]
-            kmax = max(max(cf.size for cf in c.params["coeffs"]) for c in comps)
-            self.pc = np.zeros((len(comps), dim, kmax))
-            for m, c in enumerate(comps):
-                for d, cf in enumerate(c.params["coeffs"]):
-                    self.pc[m, d, : cf.size] = cf
-            # derivative coefficients, padded one shorter
-            k = np.arange(1, kmax)
-            self.dpc = self.pc[:, :, 1:] * k if kmax > 1 else np.zeros((len(comps), dim, 1))
-
-    def _horner(self, coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
-        acc = np.broadcast_to(coefs[:, :, -1], x.shape).copy()
-        for t in range(coefs.shape[2] - 2, -1, -1):
-            acc = acc * x + coefs[:, :, t]
-        return acc
-
-    def grads(self, states: np.ndarray) -> np.ndarray:
-        """Row j of the output is grad f_j at states[j]."""
-        out = np.empty_like(states)
-        if self.q_idx.size:
-            x = states[self.q_idx]
-            g = np.einsum("mij,mj->mi", self.qa, x) + self.qb
-            g += self.amp * self.freq * np.cos(self.freq * x)
-            out[self.q_idx] = g
-        if self.p_idx.size:
-            x = states[self.p_idx]
-            out[self.p_idx] = self._horner(self.dpc, x)
-        return out
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """Entry j of the output is f_j at states[j]."""
-        out = np.empty(states.shape[0])
-        if self.q_idx.size:
-            x = states[self.q_idx]
-            v = 0.5 * np.einsum("md,md->m", x, np.einsum("mij,mj->mi", self.qa, x))
-            v += np.einsum("md,md->m", x, self.qb) + self.qc
-            v += np.einsum("md,md->m", np.sin(self.freq * x), self.amp)
-            out[self.q_idx] = v
-        if self.p_idx.size:
-            x = states[self.p_idx]
-            out[self.p_idx] = self._horner(self.pc, x).sum(axis=1)
-        return out
-
-    def sum_at(self, point: np.ndarray) -> float:
-        """f(point) = sum of all components at one point."""
-        tiled = np.tile(point, (self.n, 1))
-        return float(self.values(tiled).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +122,7 @@ class RunSummary:
     bound_enabled: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_iterations": self.n_iterations,
-            "n_agents": self.n_agents,
-            "dimension": self.dimension,
-            "final_f_bar": self.final_f_bar,
-            "final_max_disagreement": self.final_max_disagreement,
-            "final_max_delta": self.final_max_delta,
-            "max_average_drift": self.max_average_drift,
-            "max_nonexpansive_slack": self.max_nonexpansive_slack,
-            "nu": self.nu,
-            "delta0": self.delta0,
-            "l_bar": self.l_bar,
-            "n_bar": self.n_bar,
-            "bound_enabled": self.bound_enabled,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(eq=False)
@@ -241,15 +144,23 @@ class RunTrace:
         return int(self.ks.shape[0])
 
 
-def _pairwise_max(states: np.ndarray) -> float:
-    if states.shape[0] == 1:
-        return 0.0
-    diff = states[:, None, :] - states[None, :, :]
-    return float(np.max(np.linalg.norm(diff, axis=2)))
-
-
 # ---------------------------------------------------------------------------
 # the algorithm
+
+
+def _fuse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return m @ x
+
+
+def _descend(v: np.ndarray, k: int, alpha: float, prob: Problem) -> np.ndarray:
+    g = prob.evaluator.grads(v)
+    if not np.all(np.isfinite(g)):
+        bad = int(np.where(~np.isfinite(g).all(axis=1))[0][0])
+        raise EngineError(
+            f"non-finite gradient for agent {bad} at iteration {k}; aborting run",
+            agent=bad, iteration=k,
+        )
+    return prob.feasible_set.project_many(v - alpha * g)
 
 
 def fuse(states, matrix) -> np.ndarray:
@@ -261,27 +172,17 @@ def fuse(states, matrix) -> np.ndarray:
     m = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix, float)
     if m.shape[0] != m.shape[1] or m.shape[0] != x.shape[0]:
         raise ConfigError(f"matrix shape {m.shape} does not match {x.shape[0]} states")
-    out = m @ x
+    out = _fuse(x, m)
     return out[:, 0] if squeeze else out
-
-
-def _check_gradients(g: np.ndarray, k: int):
-    if np.all(np.isfinite(g)):
-        return
-    bad = int(np.where(~np.isfinite(g).all(axis=1))[0][0])
-    raise EngineError(
-        f"non-finite gradient for agent {bad} at iteration {k}; aborting run",
-        agent=bad, iteration=k,
-    )
 
 
 def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     """Projected gradient step: each agent uses its own component gradient."""
     v = np.asarray(fused, dtype=float)
-    alpha = step_size(cfg.steps, k)
-    g = _StackedComponents(cfg.problem).grads(v)
-    _check_gradients(g, k)
-    return cfg.problem.feasible_set.project_many(v - alpha * g)
+    shape = (cfg.problem.n_agents, cfg.problem.dimension)
+    if v.shape != shape:
+        raise ConfigError(f"fused states have shape {v.shape}, expected {shape}")
+    return _descend(v, k, step_size(cfg.steps, k), cfg.problem)
 
 
 def initial_states(cfg: RunConfig) -> np.ndarray:
@@ -304,12 +205,9 @@ def run(cfg: RunConfig) -> RunTrace:
     prob = cfg.problem
     S, D = prob.n_agents, prob.dimension
     fs = prob.feasible_set
-    evaluator = _StackedComponents(prob)
 
     x = initial_states(cfg)
-    l_bar = prob.l_bar
-    n_bar = prob.n_bar
-    delta0 = _pairwise_max(x)
+    delta0 = max_disagreement(x)
 
     nu = None
     bound_on = False
@@ -331,23 +229,19 @@ def run(cfg: RunConfig) -> RunTrace:
 
     rows: list[tuple] = []
 
-    def snapshot(t: int, states: np.ndarray, bound_val: float | None):
+    def snapshot(t: int, states: np.ndarray):
         xbar = states.mean(axis=0)
-        md = float(np.max(np.linalg.norm(states - xbar, axis=1)))
         rows.append((
             t, float(cfg.steps.at(t)), states.copy(), xbar,
-            evaluator.sum_at(xbar), md, _pairwise_max(states), bound_val,
+            float(sum_value(prob, xbar[None, :])[0]),
+            max_delta(states), max_disagreement(states),
         ))
 
-    factor = (S - 1) / S if S > 1 else 0.0
-    g_run = (nu if nu is not None else 0.0) * delta0  # bound recursion state
-    snapshot(0, x, factor * delta0 if bound_on else None)
-
+    snapshot(0, x)
     max_drift = 0.0
     max_slack = -np.inf
     for k in range(cfg.n_iterations):
-        b = cfg.schedule.matrix_at(k).entries
-        v = b @ x
+        v = _fuse(x, cfg.schedule.matrix_at(k).entries)
 
         drift = float(np.linalg.norm(v.mean(axis=0) - x.mean(axis=0)))
         max_drift = max(max_drift, drift)
@@ -355,20 +249,17 @@ def run(cfg: RunConfig) -> RunTrace:
         sq_v = ((v[None, :, :] - probes[:, None, :]) ** 2).sum(axis=(1, 2))
         max_slack = max(max_slack, float(np.max(sq_v - sq_x)))
 
-        alpha = float(cfg.steps.at(k))
-        g = evaluator.grads(v)
-        _check_gradients(g, k)
-        x = fs.project_many(v - alpha * g)
-
+        x = _descend(v, k, float(cfg.steps.at(k)), prob)
         t = k + 1
-        if bound_on:
-            # closed-form cap evaluated at index t: the geometric recursion
-            # h_t = nu h_{t-1} + l_bar alpha_t seeded with h_0 = nu delta0
-            g_run = nu * g_run + l_bar * float(cfg.steps.at(t))
         if t % cfg.record_every == 0 or t == cfg.n_iterations:
-            snapshot(t, x, factor * g_run if bound_on else None)
+            snapshot(t, x)
 
     ks = np.array([r[0] for r in rows], dtype=int)
+    bound = None
+    if bound_on:
+        params = BoundParams(nu=nu, l_bar=prob.l_bar, n_bar=prob.n_bar,
+                             delta0=delta0, n_agents=S)
+        bound = disagreement_caps(params, cfg.steps, cfg.n_iterations)[ks]
     trace = RunTrace(
         ks=ks,
         alphas=np.array([r[1] for r in rows]),
@@ -377,7 +268,7 @@ def run(cfg: RunConfig) -> RunTrace:
         f_bar=np.array([r[4] for r in rows]),
         max_delta=np.array([r[5] for r in rows]),
         max_disagreement=np.array([r[6] for r in rows]),
-        bound=np.array([r[7] for r in rows]) if bound_on else None,
+        bound=bound,
         summary=None,
     )
     trace.summary = RunSummary(
@@ -391,8 +282,8 @@ def run(cfg: RunConfig) -> RunTrace:
         max_nonexpansive_slack=float(max_slack) if np.isfinite(max_slack) else 0.0,
         nu=nu,
         delta0=delta0,
-        l_bar=l_bar,
-        n_bar=n_bar,
+        l_bar=prob.l_bar,
+        n_bar=prob.n_bar,
         bound_enabled=bound_on,
     )
     return trace

@@ -80,34 +80,6 @@ def neighbors(g: Graph, i: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n_agents, g.n_agents))
-    for i, j in g.edges:
-        a[i, j] = a[j, i] = 1.0
-    return a
-
-
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from agent 0."""
-    if g.n_agents == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.n_agents)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.n_agents
-
-
 def connected_component(g: Graph, start: int = 0) -> set[int]:
     adj: list[list[int]] = [[] for _ in range(g.n_agents)]
     for i, j in g.edges:
@@ -124,6 +96,11 @@ def connected_component(g: Graph, start: int = 0) -> set[int]:
                     nxt.append(v)
         frontier = nxt
     return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """Every agent is reachable from agent 0."""
+    return len(connected_component(g)) == g.n_agents
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -309,35 +310,123 @@ def _check_pts(pts, dim) -> np.ndarray:
     return pts
 
 
+# ---------------------------------------------------------------------------
+# evaluation kernels
+#
+# One kernel pair per family, written over the last axis with ``...``
+# broadcasting, so that a stack of component parameters lines up with the
+# component axis of the points.
+
+
+def _quadratic_values(a, b, c, x):
+    v = 0.5 * np.einsum("...d,...d->...", x, np.einsum("...ij,...j->...i", a, x))
+    v += np.einsum("...d,...d->...", x, b) + c
+    return v
+
+
+def _quadratic_grads(a, b, c, x):
+    return np.einsum("...ij,...j->...i", a, x) + b
+
+
+def _sine_quadratic_values(a, b, c, amp, freq, x):
+    v = _quadratic_values(a, b, c, x)
+    v += np.einsum("...d,...d->...", np.sin(freq * x), amp)
+    return v
+
+
+def _sine_quadratic_grads(a, b, c, amp, freq, x):
+    g = _quadratic_grads(a, b, c, x)
+    g += amp * freq * np.cos(freq * x)
+    return g
+
+
+def _horner(coefs, x):
+    acc = np.empty(np.broadcast_shapes(coefs.shape[:-1], x.shape))
+    acc[...] = coefs[..., -1]
+    for t in range(coefs.shape[-1] - 2, -1, -1):
+        acc = acc * x + coefs[..., t]
+    return acc
+
+
+def _polynomial_values(coefs, dcoefs, x):
+    return _horner(coefs, x).sum(axis=-1)
+
+
+def _polynomial_grads(coefs, dcoefs, x):
+    return _horner(dcoefs, x)
+
+
+_KERNELS = {
+    QUADRATIC: (_quadratic_values, _quadratic_grads),
+    SINE_QUADRATIC: (_sine_quadratic_values, _sine_quadratic_grads),
+    POLYNOMIAL: (_polynomial_values, _polynomial_grads),
+}
+
+
+def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
+    """Stacked kernel parameters of components from one family."""
+    if family == POLYNOMIAL:
+        dim = comps[0].dimension
+        kmax = max(max(cf.size for cf in c.params["coeffs"]) for c in comps)
+        coefs = np.zeros((len(comps), dim, kmax))
+        for m, c in enumerate(comps):
+            for d, cf in enumerate(c.params["coeffs"]):
+                coefs[m, d, : cf.size] = cf
+        # derivative coefficients, padded one shorter
+        if kmax == 1:
+            return coefs, np.zeros((len(comps), dim, 1))
+        return coefs, coefs[..., 1:] * np.arange(1, kmax)
+    names = ("a", "b", "c") + (("amplitude", "frequency") if family == SINE_QUADRATIC else ())
+    return tuple(np.array([c.params[k] for c in comps]) for k in names)
+
+
+class _Evaluator:
+    """Family-grouped evaluation of a stack of components.
+
+    Points carry a component axis second to last: ``x[..., j, :]`` is
+    evaluated with component j, and a component axis of length 1 is shared
+    by every component.  A round costs a handful of numpy calls whatever the
+    number of agents.
+    """
+
+    def __init__(self, comps: Sequence[ComponentFunction]):
+        self.n = len(comps)
+        self.groups = []
+        for family in FAMILIES:
+            idx = [j for j, c in enumerate(comps) if c.family == family]
+            if idx:
+                params = _kernel_params(family, [comps[j] for j in idx])
+                # a single family indexes by a view rather than a copy
+                sel = slice(None) if len(idx) == self.n else np.array(idx)
+                self.groups.append((sel, params, _KERNELS[family]))
+
+    @staticmethod
+    def _select(x: np.ndarray, sel) -> np.ndarray:
+        return x if x.shape[-2] == 1 else x[..., sel, :]
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape[:-2] + (self.n,))
+        for sel, params, (value_fn, _) in self.groups:
+            out[..., sel] = value_fn(*params, self._select(x, sel))
+        return out
+
+    def grads(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(x.shape[:-2] + (self.n, x.shape[-1]))
+        for sel, params, (_, grad_fn) in self.groups:
+            out[..., sel, :] = grad_fn(*params, self._select(x, sel))
+        return out
+
+
 def value_many(c: ComponentFunction, pts) -> np.ndarray:
     """Component values at a batch of points, shape (n,)."""
     pts = _check_pts(pts, c.dimension)
-    if c.family == POLYNOMIAL:
-        total = np.zeros(pts.shape[0])
-        for d, cf in enumerate(c.params["coeffs"]):
-            total += npoly.polyval(pts[:, d], cf)
-        return total
-    a, b = c.params["a"], c.params["b"]
-    vals = 0.5 * np.einsum("nd,nd->n", pts, pts @ a) + pts @ b + c.params["c"]
-    if c.family == SINE_QUADRATIC:
-        vals = vals + np.sin(pts * c.params["frequency"]) @ c.params["amplitude"]
-    return vals
+    return _Evaluator((c,)).values(pts[:, None, :])[:, 0]
 
 
 def grad_many(c: ComponentFunction, pts) -> np.ndarray:
     """Component gradients at a batch of points, shape (n, D)."""
     pts = _check_pts(pts, c.dimension)
-    if c.family == POLYNOMIAL:
-        out = np.zeros_like(pts)
-        for d, cf in enumerate(c.params["coeffs"]):
-            dcf = npoly.polyder(cf) if cf.size > 1 else np.zeros(1)
-            out[:, d] = npoly.polyval(pts[:, d], dcf)
-        return out
-    out = pts @ c.params["a"] + c.params["b"]
-    if c.family == SINE_QUADRATIC:
-        freq = c.params["frequency"]
-        out = out + c.params["amplitude"] * freq * np.cos(pts * freq)
-    return out
+    return _Evaluator((c,)).grads(pts[:, None, :])[:, 0]
 
 
 def eval_component(c: ComponentFunction, p) -> float:
@@ -531,21 +620,22 @@ class Problem:
     def n_bar(self) -> float:
         return float(sum(c.lipschitz for c in self.components))
 
+    @cached_property
+    def evaluator(self) -> _Evaluator:
+        """Stacked evaluator of the components, built once per problem."""
+        return _Evaluator(self.components)
+
 
 def sum_value(prob: Problem, pts) -> np.ndarray:
+    """Summed objective at a batch of points, shape (n,)."""
     pts = _check_pts(pts, prob.dimension)
-    total = np.zeros(pts.shape[0])
-    for c in prob.components:
-        total += value_many(c, pts)
-    return total
+    return prob.evaluator.values(pts[:, None, :]).sum(axis=-1)
 
 
 def sum_grad(prob: Problem, pts) -> np.ndarray:
+    """Summed gradient at a batch of points, shape (n, D)."""
     pts = _check_pts(pts, prob.dimension)
-    total = np.zeros_like(pts)
-    for c in prob.components:
-        total += grad_many(c, pts)
-    return total
+    return prob.evaluator.grads(pts[:, None, :]).sum(axis=-2)
 
 
 @dataclass(frozen=True)

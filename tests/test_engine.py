@@ -5,12 +5,15 @@ from consopt.engine import (
     EngineError, RunConfig, StepSchedule, descend, fuse, initial_states,
     read_trace_jsonl, run, step_size, write_trace_csv, write_trace_jsonl,
 )
+from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
     CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis,
     build_two_link_matrix, complete_graph, graph,
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
-from consopt.problem import Box, ConfigError, Problem, polynomial, quadratic
+from consopt.problem import (
+    Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
+)
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -29,6 +32,17 @@ def triangle_indefinite_problem():
         quadratic("f0", [[2.0, 0.0], [0.0, -0.5]], [0.2, 0.0], 0.0, bounds_for=fs),
         quadratic("f1", [[-0.5, 0.0], [0.0, 2.0]], [0.0, 0.2], 0.0, bounds_for=fs),
         quadratic("f2", [[0.0, 0.5], [0.5, 0.0]], [-0.1, -0.1], 0.0, bounds_for=fs),
+    )
+    return Problem(2, comps, fs)
+
+
+def mixed_family_problem():
+    fs = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    comps = (
+        quadratic("q", [[2.0, 0.0], [0.0, -0.5]], [0.2, 0.0], 0.0, bounds_for=fs),
+        polynomial("p", [[0.0, 0.1, -1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], bounds_for=fs),
+        sine_quadratic("s", [[1.0, 0.5], [0.5, 1.0]], [0.0, -0.1], 0.3,
+                       [0.2, 0.1], [3.0, 2.0], bounds_for=fs),
     )
     return Problem(2, comps, fs)
 
@@ -176,6 +190,28 @@ def test_run_descent_displacement_bounded():
     alpha = step_size(cfg.steps, 0)
     for j, c in enumerate(prob.components):
         assert np.linalg.norm(x1[j] - v[j]) <= alpha * c.grad_bound + 1e-12
+
+
+@pytest.mark.parametrize("make_problem", [triangle_indefinite_problem, mixed_family_problem])
+def test_run_round_is_public_fuse_then_descend(make_problem):
+    prob = make_problem()
+    sched = StaticSchedule(build_metropolis(complete_graph(3)))
+    cfg = RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4)
+    tr = run(cfg)
+    x1 = descend(fuse(initial_states(cfg), sched.matrix_at(0)), 0, cfg)
+    np.testing.assert_array_equal(x1, tr.states[1])
+    for r in range(tr.n_records):
+        assert tr.f_bar[r] == sum_value(prob, tr.x_bar[r:r + 1])[0]
+        assert tr.max_disagreement[r] == max_disagreement(tr.states[r])
+        assert tr.max_delta[r] == max_delta(tr.states[r])
+
+
+def test_descend_rejects_wrong_state_shape():
+    prob = triangle_indefinite_problem()
+    cfg = RunConfig(prob, StaticSchedule(build_metropolis(complete_graph(3))),
+                    StepSchedule(1.0), 1)
+    with pytest.raises(ConfigError):
+        descend(np.zeros((2, 2)), 0, cfg)
 
 
 def test_run_deterministic_and_bitwise_exports(tmp_path):

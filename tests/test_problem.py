@@ -7,7 +7,7 @@ from consopt.problem import (
     Ball, Box, ConfigError, Problem, analytic_bounds, check_gradient,
     component_from_dict, component_to_dict, estimate_bounds, eval_component,
     grad_component, grad_many, polynomial, problem_from_dict, problem_to_dict,
-    project, quadratic, sine_quadratic, sum_value, value_many,
+    project, quadratic, sine_quadratic, sum_grad, sum_value, value_many,
     verify_sum_convexity,
 )
 
@@ -124,6 +124,47 @@ def test_sine_quadratic_closed_forms():
     g_want = np.array([x[0] + 0.1 + 0.5 * 2 * np.cos(2 * x[0]),
                        2 * x[1] - 0.2 + 0.25 * 3 * np.cos(3 * x[1])])
     np.testing.assert_allclose(grad_component(c, x), g_want, rtol=1e-14)
+
+
+def test_evaluator_matches_per_family_reference():
+    # independent per-component formulas: BLAS products, numpy Horner
+    from numpy.polynomial import polynomial as npoly
+    comps = (
+        quadratic("q", [[1.0, 0.3], [0.3, -0.5]], [0.1, -0.2], 0.4, bounds_for=BOX2),
+        polynomial("p", [[0.5, -1.0, 0.0, 2.0], [0.0, 1.0]], bounds_for=BOX2),
+        sine_quadratic("s", [[2.0, 0.0], [0.0, 1.0]], [0.0, 0.3], -0.1,
+                       [0.5, 0.25], [2.0, 3.0], bounds_for=BOX2),
+    )
+    xs = BOX2.sample(300, np.random.default_rng(4))
+
+    def reference(c):
+        if c.family == "polynomial-separable":
+            cfs = c.params["coeffs"]
+            return (sum(npoly.polyval(xs[:, d], cf) for d, cf in enumerate(cfs)),
+                    np.column_stack([npoly.polyval(xs[:, d], npoly.polyder(cf))
+                                     for d, cf in enumerate(cfs)]))
+        a, b = c.params["a"], c.params["b"]
+        v = 0.5 * np.sum(xs * (xs @ a), axis=1) + xs @ b + c.params["c"]
+        g = xs @ a + b
+        if c.family == "sine-perturbed-quadratic":
+            amp, freq = c.params["amplitude"], c.params["frequency"]
+            v = v + np.sin(xs * freq) @ amp
+            g = g + amp * freq * np.cos(xs * freq)
+        return v, g
+
+    refs = [reference(c) for c in comps]
+    for c, (v, g) in zip(comps, refs):
+        np.testing.assert_allclose(value_many(c, xs), v, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(grad_many(c, xs), g, rtol=1e-13, atol=1e-13)
+    prob = Problem(2, comps, BOX2)
+    np.testing.assert_allclose(sum_value(prob, xs), sum(v for v, _ in refs), rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(sum_grad(prob, xs), sum(g for _, g in refs), rtol=1e-13, atol=1e-13)
+    # the stacked evaluator: row j of the states uses component j
+    states = xs[:3]
+    np.testing.assert_allclose(prob.evaluator.values(states),
+                               [refs[j][0][j] for j in range(3)], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(prob.evaluator.grads(states),
+                               [refs[j][1][j] for j in range(3)], rtol=1e-13, atol=1e-13)
 
 
 def test_asymmetric_quadratic_rejected():

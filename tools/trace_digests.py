@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Print seed-0 artifact digests for every shipped scenario.
+
+For each scenario, runs ``execute_run`` at seed 0 into a temporary
+directory and prints the sha256 of ``trace.jsonl``, ``trace.csv``,
+``summary.json`` and ``bound_check.json`` (``-`` when the schedule is not
+scrambling and no bound check is written), plus the oracle's ``f_star``.
+Diffing the output of two checkouts checks that a change kept every trace
+byte-identical:
+
+    PYTHONPATH=src python tools/trace_digests.py > digests.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from consopt.cli import execute_run
+from consopt.scenario import load_shipped, shipped_scenario_names
+
+FILES = ("trace.jsonl", "trace.csv", "summary.json", "bound_check.json")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in shipped_scenario_names():
+            run_dir = Path(tmp) / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                execute_run(load_shipped(name), 0, run_dir)
+            f_star = json.loads((run_dir / "oracle.json").read_text())["f_star"]
+            for fname in FILES:
+                print(f"{name} {fname} {_sha256(run_dir / fname)}")
+            print(f"{name} f_star {f_star!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
