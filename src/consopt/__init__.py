@@ -27,9 +27,8 @@ from .engine import (
 )
 from .analysis import (
     BoundParams, BoundUnavailableError, OracleSolution, VerdictReport,
-    bound_params, centralized_solve, check_disagreement_bound,
-    disagreement_bound, max_delta, max_disagreement, params_from_trace,
-    verdict,
+    centralized_solve, check_disagreement_bound, disagreement_bound,
+    max_delta, max_disagreement, params_from_trace, verdict,
 )
 from .privacy import (
     PartitionPlan, SIX_VIRTUAL_PATTERN, TransformedProblem, certify_equivalence,

@@ -79,13 +79,6 @@ class BoundParams:
             raise ConfigError("bound parameters must be nonnegative with n_agents >= 1")
 
 
-def bound_params(prob: Problem, nu: float, initial_states) -> BoundParams:
-    return BoundParams(
-        nu=float(nu), l_bar=prob.l_bar, n_bar=prob.n_bar,
-        delta0=max_disagreement(initial_states), n_agents=prob.n_agents,
-    )
-
-
 def params_from_trace(trace: RunTrace) -> BoundParams:
     s = trace.summary
     if s is None or s.nu is None:

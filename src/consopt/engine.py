@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import BoundParams, disagreement_caps, max_delta, max_disagreement
 from .problem import ConfigError, Problem, sum_value
-from .network import WeightMatrix, WeightSchedule
+from .network import WeightMatrix, WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
 _STREAM_YSET = 12
@@ -209,10 +209,11 @@ def run(cfg: RunConfig) -> RunTrace:
     x = initial_states(cfg)
     delta0 = max_disagreement(x)
 
+    mats = cfg.schedule.distinct_matrices(max(cfg.n_iterations, 1))
     nu = None
     bound_on = False
     if cfg.track_bound is not False:
-        nu = cfg.schedule.contraction_sup(horizon=max(cfg.n_iterations, 1))
+        nu = max_contraction(mats)
         bound_on = nu < 1.0
         if not bound_on and cfg.track_bound:
             raise ConfigError("bound tracking requested but the schedule is not scrambling")
@@ -241,7 +242,7 @@ def run(cfg: RunConfig) -> RunTrace:
     max_drift = 0.0
     max_slack = -np.inf
     for k in range(cfg.n_iterations):
-        v = _fuse(x, cfg.schedule.matrix_at(k).entries)
+        v = _fuse(x, mats[k % len(mats)].entries)
 
         drift = float(np.linalg.norm(v.mean(axis=0) - x.mean(axis=0)))
         max_drift = max(max_drift, drift)

@@ -246,19 +246,30 @@ def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> Wei
 
 
 class WeightSchedule:
-    """Deterministic map from the iteration index to a mixing matrix."""
+    """Deterministic map from the iteration index to a mixing matrix.
+
+    Round k uses ``mats[k % len(mats)]`` with ``mats = distinct_matrices(horizon)``
+    for any horizon above k, so a run builds its matrices once and indexes them.
+    """
 
     n_agents: int
 
-    def matrix_at(self, k: int) -> WeightMatrix:
+    def distinct_matrices(self, horizon: int | None = None) -> tuple[WeightMatrix, ...]:
+        """The matrices the rounds cycle through; an unbounded schedule
+        returns one per round of the first ``horizon``."""
         raise NotImplementedError
 
-    def distinct_matrices(self, horizon: int | None = None) -> tuple[WeightMatrix, ...]:
-        """All matrices the schedule can produce (up to horizon if unbounded)."""
-        raise NotImplementedError
+    def matrix_at(self, k: int) -> WeightMatrix:
+        mats = self.distinct_matrices(k + 1)
+        return mats[k % len(mats)]
 
     def contraction_sup(self, horizon: int | None = None) -> float:
-        return max(contraction_coefficient(m) for m in self.distinct_matrices(horizon))
+        return max_contraction(self.distinct_matrices(horizon))
+
+
+def max_contraction(mats: Sequence[WeightMatrix]) -> float:
+    """The schedule's nu: the largest contraction coefficient over its matrices."""
+    return max(contraction_coefficient(m) for m in mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +278,6 @@ class StaticSchedule(WeightSchedule):
 
     def __post_init__(self):
         object.__setattr__(self, "n_agents", self.matrix.n_agents)
-
-    def matrix_at(self, k):
-        return self.matrix
 
     def distinct_matrices(self, horizon=None):
         return (self.matrix,)
@@ -288,9 +296,6 @@ class CyclicSchedule(WeightSchedule):
             raise ConfigError("cyclic schedule matrices must share one size")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "n_agents", n)
-
-    def matrix_at(self, k):
-        return self.matrices[k % len(self.matrices)]
 
     def distinct_matrices(self, horizon=None):
         return self.matrices
@@ -337,12 +342,13 @@ def is_q_connected(schedule: WeightSchedule, q: int, horizon: int) -> bool:
     """True iff every window of q consecutive support graphs unions connected."""
     if q < 1 or horizon < q:
         raise ConfigError("need q >= 1 and horizon >= q")
-    supports = [support_graph(schedule.matrix_at(k).entries) for k in range(horizon)]
+    edges = [support_graph(m.entries).edges for m in schedule.distinct_matrices(horizon)]
+    supports = [edges[k % len(edges)] for k in range(horizon)]
     n = schedule.n_agents
     for t in range(horizon - q + 1):
         union = set()
         for s in supports[t:t + q]:
-            union |= s.edges
+            union |= s
         if not is_connected(graph(n, union)):
             return False
     return True

@@ -94,16 +94,11 @@ def default_plan(g: Graph, m_per_agent: int) -> PartitionPlan:
     for i in range(g.n_agents):
         nb = neighbors(g, i) or (i,)
         assigned.append(tuple(nb[j % len(nb)] for j in range(m_per_agent)))
-    offsets = []
-    acc = 0
-    for m in counts:
-        offsets.append(acc)
-        acc += m
     edges = set()
     for i, j in g.edges:
         for a in range(m_per_agent):
             for b in range(m_per_agent):
-                edges.add((offsets[i] + a, offsets[j] + b))
+                edges.add((i * m_per_agent + a, j * m_per_agent + b))
     return PartitionPlan(counts, tuple(assigned), frozenset(edges))
 
 

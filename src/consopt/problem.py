@@ -88,10 +88,6 @@ class FeasibleSet:
         """sup of the Euclidean norm over the set."""
         raise NotImplementedError
 
-    def contains(self, p, tol: float = 1e-12) -> bool:
-        p = as_point(p, self.dimension)
-        return float(self.distance_many(p[None, :])[0]) <= tol
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 

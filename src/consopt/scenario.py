@@ -257,13 +257,6 @@ class ValidationReport:
         return {"checks": [c.to_dict() for c in self.checks], "hard_pass": self.hard_pass}
 
 
-def _distinct_matrices(sc: Scenario):
-    if isinstance(sc.schedule, network.RandomSchedule):
-        horizon = max(1, min(sc.n_iterations or _RANDOM_HORIZON, _RANDOM_HORIZON))
-        return sc.schedule.distinct_matrices(horizon)
-    return sc.schedule.distinct_matrices()
-
-
 def validate_scenario(sc: Scenario) -> ValidationReport:
     """Run every assumption check against the executable problem/schedule.
 
@@ -303,11 +296,15 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         "; ".join(bad_n) or "sampled difference quotients stay below declared moduli",
     ))
 
-    mats = _distinct_matrices(sc)
+    rounds = max(1, min(sc.n_iterations or _RANDOM_HORIZON, _RANDOM_HORIZON))
+    mats = sc.schedule.distinct_matrices(rounds)
+    # a schedule with one matrix per round is checked over these rounds only
+    scope = (f" (first {rounds} of {sc.n_iterations} rounds)"
+             if len(mats) == rounds < sc.n_iterations else "")
     ds_ok = all(network.is_doubly_stochastic(m.entries) for m in mats)
     checks.append(CheckResult(
         "doubly-stochastic", ds_ok, "error",
-        f"{len(mats)} distinct matrix(es) checked at tolerance {network.DS_TOL}",
+        f"{len(mats)} distinct matrix(es) checked at tolerance {network.DS_TOL}{scope}",
     ))
 
     rg = sc.run_graph
@@ -317,8 +314,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             stray |= support_graph(m.entries).edges - rg.edges
         checks.append(CheckResult(
             "schedule-support", not stray, "error",
-            f"off-graph links used by the schedule: {sorted(stray)}" if stray
-            else "matrix support stays within the declared links",
+            f"off-graph links used by the schedule: {sorted(stray)}{scope}" if stray
+            else f"matrix support stays within the declared links{scope}",
         ))
 
     if sc.connectivity_mode == "per-k":
@@ -326,8 +323,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
                         if not is_connected(support_graph(m.entries))]
         checks.append(CheckResult(
             "connectivity", not disconnected, "error",
-            f"support graph disconnected at matrix index {disconnected}" if disconnected
-            else "support graph connected at every round",
+            f"support graph disconnected at matrix index {disconnected}{scope}" if disconnected
+            else f"support graph connected at every round{scope}",
         ))
     else:
         horizon = max(sc.q_window, min(sc.n_iterations or sc.q_window, _VALIDATE_HORIZON))
@@ -338,10 +335,10 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             f"over horizon {horizon}",
         ))
 
-    nu = max(network.contraction_coefficient(m.entries) for m in mats)
+    nu = network.max_contraction(mats)
     checks.append(CheckResult(
         "scrambling", nu < 1.0, "warning",
-        f"schedule contraction coefficient {nu:.6g}"
+        f"schedule contraction coefficient {nu:.6g}{scope}"
         + ("" if nu < 1.0 else " (disagreement bound disabled)"),
     ))
 

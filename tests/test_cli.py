@@ -59,6 +59,17 @@ def test_validate_passes_on_shipped_triangle(capsys):
     assert "PASS sum-convexity" in out and "PASS connectivity" in out
 
 
+def test_validate_names_the_rounds_a_random_schedule_was_checked_over(capsys, tmp_path):
+    rc = main(["validate", "--config", str(shipped_scenario_path("random_nonconvex_d2"))])
+    lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert rc == 0
+    for check in ("doubly-stochastic", "connectivity", "scrambling"):
+        assert "(first 32 of 8000 rounds)" in lines[f"PASS {check}"]
+    # a schedule that cycles through fixed matrices is checked over every round
+    assert main(["validate", "--config", str(write_config(tmp_path, scenario_doc()))]) == 0
+    assert "rounds)" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", shipped_scenario_names())
 def test_every_shipped_scenario_validates(name):
     assert validate_scenario(load_shipped(name)).hard_pass

@@ -7,7 +7,7 @@ from consopt.engine import (
 )
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
-    CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis,
+    CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix, build_metropolis,
     build_two_link_matrix, complete_graph, graph,
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
@@ -192,18 +192,46 @@ def test_run_descent_displacement_bounded():
         assert np.linalg.norm(x1[j] - v[j]) <= alpha * c.grad_bound + 1e-12
 
 
+def cyclic_pair_schedule():
+    return CyclicSchedule((build_metropolis(graph(3, [(0, 1)])),
+                           build_metropolis(graph(3, [(1, 2)]))))
+
+
+@pytest.mark.parametrize("make_schedule", [
+    pytest.param(lambda: StaticSchedule(build_metropolis(complete_graph(3))), id="static"),
+    pytest.param(cyclic_pair_schedule, id="cyclic", marks=pytest.mark.filterwarnings(
+        "ignore:mixing schedule is not scrambling:RuntimeWarning")),
+    pytest.param(lambda: RandomSchedule(3, 0.6, seed=5), id="random"),
+])
 @pytest.mark.parametrize("make_problem", [triangle_indefinite_problem, mixed_family_problem])
-def test_run_round_is_public_fuse_then_descend(make_problem):
+def test_run_round_is_public_fuse_then_descend(make_problem, make_schedule):
     prob = make_problem()
-    sched = StaticSchedule(build_metropolis(complete_graph(3)))
-    cfg = RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4)
+    sched = make_schedule()
+    cfg = RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4, record_every=1)
     tr = run(cfg)
-    x1 = descend(fuse(initial_states(cfg), sched.matrix_at(0)), 0, cfg)
-    np.testing.assert_array_equal(x1, tr.states[1])
+    np.testing.assert_array_equal(tr.states[0], initial_states(cfg))
+    for k in range(cfg.n_iterations):
+        expected = descend(fuse(tr.states[k], sched.matrix_at(k)), k, cfg)
+        np.testing.assert_array_equal(expected, tr.states[k + 1])
     for r in range(tr.n_records):
         assert tr.f_bar[r] == sum_value(prob, tr.x_bar[r:r + 1])[0]
         assert tr.max_disagreement[r] == max_disagreement(tr.states[r])
         assert tr.max_delta[r] == max_delta(tr.states[r])
+
+
+def test_run_builds_each_random_matrix_once(monkeypatch):
+    built = []
+    build = RandomSchedule.matrix_at
+
+    def counting(self, k):
+        built.append(k)
+        return build(self, k)
+
+    monkeypatch.setattr(RandomSchedule, "matrix_at", counting)
+    cfg = RunConfig(triangle_indefinite_problem(), RandomSchedule(3, 0.6, seed=5),
+                    StepSchedule(1.0), 40, seed=0)
+    run(cfg)
+    assert sorted(built) == list(range(cfg.n_iterations))
 
 
 def test_descend_rejects_wrong_state_shape():

@@ -145,6 +145,10 @@ def main() -> None:
                     metropolis_entries(graph(3, [(1, 2)])),
                 ]},
             40000, graph=tri_graph, connectivity={"mode": "q-connected", "Q": 2}),
+        "random_nonconvex_d2": base(
+            "random_nonconvex_d2", nonconvex_d2(), {
+                "variant": "random", "n_agents": 3, "edge_probability": 0.6, "seed": 1608},
+            8000, graph=tri_graph),
         "partition_virtual6_scale0p1": base(
             "partition_virtual6_scale0p1", tri, kappa_sched, 40000, graph=tri_graph,
             transform={"kind": "partition", "plan": "six-virtual",
