@@ -28,7 +28,7 @@ from .engine import (
 from .analysis import (
     BoundParams, BoundUnavailableError, OracleSolution, VerdictReport,
     centralized_solve, check_disagreement_bound, disagreement_bound,
-    max_delta, max_disagreement, params_from_trace, verdict,
+    max_delta, max_disagreement, verdict,
 )
 from .privacy import (
     PartitionPlan, SIX_VIRTUAL_PATTERN, TransformedProblem, certify_equivalence,

@@ -30,27 +30,39 @@ def _states(states) -> np.ndarray:
     x = np.asarray(states, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ConfigError(f"expected a (S, D) state array, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ConfigError(f"expected a (..., S, D) state array, got shape {x.shape}")
     return x
 
 
-def max_disagreement(states) -> float:
-    """Largest pairwise distance between agent states; 0 for one agent."""
-    x = _states(states)
-    if x.shape[0] == 1:
-        return 0.0
-    diff = x[:, None, :] - x[None, :, :]
-    return float(np.max(np.linalg.norm(diff, axis=2)))
+def _per_state(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def max_delta(states) -> float:
-    """Largest distance from any agent state to the state average.
+def max_disagreement(states):
+    """Largest pairwise distance between agent states; 0 for one agent.
 
-    Always at most (S-1)/S times the largest pairwise distance.
+    A stack of shape (..., S, D) gives one value per state; a single (S, D)
+    state gives a float.
     """
     x = _states(states)
-    return float(np.max(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+    out = np.zeros(x.shape[:-2])
+    # one agent at a time, so no (..., S, S, D) difference array is formed
+    for i in range(x.shape[-2]):
+        dist = np.linalg.norm(x - x[..., i:i + 1, :], axis=-1)
+        out = np.maximum(out, dist.max(axis=-1))
+    return _per_state(out)
+
+
+def max_delta(states):
+    """Largest distance from any agent state to the state average.
+
+    Always at most (S-1)/S times the largest pairwise distance.  Takes a
+    single state or a stack, like :func:`max_disagreement`.
+    """
+    x = _states(states)
+    dev = np.linalg.norm(x - x.mean(axis=-2, keepdims=True), axis=-1)
+    return _per_state(dev.max(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +89,6 @@ class BoundParams:
             raise ConfigError("nu must lie in [0, 1]")
         if self.l_bar < 0 or self.n_bar < 0 or self.delta0 < 0 or self.n_agents < 1:
             raise ConfigError("bound parameters must be nonnegative with n_agents >= 1")
-
-
-def params_from_trace(trace: RunTrace) -> BoundParams:
-    s = trace.summary
-    if s is None or s.nu is None:
-        raise ConfigError("trace carries no bound parameters (summary or nu missing)")
-    return BoundParams(nu=s.nu, l_bar=s.l_bar, n_bar=s.n_bar,
-                       delta0=s.delta0, n_agents=s.n_agents)
 
 
 def disagreement_bound(p: BoundParams, steps: StepSchedule, k: int) -> float:
@@ -118,8 +122,9 @@ def disagreement_caps(p: BoundParams, steps: StepSchedule, k_max: int) -> np.nda
     caps = np.empty(k_max + 1)
     caps[0] = factor * p.delta0
     h = p.nu * p.delta0
+    alphas = steps.at(np.arange(k_max + 1)).tolist()
     for t in range(1, k_max + 1):
-        h = p.nu * h + p.l_bar * float(steps.at(t))
+        h = p.nu * h + p.l_bar * alphas[t]
         caps[t] = factor * h
     return caps
 
@@ -146,19 +151,19 @@ class BoundCheckReport:
         }
 
 
-def check_disagreement_bound(trace: RunTrace, p: BoundParams, steps: StepSchedule) -> BoundCheckReport:
-    """Verify observed max deviation against the closed-form cap at every
+def check_disagreement_bound(trace: RunTrace) -> BoundCheckReport:
+    """Verify the observed max deviation against the recorded cap at every
     recorded iteration.
 
-    The record at iteration t >= 1 is compared with the closed form
-    evaluated at t; the initial record is compared with the algebraic cap
-    (S-1)/S * delta0.  Tolerance 1e-9 absolute.
+    ``trace.bound`` holds the cap from :func:`disagreement_caps`: at
+    iteration t >= 1 the closed form evaluated at t, and at the initial
+    record the algebraic cap (S-1)/S * delta0.  Not applicable when the
+    trace has no bound column (a non-scrambling schedule).  Tolerance 1e-9
+    absolute.
     """
-    if p.nu >= 1.0:
+    if trace.bound is None:
         return BoundCheckReport(False, 0, (), float("nan"))
-    ks = trace.ks
-    observed = trace.max_delta
-    caps = disagreement_caps(p, steps, int(ks[-1]))[ks]
+    ks, observed, caps = trace.ks, trace.max_delta, trace.bound
     margins = observed - caps
     bad = np.where(margins > BOUND_SLACK)[0]
     violations = tuple(

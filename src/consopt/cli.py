@@ -68,8 +68,7 @@ def execute_run(sc: Scenario, seed: int, run_dir: Path, *, iterations: int | Non
         _write_json(run_dir / "transformed_problem.json", transformed_to_dict(sc.transformed))
 
     if trace.summary.bound_enabled:
-        params = analysis.params_from_trace(trace)
-        report = analysis.check_disagreement_bound(trace, params, sc.steps)
+        report = analysis.check_disagreement_bound(trace)
         _write_json(run_dir / "bound_check.json", report.to_dict())
 
     return {

@@ -57,8 +57,13 @@ class StepSchedule:
             raise ConfigError("step schedule needs p in (1/2, 1]")
 
     def at(self, k):
-        """Step size at iteration k; accepts scalars or integer arrays."""
-        return self.a / (np.asarray(k, dtype=float) + self.b) ** self.p
+        """Step size at iteration k; accepts scalars or integer arrays.
+
+        ``at(k)`` and ``at(ks)[i]`` agree bitwise: ``np.power`` uses one
+        kernel for both, while ``**`` on a numpy scalar calls the C pow,
+        which can differ from the vectorised kernel by an ulp when p != 1.
+        """
+        return self.a / np.power(np.asarray(k, dtype=float) + self.b, self.p)
 
 
 def step_size(s: StepSchedule, k: int) -> float:
@@ -82,7 +87,6 @@ class RunConfig:
     seed: int = 0
     initial_states: np.ndarray | None = None
     record_every: int = 1
-    track_bound: bool | None = None  # None = when the schedule is scrambling
 
     def __post_init__(self):
         if self.n_iterations < 0:
@@ -115,7 +119,7 @@ class RunSummary:
     final_max_delta: float
     max_average_drift: float
     max_nonexpansive_slack: float
-    nu: float | None
+    nu: float
     delta0: float
     l_bar: float
     n_bar: float
@@ -204,44 +208,34 @@ def run(cfg: RunConfig) -> RunTrace:
     """
     prob = cfg.problem
     S, D = prob.n_agents, prob.dimension
+    K = cfg.n_iterations
     fs = prob.feasible_set
 
     x = initial_states(cfg)
     delta0 = max_disagreement(x)
 
-    mats = cfg.schedule.distinct_matrices(max(cfg.n_iterations, 1))
-    nu = None
-    bound_on = False
-    if cfg.track_bound is not False:
-        nu = max_contraction(mats)
-        bound_on = nu < 1.0
-        if not bound_on and cfg.track_bound:
-            raise ConfigError("bound tracking requested but the schedule is not scrambling")
-        if not bound_on:
-            warnings.warn(
-                "mixing schedule is not scrambling (contraction coefficient 1); "
-                "disagreement bound disabled",
-                RuntimeWarning,
-            )
+    mats = cfg.schedule.distinct_matrices(max(K, 1))
+    nu = max_contraction(mats)
+    bound_on = nu < 1.0
+    if not bound_on:
+        warnings.warn(
+            "mixing schedule is not scrambling (contraction coefficient 1); "
+            "disagreement bound disabled",
+            RuntimeWarning,
+        )
 
     # fixed probe points for the sum non-expansiveness invariant
     rng_y = np.random.default_rng([cfg.seed, _STREAM_YSET])
     probes = np.vstack([fs.project_many(np.zeros((1, D))), fs.sample(10, rng_y)])
 
-    rows: list[tuple] = []
-
-    def snapshot(t: int, states: np.ndarray):
-        xbar = states.mean(axis=0)
-        rows.append((
-            t, float(cfg.steps.at(t)), states.copy(), xbar,
-            float(sum_value(prob, xbar[None, :])[0]),
-            max_delta(states), max_disagreement(states),
-        ))
-
-    snapshot(0, x)
+    alpha = cfg.steps.at(np.arange(K + 1))
+    ks = np.r_[0:K:cfg.record_every, K]
+    states = np.empty((ks.shape[0], S, D))
+    states[0] = x
+    r = 1
     max_drift = 0.0
     max_slack = -np.inf
-    for k in range(cfg.n_iterations):
+    for k in range(K):
         v = _fuse(x, mats[k % len(mats)].entries)
 
         drift = float(np.linalg.norm(v.mean(axis=0) - x.mean(axis=0)))
@@ -250,30 +244,30 @@ def run(cfg: RunConfig) -> RunTrace:
         sq_v = ((v[None, :, :] - probes[:, None, :]) ** 2).sum(axis=(1, 2))
         max_slack = max(max_slack, float(np.max(sq_v - sq_x)))
 
-        x = _descend(v, k, float(cfg.steps.at(k)), prob)
-        t = k + 1
-        if t % cfg.record_every == 0 or t == cfg.n_iterations:
-            snapshot(t, x)
+        x = _descend(v, k, alpha[k], prob)
+        if k + 1 == ks[r]:
+            states[r] = x
+            r += 1
 
-    ks = np.array([r[0] for r in rows], dtype=int)
+    x_bar = states.mean(axis=1)
     bound = None
     if bound_on:
         params = BoundParams(nu=nu, l_bar=prob.l_bar, n_bar=prob.n_bar,
                              delta0=delta0, n_agents=S)
-        bound = disagreement_caps(params, cfg.steps, cfg.n_iterations)[ks]
+        bound = disagreement_caps(params, cfg.steps, K)[ks]
     trace = RunTrace(
         ks=ks,
-        alphas=np.array([r[1] for r in rows]),
-        states=np.stack([r[2] for r in rows]),
-        x_bar=np.stack([r[3] for r in rows]),
-        f_bar=np.array([r[4] for r in rows]),
-        max_delta=np.array([r[5] for r in rows]),
-        max_disagreement=np.array([r[6] for r in rows]),
+        alphas=alpha[ks],
+        states=states,
+        x_bar=x_bar,
+        f_bar=sum_value(prob, x_bar),
+        max_delta=max_delta(states),
+        max_disagreement=max_disagreement(states),
         bound=bound,
         summary=None,
     )
     trace.summary = RunSummary(
-        n_iterations=cfg.n_iterations,
+        n_iterations=K,
         n_agents=S,
         dimension=D,
         final_f_bar=float(trace.f_bar[-1]),

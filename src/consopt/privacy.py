@@ -48,7 +48,7 @@ class PartitionPlan:
     ``counts[i]`` is the number of pieces of agent i, ``assigned_neighbors``
     names the real neighbor each piece fronts (metadata only), and
     ``virtual_edges`` are links between global virtual indices, where piece
-    j of agent i has index offset(i) + j.
+    j of agent i has index ``sum(counts[:i]) + j``.
     """
 
     counts: tuple[int, ...]
@@ -71,13 +71,6 @@ class PartitionPlan:
     @property
     def n_virtual(self) -> int:
         return sum(self.counts)
-
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for m in self.counts:
-            out.append(acc)
-            acc += m
-        return tuple(out)
 
     def owners(self) -> tuple[int, ...]:
         return tuple(i for i, m in enumerate(self.counts) for _ in range(m))

@@ -12,9 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from consopt.analysis import (
-    centralized_solve, check_disagreement_bound, params_from_trace, verdict,
-)
+from consopt.analysis import centralized_solve, check_disagreement_bound, verdict
 from consopt.cli import execute_run, main
 from consopt.engine import run
 from consopt.network import (
@@ -69,7 +67,7 @@ def suite():
                     "bound_enabled": tr.summary.bound_enabled,
                 }
                 if tr.summary.bound_enabled:
-                    rep = check_disagreement_bound(tr, params_from_trace(tr), sc.steps)
+                    rep = check_disagreement_bound(tr)
                     entry["bound_pass"] = rep.passed
                     entry["bound_margin"] = rep.worst_margin
                 runs.append(entry)

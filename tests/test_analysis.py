@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consopt.analysis import (
     BoundParams, BoundUnavailableError, centralized_solve,
-    check_disagreement_bound, disagreement_bound, max_delta, max_disagreement,
-    params_from_trace, verdict,
+    check_disagreement_bound, disagreement_bound, disagreement_caps, max_delta,
+    max_disagreement, verdict,
 )
-from consopt.engine import RunConfig, StepSchedule, run
-from consopt.network import StaticSchedule, WeightMatrix
+from consopt.engine import RunConfig, StepSchedule, read_trace_jsonl, run, write_trace_jsonl
+from consopt.network import CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis, graph
 from consopt.problem import Ball, Box, Problem, polynomial, quadratic
 
 ALPHA = StepSchedule(1.0, 1.0, 1.0)
@@ -50,6 +51,18 @@ def test_max_delta_at_most_scaled_disagreement():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
         x = rng.normal(0, 3, (n, d))
         assert max_delta(x) <= (n - 1) / n * max_disagreement(x) + 1e-12
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 5])
+def test_stacked_metrics_equal_per_state_calls(n_agents):
+    rng = np.random.default_rng(2)
+    stack = rng.normal(0, 2, (4, 7, n_agents, 3))
+    for metric in (max_disagreement, max_delta):
+        got = metric(stack)
+        assert got.shape == (4, 7)
+        want = [[metric(stack[a, b]) for b in range(7)] for a in range(4)]
+        np.testing.assert_array_equal(got, want)
+        assert type(metric(stack[0, 0])) is float
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +118,19 @@ def triangle_problem():
     return Problem(2, comps, fs)
 
 
+def summary_params(tr):
+    """The bound constants of a run, read from its summary."""
+    s = tr.summary
+    return BoundParams(s.nu, s.l_bar, s.n_bar, s.delta0, s.n_agents)
+
+
 def test_check_bound_uniform_matrix_run():
     prob = triangle_problem()
     cfg = RunConfig(prob, uniform_schedule(3), ALPHA, 200, seed=4)
     tr = run(cfg)
-    p = params_from_trace(tr)
+    p = summary_params(tr)
     assert p.nu == 0.0
-    rep = check_disagreement_bound(tr, p, ALPHA)
+    rep = check_disagreement_bound(tr)
     assert rep.applicable and rep.passed
     # spot-check the recursion against the direct formula at recorded indices
     for idx in (1, 5, -1):
@@ -124,7 +143,7 @@ def test_check_bound_single_agent_everything_zero():
     prob = Problem(1, (quadratic("f", [[1.0]], [0.0], bounds_for=fs),), fs)
     cfg = RunConfig(prob, uniform_schedule(1), ALPHA, 20, initial_states=np.array([[0.5]]))
     tr = run(cfg)
-    rep = check_disagreement_bound(tr, params_from_trace(tr), ALPHA)
+    rep = check_disagreement_bound(tr)
     assert rep.passed
     assert np.all(tr.max_delta == 0.0) and np.all(tr.bound == 0.0)
 
@@ -139,16 +158,51 @@ def test_check_bound_lazy_two_agent_scrambling():
     lazy = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0.25))
     cfg = RunConfig(prob, lazy, ALPHA, 500, seed=8)
     tr = run(cfg)
-    p = params_from_trace(tr)
+    p = summary_params(tr)
     assert p.nu == 0.5
-    assert check_disagreement_bound(tr, p, ALPHA).passed
+    assert check_disagreement_bound(tr).passed
+    for r in range(1, tr.n_records):
+        t = int(tr.ks[r])
+        np.testing.assert_allclose(tr.bound[r], disagreement_bound(p, ALPHA, t), rtol=1e-13)
+
+
+def test_check_bound_reads_the_bound_column_back_from_disk(tmp_path):
+    cfg = RunConfig(triangle_problem(), uniform_schedule(3), ALPHA, 60, seed=2, record_every=7)
+    tr = run(cfg)
+    write_trace_jsonl(tr, tmp_path / "trace.jsonl")
+    back = read_trace_jsonl(tmp_path / "trace.jsonl")
+    assert back.summary is None
+    assert check_disagreement_bound(back).to_dict() == check_disagreement_bound(tr).to_dict()
 
 
 def test_check_bound_not_applicable_for_nu_one():
-    tr = run(RunConfig(triangle_problem(), uniform_schedule(3), ALPHA, 10, seed=0))
-    p = BoundParams(1.0, 1.0, 1.0, 1.0, 3)
-    rep = check_disagreement_bound(tr, p, ALPHA)
+    pair = CyclicSchedule((build_metropolis(graph(3, [(0, 1)])),
+                           build_metropolis(graph(3, [(1, 2)]))))
+    with pytest.warns(RuntimeWarning, match="not scrambling"):
+        tr = run(RunConfig(triangle_problem(), pair, ALPHA, 10, seed=0))
+    assert tr.bound is None
+    rep = check_disagreement_bound(tr)
     assert not rep.applicable and not rep.passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.floats(0.0, 1.0, exclude_max=True),
+    l_bar=st.floats(0.01, 100.0),
+    delta0=st.floats(0.0, 100.0),
+    n_agents=st.integers(1, 12),
+    a=st.floats(0.01, 10.0),
+    b=st.floats(1.0, 100.0),
+    p=st.floats(0.5, 1.0, exclude_min=True),
+    k_max=st.integers(1, 200),
+)
+def test_cap_recursion_matches_closed_form(nu, l_bar, delta0, n_agents, a, b, p, k_max):
+    params = BoundParams(nu, l_bar, 1.0, delta0, n_agents)
+    steps = StepSchedule(a, b, p)
+    caps = disagreement_caps(params, steps, k_max)
+    assert caps[0] == (n_agents - 1) / n_agents * delta0
+    closed = [disagreement_bound(params, steps, t) for t in range(1, k_max + 1)]
+    np.testing.assert_allclose(caps[1:], closed, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

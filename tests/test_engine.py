@@ -64,6 +64,24 @@ def test_step_schedule_monotone_nonincreasing():
     assert np.all(np.diff(vals) <= 0)
 
 
+@pytest.mark.parametrize("p", [0.51, 0.73, 1.0])
+def test_step_sizes_agree_for_scalar_and_array_iterations(p):
+    s = StepSchedule(0.7, 3.0, p)
+    ks = np.arange(3000)
+    np.testing.assert_array_equal(s.at(ks), [step_size(s, int(k)) for k in ks])
+
+
+def test_run_records_the_step_each_round_took():
+    prob = triangle_indefinite_problem()
+    cfg = RunConfig(prob, StaticSchedule(build_metropolis(complete_graph(3))),
+                    StepSchedule(0.7, 3.0, 0.73), 200, seed=1, record_every=1)
+    tr = run(cfg)
+    for k in range(cfg.n_iterations):
+        assert tr.alphas[k] == step_size(cfg.steps, k)
+        expected = descend(fuse(tr.states[k], cfg.schedule.matrix_at(k)), k, cfg)
+        np.testing.assert_array_equal(expected, tr.states[k + 1])
+
+
 @pytest.mark.parametrize("a,b,p", [(0.0, 1.0, 1.0), (1.0, 0.5, 1.0),
                                    (1.0, 1.0, 0.5), (1.0, 1.0, 1.1)])
 def test_step_schedule_rejects_bad_params(a, b, p):

@@ -5,8 +5,10 @@ For each scenario, runs ``execute_run`` at seed 0 into a temporary
 directory and prints the sha256 of ``trace.jsonl``, ``trace.csv``,
 ``summary.json`` and ``bound_check.json`` (``-`` when the schedule is not
 scrambling and no bound check is written), plus the oracle's ``f_star``.
-Diffing the output of two checkouts checks that a change kept every trace
-byte-identical:
+Each scenario runs twice: with its own iterations and decimation, and at
+2000 iterations recording every one (``<name>@dense`` lines), so that the
+record path is compared at every iteration.  Diffing the output of two
+checkouts checks that a change kept every trace byte-identical:
 
     PYTHONPATH=src python tools/trace_digests.py > digests.txt
 """
@@ -23,6 +25,8 @@ from consopt.cli import execute_run
 from consopt.scenario import load_shipped, shipped_scenario_names
 
 FILES = ("trace.jsonl", "trace.csv", "summary.json", "bound_check.json")
+# (label suffix, execute_run overrides): the shipped settings, then every iteration
+SETTINGS = (("", {}), ("@dense", {"iterations": 2000, "decimate": 1}))
 
 
 def _sha256(path: Path) -> str:
@@ -32,14 +36,16 @@ def _sha256(path: Path) -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in shipped_scenario_names():
-            run_dir = Path(tmp) / name
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                execute_run(load_shipped(name), 0, run_dir)
-            f_star = json.loads((run_dir / "oracle.json").read_text())["f_star"]
-            for fname in FILES:
-                print(f"{name} {fname} {_sha256(run_dir / fname)}")
-            print(f"{name} f_star {f_star!r}")
+            for suffix, overrides in SETTINGS:
+                label = name + suffix
+                run_dir = Path(tmp) / label
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    execute_run(load_shipped(name), 0, run_dir, **overrides)
+                f_star = json.loads((run_dir / "oracle.json").read_text())["f_star"]
+                for fname in FILES:
+                    print(f"{label} {fname} {_sha256(run_dir / fname)}")
+                print(f"{label} f_star {f_star!r}")
     return 0
 
 
