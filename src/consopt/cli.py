@@ -40,15 +40,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_plotdata(path: Path, trace: engine.RunTrace, f_star: float | None) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,f_gap,max_disagreement,bound\n")
-        for r in range(trace.n_records):
-            gap = "" if f_star is None else repr(float(trace.f_bar[r]) - f_star)
-            bound = "" if trace.bound is None else repr(float(trace.bound[r]))
-            fh.write(f"{int(trace.ks[r])},{gap},{repr(float(trace.max_disagreement[r]))},{bound}\n")
-
-
 def execute_run(sc: Scenario, seed: int, run_dir: Path, *, iterations: int | None = None,
                 decimate: int | None = None) -> dict:
     """Run one seed of a scenario and persist every artifact into run_dir."""
@@ -63,7 +54,7 @@ def execute_run(sc: Scenario, seed: int, run_dir: Path, *, iterations: int | Non
     _write_json(run_dir / "summary.json", trace.summary.to_dict())
     _write_json(run_dir / "oracle.json", oracle.to_dict())
     _write_json(run_dir / "verdict.json", vd.to_dict())
-    _write_plotdata(run_dir / "plotdata.csv", trace, oracle.f_star)
+    engine.write_plotdata(trace, run_dir / "plotdata.csv", oracle.f_star)
     if sc.transformed is not None:
         _write_json(run_dir / "transformed_problem.json", transformed_to_dict(sc.transformed))
 
@@ -241,14 +232,12 @@ def cmd_export(run_dir, out_dir=None) -> int:
     if not trace_path.exists():
         raise ConfigError(f"no trace.jsonl under {src}")
     trace = engine.read_trace_jsonl(trace_path)
-    f_star = None
     oracle_path = src / "oracle.json"
-    if oracle_path.exists():
-        f_star = json.loads(oracle_path.read_text())["f_star"]
+    f_star = json.loads(oracle_path.read_text())["f_star"] if oracle_path.exists() else None
     dest = Path(out_dir) if out_dir else src
     dest.mkdir(parents=True, exist_ok=True)
     engine.write_trace_csv(trace, dest / "trace.csv")
-    _write_plotdata(dest / "plotdata.csv", trace, f_star)
+    engine.write_plotdata(trace, dest / "plotdata.csv", f_star)
     print(f"exported {trace.n_records} records to {dest}")
     return EXIT_OK
 

@@ -10,9 +10,10 @@ iteration records plus a terminal summary of the fusion invariants
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -103,9 +104,9 @@ class RunConfig:
             S, D = self.problem.n_agents, self.problem.dimension
             if x0.shape != (S, D):
                 raise ConfigError(f"initial states must have shape ({S}, {D})")
-            dist = self.problem.feasible_set.distance_many(x0)
-            if np.any(dist > 1e-12):
-                raise ConfigError("initial states must lie in the feasible set")
+            if not (np.all(np.isfinite(x0))
+                    and np.all(self.problem.feasible_set.distance_many(x0) <= 1e-12)):
+                raise ConfigError("initial states must be finite and lie in the feasible set")
             object.__setattr__(self, "initial_states", x0)
 
 
@@ -288,69 +289,81 @@ def run(cfg: RunConfig) -> RunTrace:
 # trace export
 
 
+TRACE_FIELDS = ("k", "alpha", "x", "x_bar", "f_bar", "max_delta", "max_disagreement", "bound")
+_BLOCK = 1024  # records held as Python values at a time, writing or reading
+
+
 def trace_records(trace: RunTrace):
-    """Iterate records as plain dicts in the serialized field order."""
-    for r in range(trace.n_records):
-        yield {
-            "k": int(trace.ks[r]),
-            "alpha": float(trace.alphas[r]),
-            "x": trace.states[r].tolist(),
-            "x_bar": trace.x_bar[r].tolist(),
-            "f_bar": float(trace.f_bar[r]),
-            "max_delta": float(trace.max_delta[r]),
-            "max_disagreement": float(trace.max_disagreement[r]),
-            "bound": None if trace.bound is None else float(trace.bound[r]),
-        }
+    """Yield one tuple of plain Python values per record, in ``TRACE_FIELDS``
+    order (also ``RunTrace``'s); ``bound`` is None when the column is absent."""
+    columns = (trace.ks, trace.alphas, trace.states, trace.x_bar, trace.f_bar,
+               trace.max_delta, trace.max_disagreement)
+    for lo in range(0, trace.n_records, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        bound = itertools.repeat(None) if trace.bound is None else trace.bound[block].tolist()
+        yield from zip(*(c[block].tolist() for c in columns), bound)
 
 
 def write_trace_jsonl(trace: RunTrace, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        for rec in trace_records(trace):
-            fh.write(json.dumps(rec) + "\n")
-
-
-def read_trace_jsonl(path) -> RunTrace:
-    ks, alphas, states, xbar, fbar, mdl, mdis, bound = [], [], [], [], [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            ks.append(rec["k"])
-            alphas.append(rec["alpha"])
-            states.append(rec["x"])
-            xbar.append(rec["x_bar"])
-            fbar.append(rec["f_bar"])
-            mdl.append(rec["max_delta"])
-            mdis.append(rec["max_disagreement"])
-            bound.append(rec["bound"])
-    if not ks:
-        raise ConfigError(f"trace file {path} has no records")
-    has_bound = bound[0] is not None
-    return RunTrace(
-        ks=np.array(ks, dtype=int),
-        alphas=np.array(alphas),
-        states=np.array(states),
-        x_bar=np.array(xbar),
-        f_bar=np.array(fbar),
-        max_delta=np.array(mdl),
-        max_disagreement=np.array(mdis),
-        bound=np.array([b if b is not None else np.nan for b in bound]) if has_bound else None,
-        summary=None,
-    )
+        fh.writelines(json.dumps(dict(zip(TRACE_FIELDS, r))) + "\n" for r in trace_records(trace))
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
-    """CSV columns: k, alpha, f_bar, max_disagreement, max_delta, bound, x_J_d."""
-    n_rec, S, D = trace.states.shape
-    header = ["k", "alpha", "f_bar", "max_disagreement", "max_delta", "bound"]
-    header += [f"x_{j}_{d}" for j in range(S) for d in range(D)]
+    """CSV columns: k, alpha, f_bar, max_disagreement, max_delta, bound, x_J_d;
+    the bound cell is empty when the bound is absent or non-finite."""
+    xs = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(trace.states.shape[1:]))
     with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for r in range(n_rec):
-            bound = "" if trace.bound is None or not np.isfinite(trace.bound[r]) else repr(float(trace.bound[r]))
-            row = [
-                int(trace.ks[r]), repr(float(trace.alphas[r])), repr(float(trace.f_bar[r])),
-                repr(float(trace.max_disagreement[r])), repr(float(trace.max_delta[r])), bound,
-            ]
-            row += [repr(float(v)) for v in trace.states[r].ravel()]
-            w.writerow(row)
+        fh.write(f"k,alpha,f_bar,max_disagreement,max_delta,bound,{xs}\n")
+        for k, alpha, x, _, f_bar, mdl, mdis, bound in trace_records(trace):
+            b = repr(bound) if bound is not None and math.isfinite(bound) else ""
+            cells = ",".join(map(repr, itertools.chain.from_iterable(x)))
+            fh.write(f"{k!r},{alpha!r},{f_bar!r},{mdis!r},{mdl!r},{b},{cells}\n")
+
+
+def write_plotdata(trace: RunTrace, path, f_star: float | None) -> None:
+    """CSV columns: k, f_gap (empty without an oracle), max_disagreement, bound."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("k,f_gap,max_disagreement,bound\n")
+        for k, _, _, _, f_bar, _, mdis, bound in trace_records(trace):
+            gap = "" if f_star is None else repr(f_bar - f_star)
+            fh.write(f"{k!r},{gap},{mdis!r},{'' if bound is None else repr(bound)}\n")
+
+
+def _columns(lines, shapes) -> list[np.ndarray]:
+    """One array per field of ``TRACE_FIELDS`` from JSONL lines; raises on a bad
+    record, including one whose fields are not shaped as ``shapes`` (if given)."""
+    recs = [json.loads(line) for line in lines]
+    cols = [np.array([r[f] for r in recs], dtype=int if f == "k" else float)
+            for f in TRACE_FIELDS]
+    if shapes is not None and [c.shape[1:] for c in cols] != shapes:
+        raise ValueError("a field is shaped unlike in the first record")
+    return cols
+
+
+def read_trace_jsonl(path) -> RunTrace:
+    """Read a ``trace.jsonl`` back ``_BLOCK`` lines at a time; null bounds become
+    NaN, and the column is absent when the first record has none."""
+    blocks, shapes = [], None
+    with open(path) as fh:
+        for n0 in itertools.count(1, _BLOCK):
+            lines = list(itertools.islice(fh, _BLOCK))
+            if not lines:
+                break
+            try:
+                if shapes is None:
+                    shapes = [c.shape[1:] for c in _columns(lines[:1], None)]
+                    bounded = json.loads(lines[0])["bound"] is not None
+                blocks.append(_columns(lines, shapes))
+            except (ValueError, KeyError, TypeError):
+                for n, line in enumerate(lines, n0):  # name the first bad record
+                    try:
+                        _columns([line], shapes)
+                    except (ValueError, KeyError, TypeError) as e:
+                        raise ConfigError(f"trace file {path} line {n}: bad record "
+                                          f"({type(e).__name__}: {e})") from None
+                raise
+    if not blocks:
+        raise ConfigError(f"trace file {path} has no records")
+    cols = [np.concatenate(c) for c in zip(*blocks)]
+    return RunTrace(*cols[:-1], bound=cols[-1] if bounded else None, summary=None)

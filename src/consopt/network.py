@@ -263,9 +263,6 @@ class WeightSchedule:
         mats = self.distinct_matrices(k + 1)
         return mats[k % len(mats)]
 
-    def contraction_sup(self, horizon: int | None = None) -> float:
-        return max_contraction(self.distinct_matrices(horizon))
-
 
 def max_contraction(mats: Sequence[WeightMatrix]) -> float:
     """The schedule's nu: the largest contraction coefficient over its matrices."""

@@ -309,18 +309,40 @@ def test_problem_file_reference(tmp_path):
 
 def test_export_regenerates_identical_csv(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(n_iterations=1500))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    run_dir = tmp_path / "out" / "tiny_triangle" / "seed0000"
-    rc = main(["export", "--run-dir", str(run_dir), "--out", str(tmp_path / "exported")])
-    assert rc == 0
-    assert ((tmp_path / "exported" / "trace.csv").read_bytes()
-            == (run_dir / "trace.csv").read_bytes())
-    assert ((tmp_path / "exported" / "plotdata.csv").read_bytes()
-            == (run_dir / "plotdata.csv").read_bytes())
+    # the shipped decimation, then every one of 2500 iterations (three read blocks)
+    for name, extra in (("shipped", []), ("dense", ["--decimate", "1", "--iterations", "2500"])):
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--out", str(out / "run"), *extra]) == 0
+        run_dir = out / "run" / "tiny_triangle" / "seed0000"
+        rc = main(["export", "--run-dir", str(run_dir), "--out", str(out / "exported")])
+        assert rc == 0
+        for fname in ("trace.csv", "plotdata.csv"):
+            assert (out / "exported" / fname).read_bytes() == (run_dir / fname).read_bytes()
 
 
-def test_export_missing_trace_is_config_error(tmp_path):
+def test_export_missing_trace_is_config_error(tmp_path, capsys):
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
+    cfg = write_config(tmp_path, scenario_doc(n_iterations=20))
+    main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])  # verdict may fail
+    good = (tmp_path / "out" / "tiny_triangle" / "seed0000" / "trace.jsonl").read_text()
+    first, second, *rest = good.splitlines(keepends=True)
+    no_x = json.loads(second)
+    del no_x["x"]
+    ragged = json.loads(second)
+    ragged["x"][1].append(0.0)
+    corrupt = {
+        "truncated": second[: len(second) // 2] + "\n",
+        "missing_x": json.dumps(no_x) + "\n",
+        "ragged": json.dumps(ragged) + "\n",
+    }
+    for name, line in corrupt.items():
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "trace.jsonl").write_text("".join([first, line, *rest]))
+        capsys.readouterr()
+        assert main(["export", "--run-dir", str(run_dir)]) == 3, name
+        err = capsys.readouterr().err
+        assert f"{run_dir / 'trace.jsonl'} line 2:" in err, (name, err)
 
 
 # ---------------------------------------------------------------------------

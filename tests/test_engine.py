@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from consopt.engine import (
-    EngineError, RunConfig, StepSchedule, descend, fuse, initial_states,
-    read_trace_jsonl, run, step_size, write_trace_csv, write_trace_jsonl,
+    EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
+    read_trace_jsonl, run, step_size, write_plotdata, write_trace_csv, write_trace_jsonl,
 )
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
@@ -329,6 +329,9 @@ def test_run_config_validation():
                   initial_states=np.array([[5.0]]))  # outside the set
     with pytest.raises(ConfigError):
         RunConfig(prob, uniform_schedule(1), StepSchedule(1.0), -1)
+    with pytest.raises(ConfigError):
+        RunConfig(prob, uniform_schedule(1), StepSchedule(1.0), 0,
+                  initial_states=np.array([[np.nan]]))  # not finite
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +340,18 @@ def test_run_config_validation():
 
 def test_trace_jsonl_roundtrip(tmp_path):
     prob = triangle_indefinite_problem()
-    cfg = RunConfig(prob, StaticSchedule(build_metropolis(complete_graph(3))),
-                    StepSchedule(1.0), 40, seed=3, record_every=4)
-    tr = run(cfg)
-    path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(tr, path)
-    back = read_trace_jsonl(path)
-    np.testing.assert_array_equal(back.ks, tr.ks)
-    np.testing.assert_array_equal(back.states, tr.states)
-    np.testing.assert_array_equal(back.f_bar, tr.f_bar)
-    np.testing.assert_array_equal(back.bound, tr.bound)
+    sched = StaticSchedule(build_metropolis(complete_graph(3)))
+    # 2501 records span three read blocks
+    for iterations, every in ((40, 4), (2500, 1)):
+        tr = run(RunConfig(prob, sched, StepSchedule(1.0), iterations, seed=3, record_every=every))
+        path = tmp_path / f"trace{iterations}.jsonl"
+        write_trace_jsonl(tr, path)
+        back = read_trace_jsonl(path)
+        assert back.n_records == tr.n_records and back.ks.dtype.kind == "i"
+        for name in ("ks", "alphas", "states", "x_bar", "f_bar", "max_delta",
+                     "max_disagreement", "bound"):
+            a, b = getattr(back, name), getattr(tr, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (iterations, name)
 
 
 def test_trace_csv_layout(tmp_path):
@@ -361,3 +366,50 @@ def test_trace_csv_layout(tmp_path):
     assert len(lines) == 1 + tr.n_records
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[2]) == tr.f_bar[0]
+
+
+def test_trace_files_spell_nonfinite_and_absent_bounds(tmp_path):
+    tr = RunTrace(
+        ks=np.array([0, 1, 2]),
+        alphas=np.array([1.0, 0.5, 0.25]),
+        states=np.array([[[1.0], [-1.0]], [[0.5], [-0.5]], [[0.25], [0.0]]]),
+        x_bar=np.array([[0.0], [0.0], [0.125]]),
+        f_bar=np.array([2.0, 1.0, 0.5]),
+        max_delta=np.array([1.0, 0.5, 0.125]),
+        max_disagreement=np.array([2.0, 1.0, 0.25]),
+        bound=np.array([1.0, np.nan, np.inf]),
+        summary=None,
+    )
+
+    def files(trace, f_star):
+        write_trace_jsonl(trace, tmp_path / "trace.jsonl")
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_plotdata(trace, tmp_path / "plotdata.csv", f_star)
+        return [(tmp_path / f).read_text().splitlines()
+                for f in ("trace.jsonl", "trace.csv", "plotdata.csv")]
+
+    jsonl, csv, plot = files(tr, 0.25)
+    head = ['{"k": 0, "alpha": 1.0, "x": [[1.0], [-1.0]], "x_bar": [0.0], "f_bar": 2.0, '
+            '"max_delta": 1.0, "max_disagreement": 2.0, "bound": ',
+            '{"k": 1, "alpha": 0.5, "x": [[0.5], [-0.5]], "x_bar": [0.0], "f_bar": 1.0, '
+            '"max_delta": 0.5, "max_disagreement": 1.0, "bound": ',
+            '{"k": 2, "alpha": 0.25, "x": [[0.25], [0.0]], "x_bar": [0.125], "f_bar": 0.5, '
+            '"max_delta": 0.125, "max_disagreement": 0.25, "bound": ']
+    assert jsonl == [h + b + "}" for h, b in zip(head, ("1.0", "NaN", "Infinity"))]
+    assert csv == ["k,alpha,f_bar,max_disagreement,max_delta,bound,x_0_0,x_1_0",
+                   "0,1.0,2.0,2.0,1.0,1.0,1.0,-1.0",
+                   "1,0.5,1.0,1.0,0.5,,0.5,-0.5",
+                   "2,0.25,0.5,0.25,0.125,,0.25,0.0"]
+    assert plot == ["k,f_gap,max_disagreement,bound",
+                    "0,1.75,2.0,1.0", "1,0.75,1.0,nan", "2,0.25,0.25,inf"]
+    back = read_trace_jsonl(tmp_path / "trace.jsonl")
+    assert back.bound.tobytes() == tr.bound.tobytes()
+
+    tr.bound = None
+    jsonl, csv, plot = files(tr, None)
+    assert jsonl == [h + "null}" for h in head]
+    assert csv[1:] == ["0,1.0,2.0,2.0,1.0,,1.0,-1.0",
+                       "1,0.5,1.0,1.0,0.5,,0.5,-0.5",
+                       "2,0.25,0.5,0.25,0.125,,0.25,0.0"]
+    assert plot[1:] == ["0,,2.0,", "1,,1.0,", "2,,0.25,"]
+    assert read_trace_jsonl(tmp_path / "trace.jsonl").bound is None

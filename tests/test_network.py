@@ -5,8 +5,8 @@ from consopt.network import (
     ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
     WeightMatrix, build_metropolis, build_two_link_matrix, complete_graph,
     contraction_coefficient, graph, is_connected, is_doubly_stochastic,
-    is_q_connected, is_scrambling, path_graph, ring_graph, schedule_from_dict,
-    support_graph,
+    is_q_connected, is_scrambling, max_contraction, path_graph, ring_graph,
+    schedule_from_dict, support_graph,
 )
 from consopt.problem import ConfigError
 from consopt.privacy import SIX_VIRTUAL_PATTERN
@@ -238,7 +238,7 @@ def test_cyclic_schedule_indexing():
     m2 = build_metropolis(graph(3, [(1, 2)]))
     s = CyclicSchedule((m1, m2))
     assert s.matrix_at(0) is m1 and s.matrix_at(1) is m2 and s.matrix_at(4) is m1
-    assert s.contraction_sup() == 1.0  # both matrices are non-scrambling
+    assert max_contraction(s.distinct_matrices()) == 1.0  # both matrices are non-scrambling
 
 
 def test_schedule_from_dict_variants():

@@ -3,8 +3,11 @@
 
 For each scenario, runs ``execute_run`` at seed 0 into a temporary
 directory and prints the sha256 of ``trace.jsonl``, ``trace.csv``,
-``summary.json`` and ``bound_check.json`` (``-`` when the schedule is not
-scrambling and no bound check is written), plus the oracle's ``f_star``.
+``plotdata.csv``, ``summary.json`` and ``bound_check.json`` (``-`` when the
+schedule is not scrambling and no bound check is written), plus the
+oracle's ``f_star``.  It then runs ``cmd_export`` on that directory into a
+second one and prints the sha256 of the ``trace.csv`` and ``plotdata.csv``
+it wrote (``export/`` lines), so the read path is compared too.
 Each scenario runs twice: with its own iterations and decimation, and at
 2000 iterations recording every one (``<name>@dense`` lines), so that the
 record path is compared at every iteration.  Diffing the output of two
@@ -15,16 +18,19 @@ checkouts checks that a change kept every trace byte-identical:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 import warnings
 from pathlib import Path
 
-from consopt.cli import execute_run
+from consopt.cli import cmd_export, execute_run
 from consopt.scenario import load_shipped, shipped_scenario_names
 
-FILES = ("trace.jsonl", "trace.csv", "summary.json", "bound_check.json")
+FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "bound_check.json")
+EXPORTED = ("trace.csv", "plotdata.csv")
 # (label suffix, execute_run overrides): the shipped settings, then every iteration
 SETTINGS = (("", {}), ("@dense", {"iterations": 2000, "decimate": 1}))
 
@@ -42,9 +48,14 @@ def main() -> int:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     execute_run(load_shipped(name), 0, run_dir, **overrides)
+                export_dir = Path(tmp) / f"{label}-export"
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cmd_export(run_dir, export_dir)
                 f_star = json.loads((run_dir / "oracle.json").read_text())["f_star"]
                 for fname in FILES:
                     print(f"{label} {fname} {_sha256(run_dir / fname)}")
+                for fname in EXPORTED:
+                    print(f"{label} export/{fname} {_sha256(export_dir / fname)}")
                 print(f"{label} f_star {f_star!r}")
     return 0
 
