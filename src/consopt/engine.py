@@ -216,6 +216,7 @@ def run(cfg: RunConfig) -> RunTrace:
     delta0 = max_disagreement(x)
 
     mats = cfg.schedule.distinct_matrices(max(K, 1))
+    n_mats = len(mats)
     nu = max_contraction(mats)
     bound_on = nu < 1.0
     if not bound_on:
@@ -237,7 +238,7 @@ def run(cfg: RunConfig) -> RunTrace:
     max_drift = 0.0
     max_slack = -np.inf
     for k in range(K):
-        v = _fuse(x, mats[k % len(mats)].entries)
+        v = _fuse(x, mats[k % n_mats])
 
         drift = float(np.linalg.norm(v.mean(axis=0) - x.mean(axis=0)))
         max_drift = max(max_drift, drift)
@@ -291,17 +292,18 @@ def run(cfg: RunConfig) -> RunTrace:
 
 TRACE_FIELDS = ("k", "alpha", "x", "x_bar", "f_bar", "max_delta", "max_disagreement", "bound")
 _BLOCK = 1024  # records held as Python values at a time, writing or reading
+_COLUMNS = dict(zip(TRACE_FIELDS, (f.name for f in dataclasses.fields(RunTrace))))
 
 
-def trace_records(trace: RunTrace):
-    """Yield one tuple of plain Python values per record, in ``TRACE_FIELDS``
-    order (also ``RunTrace``'s); ``bound`` is None when the column is absent."""
-    columns = (trace.ks, trace.alphas, trace.states, trace.x_bar, trace.f_bar,
-               trace.max_delta, trace.max_disagreement)
+def trace_records(trace: RunTrace, fields: tuple[str, ...] = TRACE_FIELDS):
+    """Yield one tuple of plain Python values per record, holding ``fields``
+    (names from ``TRACE_FIELDS``, the order of ``RunTrace``) in the order
+    given; ``bound`` is None when the column is absent."""
+    columns = [getattr(trace, _COLUMNS[f]) for f in fields]
     for lo in range(0, trace.n_records, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        bound = itertools.repeat(None) if trace.bound is None else trace.bound[block].tolist()
-        yield from zip(*(c[block].tolist() for c in columns), bound)
+        yield from zip(*(itertools.repeat(None) if c is None else c[block].tolist()
+                         for c in columns))
 
 
 def write_trace_jsonl(trace: RunTrace, path) -> None:
@@ -315,7 +317,8 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     xs = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(trace.states.shape[1:]))
     with open(path, "w", newline="\n") as fh:
         fh.write(f"k,alpha,f_bar,max_disagreement,max_delta,bound,{xs}\n")
-        for k, alpha, x, _, f_bar, mdl, mdis, bound in trace_records(trace):
+        fields = ("k", "alpha", "x", "f_bar", "max_delta", "max_disagreement", "bound")
+        for k, alpha, x, f_bar, mdl, mdis, bound in trace_records(trace, fields):
             b = repr(bound) if bound is not None and math.isfinite(bound) else ""
             cells = ",".join(map(repr, itertools.chain.from_iterable(x)))
             fh.write(f"{k!r},{alpha!r},{f_bar!r},{mdis!r},{mdl!r},{b},{cells}\n")
@@ -325,7 +328,8 @@ def write_plotdata(trace: RunTrace, path, f_star: float | None) -> None:
     """CSV columns: k, f_gap (empty without an oracle), max_disagreement, bound."""
     with open(path, "w", newline="\n") as fh:
         fh.write("k,f_gap,max_disagreement,bound\n")
-        for k, _, _, _, f_bar, _, mdis, bound in trace_records(trace):
+        fields = ("k", "f_bar", "max_disagreement", "bound")
+        for k, f_bar, mdis, bound in trace_records(trace, fields):
             gap = "" if f_star is None else repr(f_bar - f_star)
             fh.write(f"{k!r},{gap},{mdis!r},{'' if bound is None else repr(bound)}\n")
 

@@ -18,6 +18,7 @@ from .problem import ConfigError
 
 DS_TOL = 1e-12
 DEFAULT_ETA = 1e-3
+_CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
 
 
 class ConstructionError(ValueError):
@@ -67,40 +68,40 @@ def ring_graph(n: int) -> Graph:
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def degrees(g: Graph) -> np.ndarray:
-    d = np.zeros(g.n_agents, dtype=int)
-    for i, j in g.edges:
-        d[i] += 1
-        d[j] += 1
-    return d
-
-
 def neighbors(g: Graph, i: int) -> tuple[int, ...]:
     out = [j if a == i else a for a, j in g.edges if i in (a, j)]
     return tuple(sorted(out))
 
 
-def connected_component(g: Graph, start: int = 0) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(g.n_agents)]
+def adjacency(g: Graph) -> np.ndarray:
+    """Symmetric boolean adjacency matrix of the graph."""
+    adj = np.zeros((g.n_agents, g.n_agents), dtype=bool)
     for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+        adj[i, j] = adj[j, i] = True
+    return adj
+
+
+def reachability(adj: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of one adjacency matrix or a stack (..., S, S).
+
+    Entry [i, j] is True iff j can be reached from i.  A shortest path has at
+    most S-1 links, so ceil(log2(S-1)) squarings of (adj or identity) reach
+    every path.  The products run in floating point (BLAS), clamped to 1.
+    """
+    S = adj.shape[-1]
+    r = np.logical_or(adj, np.eye(S, dtype=bool)).astype(float)
+    for _ in range(max(S - 2, 0).bit_length()):
+        r = np.minimum(r @ r, 1.0)
+    return r > 0
+
+
+def connected_component(g: Graph, start: int = 0) -> set[int]:
+    return set(np.flatnonzero(reachability(adjacency(g))[start]).tolist())
 
 
 def is_connected(g: Graph) -> bool:
     """Every agent is reachable from agent 0."""
-    return len(connected_component(g)) == g.n_agents
+    return bool(reachability(adjacency(g))[0].all())
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,25 @@ def is_connected(g: Graph) -> bool:
 
 def _entries(m) -> np.ndarray:
     return np.asarray(m.entries if isinstance(m, WeightMatrix) else m, dtype=float)
+
+
+def _min_positive(m: np.ndarray) -> float:
+    return float(np.min(m, where=m > 0, initial=np.inf))
+
+
+def _check_weights(m: np.ndarray, eta: float) -> None:
+    """The ``WeightMatrix`` contract, on one matrix or on a stack of them."""
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("weight matrix has non-finite entries")
+    if np.any(m < 0):
+        raise ConfigError("weight matrix has negative entries")
+    if not is_doubly_stochastic(m, DS_TOL):
+        raise ConfigError(f"matrix rows/columns do not sum to 1 within {DS_TOL}")
+    if not (0 < eta <= 1):
+        raise ConfigError("eta must lie in (0, 1]")
+    low = _min_positive(m)
+    if low < eta * (1 - 1e-9):
+        raise ConfigError(f"nonzero entry {low} below the declared floor {eta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +142,7 @@ class WeightMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("weight matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ConfigError("weight matrix has non-finite entries")
-        if np.any(m < 0):
-            raise ConfigError("weight matrix has negative entries")
-        if not is_doubly_stochastic(m, DS_TOL):
-            raise ConfigError(f"matrix rows/columns do not sum to 1 within {DS_TOL}")
-        if not (0 < self.eta <= 1):
-            raise ConfigError("eta must lie in (0, 1]")
-        nz = m[m > 0]
-        if nz.size and float(np.min(nz)) < self.eta * (1 - 1e-9):
-            raise ConfigError(f"nonzero entry {np.min(nz)} below the declared floor {self.eta}")
+        _check_weights(m, self.eta)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -144,14 +154,15 @@ class WeightMatrix:
 
 
 def is_doubly_stochastic(m, tol: float = DS_TOL) -> bool:
-    """True iff the matrix is nonnegative with all row/column sums within tol of 1."""
+    """True iff the matrix, or every matrix of a stack (..., S, S), is
+    nonnegative with all row/column sums within tol of 1."""
     m = _entries(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ConfigError("expected a square matrix")
     if np.any(m < 0):
         return False
-    ok_rows = np.all(np.abs(m.sum(axis=1) - 1.0) <= tol)
-    ok_cols = np.all(np.abs(m.sum(axis=0) - 1.0) <= tol)
+    ok_rows = np.all(np.abs(m.sum(axis=-1) - 1.0) <= tol)
+    ok_cols = np.all(np.abs(m.sum(axis=-2) - 1.0) <= tol)
     return bool(ok_rows and ok_cols)
 
 
@@ -179,6 +190,22 @@ def contraction_coefficient(m) -> float:
     return min(max(nu, 0.0), 1.0)
 
 
+def max_contraction(mats: np.ndarray) -> float:
+    """The schedule's nu: the largest contraction coefficient over an
+    (n, S, S) stack, evaluated ``_CHUNK`` matrices at a time."""
+    mats = np.asarray(mats, dtype=float)
+    S = mats.shape[-1]
+    if S == 1:
+        return 0.0
+    iu = np.triu_indices(S, k=1)
+    low = np.inf
+    for lo in range(0, len(mats), _CHUNK):
+        m = mats[lo:lo + _CHUNK]
+        overlap = np.minimum(m[:, :, None, :], m[:, None, :, :]).sum(axis=-1)
+        low = min(low, float(np.min(overlap[:, iu[0], iu[1]])))
+    return min(max(1.0 - low, 0.0), 1.0)
+
+
 def support_graph(m, tol: float = 0.0) -> Graph:
     """Undirected graph of off-diagonal positive entries (either direction)."""
     m = _entries(m)
@@ -192,27 +219,41 @@ def support_graph(m, tol: float = 0.0) -> Graph:
     return graph(n, edges)
 
 
+def support_connected(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, S, S) stack: whether its support graph (links in
+    either direction) is connected."""
+    pos = np.asarray(mats) > 0
+    return reachability(pos | np.swapaxes(pos, -1, -2))[..., 0, :].all(axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # builders
 
 
-def build_metropolis(g: Graph, eta_floor: float = DEFAULT_ETA) -> WeightMatrix:
-    """Metropolis-Hastings weights: m[i,j] = 1/(1+max(deg_i,deg_j)) on links."""
-    n = g.n_agents
+def _check_eta_floor(eta_floor: float, n: int) -> None:
     if not (0 < eta_floor <= 1.0 / n):
         raise ConfigError(f"eta_floor must lie in (0, 1/{n}]")
-    deg = degrees(g)
-    m = np.zeros((n, n))
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        m[i, j] = m[j, i] = w
-    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    nz = m[m > 0]
-    if nz.size and float(np.min(nz)) < eta_floor:
+
+
+def _metropolis(adj: np.ndarray, eta_floor: float) -> np.ndarray:
+    """Metropolis weights of one symmetric adjacency matrix without self-loops,
+    or of a stack of them; raises when an entry falls below ``eta_floor``."""
+    deg = adj.sum(axis=-1)
+    m = np.where(adj, 1.0 / (1.0 + np.maximum(deg[..., :, None], deg[..., None, :])), 0.0)
+    i = np.arange(adj.shape[-1])
+    m[..., i, i] = 1.0 - m.sum(axis=-1)
+    low = _min_positive(m)
+    if low < eta_floor:
         raise ConstructionError(
-            f"graph degrees force an entry {np.min(nz):.3g} below the floor {eta_floor}"
+            f"graph degrees force an entry {low:.3g} below the floor {eta_floor}"
         )
-    return WeightMatrix(m, eta_floor)
+    return m
+
+
+def build_metropolis(g: Graph, eta_floor: float = DEFAULT_ETA) -> WeightMatrix:
+    """Metropolis-Hastings weights: m[i,j] = 1/(1+max(deg_i,deg_j)) on links."""
+    _check_eta_floor(eta_floor, g.n_agents)
+    return WeightMatrix(_metropolis(adjacency(g), eta_floor), eta_floor)
 
 
 def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> WeightMatrix:
@@ -250,23 +291,18 @@ class WeightSchedule:
 
     Round k uses ``mats[k % len(mats)]`` with ``mats = distinct_matrices(horizon)``
     for any horizon above k, so a run builds its matrices once and indexes them.
+    ``matrix_at(k)`` is the same matrix as a ``WeightMatrix``.
     """
 
     n_agents: int
 
-    def distinct_matrices(self, horizon: int | None = None) -> tuple[WeightMatrix, ...]:
-        """The matrices the rounds cycle through; an unbounded schedule
-        returns one per round of the first ``horizon``."""
+    def distinct_matrices(self, horizon: int | None = None) -> np.ndarray:
+        """The read-only (n, S, S) stack the rounds cycle through; an unbounded
+        schedule returns one matrix per round of the first ``horizon``."""
         raise NotImplementedError
 
     def matrix_at(self, k: int) -> WeightMatrix:
-        mats = self.distinct_matrices(k + 1)
-        return mats[k % len(mats)]
-
-
-def max_contraction(mats: Sequence[WeightMatrix]) -> float:
-    """The schedule's nu: the largest contraction coefficient over its matrices."""
-    return max(contraction_coefficient(m) for m in mats)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +313,10 @@ class StaticSchedule(WeightSchedule):
         object.__setattr__(self, "n_agents", self.matrix.n_agents)
 
     def distinct_matrices(self, horizon=None):
-        return (self.matrix,)
+        return self.matrix.entries[None]
+
+    def matrix_at(self, k):
+        return self.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +330,17 @@ class CyclicSchedule(WeightSchedule):
         n = mats[0].n_agents
         if any(m.n_agents != n for m in mats):
             raise ConfigError("cyclic schedule matrices must share one size")
+        stack = np.stack([m.entries for m in mats])
+        stack.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "n_agents", n)
+        object.__setattr__(self, "_stack", stack)
 
     def distinct_matrices(self, horizon=None):
-        return self.matrices
+        return self._stack
+
+    def matrix_at(self, k):
+        return self.matrices[k % len(self.matrices)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +348,8 @@ class RandomSchedule(WeightSchedule):
     """Per-iteration connected random graph with Metropolis weights.
 
     Bitwise reproducible: the matrix at index k depends only on (seed, k).
+    Round k draws edge masks from its own ``default_rng([seed, k])`` until
+    the graph is connected, at most 1000 times.
     """
 
     n_agents: int
@@ -316,39 +363,61 @@ class RandomSchedule(WeightSchedule):
         if self.n_agents < 2:
             raise ConfigError("random schedule needs at least two agents")
 
+    def _build(self, ks: np.ndarray) -> np.ndarray:
+        """The read-only stack of the matrices of rounds ``ks``.
+
+        Rounds are built and checked ``_CHUNK`` at a time.  Within a chunk
+        every round draws once; the rounds still disconnected then redraw
+        together, pass by pass, and only their generators stay alive.
+        """
+        n, eta = self.n_agents, self.eta_floor
+        _check_eta_floor(eta, n)
+        iu = np.triu_indices(n, k=1)
+        out = np.empty((len(ks), n, n))
+        for lo in range(0, len(ks), _CHUNK):
+            chunk = ks[lo:lo + _CHUNK]
+            adj = np.zeros((len(chunk), n, n), dtype=bool)
+            pending = np.arange(len(chunk))
+            rngs = [np.random.default_rng([int(self.seed), int(k)]) for k in chunk]
+            for _ in range(1000):
+                drawn = np.zeros((len(pending), n, n), dtype=bool)
+                drawn[:, iu[0], iu[1]] = np.array(
+                    [r.random(iu[0].size) for r in rngs]) < self.edge_probability
+                drawn = drawn | np.swapaxes(drawn, 1, 2)
+                adj[pending] = drawn
+                bad = ~reachability(drawn)[:, 0].all(axis=-1)
+                pending = pending[bad]
+                rngs = [r for r, b in zip(rngs, bad) if b]
+                if not rngs:
+                    break
+            else:
+                raise ConstructionError(f"could not sample a connected graph at "
+                                        f"k={int(chunk[pending[0]])}; raise edge_probability")
+            m = _metropolis(adj, eta)
+            _check_weights(m, eta)
+            out[lo:lo + len(chunk)] = m
+        out.setflags(write=False)
+        return out
+
     def matrix_at(self, k):
-        rng = np.random.default_rng([int(self.seed), int(k)])
-        n = self.n_agents
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for _ in range(1000):
-            mask = rng.random(len(pairs)) < self.edge_probability
-            g = graph(n, [p for p, keep in zip(pairs, mask) if keep])
-            if is_connected(g):
-                return build_metropolis(g, self.eta_floor)
-        raise ConstructionError(
-            f"could not sample a connected graph at k={k}; raise edge_probability"
-        )
+        return WeightMatrix(self._build(np.array([k]))[0], self.eta_floor)
 
     def distinct_matrices(self, horizon=None):
         if horizon is None:
             raise ConfigError("random schedules need an explicit horizon")
-        return tuple(self.matrix_at(k) for k in range(horizon))
+        return self._build(np.arange(horizon))
 
 
 def is_q_connected(schedule: WeightSchedule, q: int, horizon: int) -> bool:
     """True iff every window of q consecutive support graphs unions connected."""
     if q < 1 or horizon < q:
         raise ConfigError("need q >= 1 and horizon >= q")
-    edges = [support_graph(m.entries).edges for m in schedule.distinct_matrices(horizon)]
-    supports = [edges[k % len(edges)] for k in range(horizon)]
-    n = schedule.n_agents
-    for t in range(horizon - q + 1):
-        union = set()
-        for s in supports[t:t + q]:
-            union |= s
-        if not is_connected(graph(n, union)):
-            return False
-    return True
+    pos = schedule.distinct_matrices(horizon) > 0
+    pos = pos[np.arange(horizon) % len(pos)]
+    # links used within window [t, t+q) counted as differences of running sums
+    used = np.cumsum(pos, axis=0, dtype=np.int64)
+    used = np.concatenate([np.zeros_like(used[:1]), used])
+    return bool(np.all(support_connected(used[q:] - used[:-q])))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ import numpy as np
 
 from . import network, privacy
 from .engine import RunConfig, StepSchedule
-from .network import (
-    Graph, WeightSchedule, graph, is_connected, is_q_connected, support_graph,
-)
+from .network import Graph, WeightSchedule, graph, is_q_connected, support_graph
 from .privacy import TransformedProblem
 from .problem import (
     ConfigError, Problem, estimate_bounds, problem_from_dict, verify_sum_convexity,
@@ -30,7 +28,6 @@ SCHEMA_VERSION = 1
 
 _VALIDATION_SEED = 20_240_601
 _VALIDATE_HORIZON = 128
-_RANDOM_HORIZON = 32
 
 
 @dataclass(eq=False)
@@ -296,22 +293,19 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         "; ".join(bad_n) or "sampled difference quotients stay below declared moduli",
     ))
 
-    rounds = max(1, min(sc.n_iterations or _RANDOM_HORIZON, _RANDOM_HORIZON))
+    rounds = max(1, min(sc.n_iterations or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
     mats = sc.schedule.distinct_matrices(rounds)
     # a schedule with one matrix per round is checked over these rounds only
     scope = (f" (first {rounds} of {sc.n_iterations} rounds)"
              if len(mats) == rounds < sc.n_iterations else "")
-    ds_ok = all(network.is_doubly_stochastic(m.entries) for m in mats)
     checks.append(CheckResult(
-        "doubly-stochastic", ds_ok, "error",
+        "doubly-stochastic", network.is_doubly_stochastic(mats), "error",
         f"{len(mats)} distinct matrix(es) checked at tolerance {network.DS_TOL}{scope}",
     ))
 
     rg = sc.run_graph
     if rg is not None:
-        stray = set()
-        for m in mats:
-            stray |= support_graph(m.entries).edges - rg.edges
+        stray = support_graph(np.any(mats > 0, axis=0)).edges - rg.edges
         checks.append(CheckResult(
             "schedule-support", not stray, "error",
             f"off-graph links used by the schedule: {sorted(stray)}{scope}" if stray
@@ -319,8 +313,7 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         ))
 
     if sc.connectivity_mode == "per-k":
-        disconnected = [i for i, m in enumerate(mats)
-                        if not is_connected(support_graph(m.entries))]
+        disconnected = np.flatnonzero(~network.support_connected(mats)).tolist()
         checks.append(CheckResult(
             "connectivity", not disconnected, "error",
             f"support graph disconnected at matrix index {disconnected}{scope}" if disconnected

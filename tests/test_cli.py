@@ -64,7 +64,7 @@ def test_validate_names_the_rounds_a_random_schedule_was_checked_over(capsys, tm
     lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().out.splitlines()}
     assert rc == 0
     for check in ("doubly-stochastic", "connectivity", "scrambling"):
-        assert "(first 32 of 8000 rounds)" in lines[f"PASS {check}"]
+        assert "(first 128 of 8000 rounds)" in lines[f"PASS {check}"]
     # a schedule that cycles through fixed matrices is checked over every round
     assert main(["validate", "--config", str(write_config(tmp_path, scenario_doc()))]) == 0
     assert "rounds)" not in capsys.readouterr().out

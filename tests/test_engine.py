@@ -237,19 +237,19 @@ def test_run_round_is_public_fuse_then_descend(make_problem, make_schedule):
         assert tr.max_delta[r] == max_delta(tr.states[r])
 
 
-def test_run_builds_each_random_matrix_once(monkeypatch):
+def test_run_builds_the_random_stack_once(monkeypatch):
     built = []
-    build = RandomSchedule.matrix_at
+    build = RandomSchedule._build
 
-    def counting(self, k):
-        built.append(k)
-        return build(self, k)
+    def counting(self, ks):
+        built.append(list(ks))
+        return build(self, ks)
 
-    monkeypatch.setattr(RandomSchedule, "matrix_at", counting)
+    monkeypatch.setattr(RandomSchedule, "_build", counting)
     cfg = RunConfig(triangle_indefinite_problem(), RandomSchedule(3, 0.6, seed=5),
                     StepSchedule(1.0), 40, seed=0)
     run(cfg)
-    assert sorted(built) == list(range(cfg.n_iterations))
+    assert built == [list(range(cfg.n_iterations))]
 
 
 def test_descend_rejects_wrong_state_shape():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consopt.network import (
     ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
     WeightMatrix, build_metropolis, build_two_link_matrix, complete_graph,
-    contraction_coefficient, graph, is_connected, is_doubly_stochastic,
-    is_q_connected, is_scrambling, max_contraction, path_graph, ring_graph,
-    schedule_from_dict, support_graph,
+    connected_component, contraction_coefficient, graph, is_connected,
+    is_doubly_stochastic, is_q_connected, is_scrambling, max_contraction,
+    path_graph, ring_graph, schedule_from_dict, support_graph,
 )
 from consopt.problem import ConfigError
 from consopt.privacy import SIX_VIRTUAL_PATTERN
@@ -19,6 +20,49 @@ def random_connected_graph(rng, n, p):
         g = graph(n, [e for e, keep in zip(pairs, mask) if keep])
         if is_connected(g):
             return g
+
+
+def bfs_component(g, start=0):
+    """Reference reachability: breadth-first search over the edge set."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for i, j in g.edges:
+            for u, v in ((i, j), (j, i)):
+                if u in frontier and v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def bfs_connected(g):
+    return len(bfs_component(g)) == g.n_agents
+
+
+def reference_random_matrix(s, k):
+    """Round k of a random schedule built one round at a time: sample the
+    edge mask, build a graph, test it by BFS, then loop over the edges."""
+    rng = np.random.default_rng([s.seed, k])
+    n = s.n_agents
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(1000):
+        mask = rng.random(len(pairs)) < s.edge_probability
+        g = graph(n, [e for e, keep in zip(pairs, mask) if keep])
+        if bfs_connected(g):
+            break
+    else:
+        raise ConstructionError(f"could not sample a connected graph at k={k}")
+    deg = np.zeros(n, dtype=int)
+    for i, j in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    m = np.zeros((n, n))
+    for i, j in g.edges:
+        m[i, j] = m[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
+    np.testing.assert_array_equal(m, build_metropolis(g, s.eta_floor).entries)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +206,17 @@ def test_is_connected():
     assert is_connected(graph(1, []))
 
 
+def test_reachability_matches_bfs():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = graph(n, [e for e, keep in zip(pairs, rng.random(len(pairs)) < 0.2) if keep])
+        assert is_connected(g) == bfs_connected(g)
+        start = int(rng.integers(n))
+        assert connected_component(g, start) == bfs_component(g, start)
+
+
 def test_graph_rejects_self_loops_and_range():
     with pytest.raises(ConfigError):
         graph(3, [(1, 1)])
@@ -239,6 +294,95 @@ def test_cyclic_schedule_indexing():
     s = CyclicSchedule((m1, m2))
     assert s.matrix_at(0) is m1 and s.matrix_at(1) is m2 and s.matrix_at(4) is m1
     assert max_contraction(s.distinct_matrices()) == 1.0  # both matrices are non-scrambling
+
+
+@pytest.mark.parametrize("n,p,seed", [
+    (8, 0.4, 0), (3, 0.6, 1), (6, 0.5, 2), (8, 0.15, 3), (12, 0.3, 4), (2, 0.3, 5),
+    (5, 0.5, 123), (6, 0.4, 9),  # the schedules of the tests above
+])
+def test_random_stack_equals_per_round_reference(n, p, seed):
+    s = RandomSchedule(n, p, seed=seed)
+    mats = s.distinct_matrices(150)  # three chunks, the last one partial
+    assert mats.shape == (150, n, n) and not mats.flags.writeable
+    ref = [reference_random_matrix(s, k) for k in range(150)]
+    np.testing.assert_array_equal(mats, np.stack(ref))
+    for k in (0, 63, 64, 149):
+        m = s.matrix_at(k)
+        assert isinstance(m, WeightMatrix) and m.eta == s.eta_floor
+        np.testing.assert_array_equal(m.entries, ref[k])
+    assert max_contraction(mats) == max(contraction_coefficient(m) for m in ref)
+
+
+def test_schedules_give_read_only_stacks():
+    m1 = build_metropolis(graph(3, [(0, 1)]))
+    m2 = build_metropolis(graph(3, [(1, 2)]))
+    for s, want in ((StaticSchedule(m1), [m1]), (CyclicSchedule((m1, m2)), [m1, m2]),
+                    (RandomSchedule(3, 0.6, seed=5), None)):
+        mats = s.distinct_matrices(4)
+        assert mats.ndim == 3 and not mats.flags.writeable
+        want = want or [s.matrix_at(k) for k in range(4)]
+        np.testing.assert_array_equal(mats, np.stack([m.entries for m in want]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_contraction_equals_per_matrix_max(n):
+    rng = np.random.default_rng(40 + n)
+    mats = [np.eye(n), np.full((n, n), 1.0 / n)]
+    while len(mats) < 150:
+        # lazy mixes of Metropolis and uniform weights: scrambling, nu spread over (0, 1)
+        t = rng.uniform(0.0, 0.9)
+        m = build_metropolis(random_connected_graph(rng, n, 0.4)).entries
+        mats.append(t * np.eye(n) + (1 - t) * (0.5 * m + 0.5 / n))
+    per_matrix = [contraction_coefficient(m) for m in mats]
+    stack = np.stack(mats)
+    assert max_contraction(stack) == max(per_matrix)
+    # without the identity (nu = 1) the largest nu moves through every chunk position
+    for shift in range(149):
+        assert max_contraction(np.roll(stack[1:], shift, axis=0)) == max(per_matrix[1:])
+
+
+def test_random_schedule_floor_above_one_over_n_is_config_error():
+    s = RandomSchedule(4, 0.5, seed=0, eta_floor=0.3)  # above 1/4
+    with pytest.raises(ConfigError, match="eta_floor"):
+        s.distinct_matrices(3)
+    with pytest.raises(ConfigError, match="eta_floor"):
+        s.matrix_at(0)
+
+
+def test_random_schedule_that_never_connects_names_the_round():
+    s = RandomSchedule(8, 1e-9, seed=0)
+    with pytest.raises(ConstructionError, match="k=0;"):
+        s.distinct_matrices(2)
+    with pytest.raises(ConstructionError, match="k=70;"):
+        s.matrix_at(70)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), p=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_random_stack_properties(n, p, seed):
+    s = RandomSchedule(n, p, seed=seed)
+    mats = s.distinct_matrices(66)
+    for k, m in enumerate(mats):
+        np.testing.assert_array_equal(m, m.T)
+        assert np.all(np.abs(m.sum(axis=0) - 1.0) <= 1e-12)
+        assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(m >= 0) and bfs_connected(support_graph(m))
+        assert np.min(m[m > 0]) >= s.eta_floor
+        np.testing.assert_array_equal(m, reference_random_matrix(s, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12))
+def test_metropolis_doubly_stochastic_on_random_connected_graphs(data, n):
+    # a random spanning tree keeps the graph connected; extra links are free
+    tree = [(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graph(n, tree + [e for e, keep in zip(pairs, extra) if keep])
+    m = build_metropolis(g).entries
+    assert is_doubly_stochastic(m, 1e-12)
+    np.testing.assert_array_equal(m, m.T)
+    assert support_graph(m).edges == g.edges
 
 
 def test_schedule_from_dict_variants():
