@@ -6,6 +6,8 @@ gradient at its own fused point and projects back onto the feasible set.
 The run is deterministic given its configuration and produces a trace of per
 iteration records plus a terminal summary of the fusion invariants
 (average preservation and sum non-expansiveness) tracked at every round.
+Runs that differ only in seed and initial states step together as one
+batch, each with the trace it would have alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +31,14 @@ _STREAM_YSET = 12
 
 
 class EngineError(RuntimeError):
-    """A run aborted; carries the offending agent and iteration."""
+    """A run aborted; carries the offending agent, iteration and run seed."""
 
-    def __init__(self, message: str, agent: int | None = None, iteration: int | None = None):
+    def __init__(self, message: str, agent: int | None = None, iteration: int | None = None,
+                 seed: int | None = None):
         super().__init__(message)
         self.agent = agent
         self.iteration = iteration
+        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +158,13 @@ class RunTrace:
 # the algorithm
 
 
-def _fuse(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return m @ x
-
-
-def _descend(v: np.ndarray, k: int, alpha: float, prob: Problem) -> np.ndarray:
-    g = prob.evaluator.grads(v)
-    if not np.all(np.isfinite(g)):
-        bad = int(np.where(~np.isfinite(g).all(axis=1))[0][0])
-        raise EngineError(
-            f"non-finite gradient for agent {bad} at iteration {k}; aborting run",
-            agent=bad, iteration=k,
-        )
-    return prob.feasible_set.project_many(v - alpha * g)
+def _nonfinite(g: np.ndarray, k: int, seed: int) -> EngineError:
+    """The error for one run's (S, D) gradients, naming its first bad agent."""
+    bad = int(np.flatnonzero(~np.isfinite(g).all(axis=1))[0])
+    return EngineError(
+        f"non-finite gradient for agent {bad} at iteration {k} (seed {seed}); aborting run",
+        agent=bad, iteration=k, seed=seed,
+    )
 
 
 def fuse(states, matrix) -> np.ndarray:
@@ -177,7 +176,7 @@ def fuse(states, matrix) -> np.ndarray:
     m = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix, float)
     if m.shape[0] != m.shape[1] or m.shape[0] != x.shape[0]:
         raise ConfigError(f"matrix shape {m.shape} does not match {x.shape[0]} states")
-    out = _fuse(x, m)
+    out = m @ x
     return out[:, 0] if squeeze else out
 
 
@@ -187,7 +186,11 @@ def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     shape = (cfg.problem.n_agents, cfg.problem.dimension)
     if v.shape != shape:
         raise ConfigError(f"fused states have shape {v.shape}, expected {shape}")
-    return _descend(v, k, step_size(cfg.steps, k), cfg.problem)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        g = cfg.problem.evaluator.grads(v)
+    if not np.isfinite(g).all():
+        raise _nonfinite(g, k, cfg.seed)
+    return cfg.problem.feasible_set.project_many(v - step_size(cfg.steps, k) * g)
 
 
 def initial_states(cfg: RunConfig) -> np.ndarray:
@@ -198,24 +201,39 @@ def initial_states(cfg: RunConfig) -> np.ndarray:
     return cfg.problem.feasible_set.sample(cfg.problem.n_agents, rng)
 
 
-def run(cfg: RunConfig) -> RunTrace:
-    """Execute the full fuse-then-descend loop and collect the trace.
+_SHARED = ("problem", "schedule", "steps", "n_iterations", "record_every")
 
-    Records the initial state (iteration 0) and every ``record_every``-th
-    iteration, always including the terminal one.  Fusion invariants are
-    tracked at every round regardless of decimation.  When the schedule is
-    scrambling the closed-form disagreement bound is recorded alongside each
-    iterate; otherwise a warning is emitted and the bound column is absent.
+
+def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
+    """Execute the fuse-then-descend loop for several runs at once.
+
+    The configs must share everything but the seed and the initial states;
+    their runs step together as one (B, S, D) stack, and each run's trace is
+    bitwise the one it has in a batch of its own.  Records the initial state
+    (iteration 0) and every ``record_every``-th iteration, always including
+    the terminal one.  Fusion invariants are tracked at every round
+    regardless of decimation.  When the schedule is scrambling the
+    closed-form disagreement bound is recorded alongside each iterate;
+    otherwise a warning is emitted and the bound column is absent.
+
+    A run whose gradient goes non-finite leaves the stack, and its entry in
+    the returned list is the ``EngineError`` naming its seed, agent and
+    iteration; the other runs go on.
     """
-    prob = cfg.problem
-    S, D = prob.n_agents, prob.dimension
-    K = cfg.n_iterations
+    if not cfgs:
+        raise ConfigError("a batch needs at least one run config")
+    first = cfgs[0]
+    for name in _SHARED:
+        if any(getattr(c, name) != getattr(first, name) for c in cfgs[1:]):
+            raise ConfigError(f"the run configs of one batch must share {name}")
+    prob, steps, K = first.problem, first.steps, first.n_iterations
+    B, S, D = len(cfgs), prob.n_agents, prob.dimension
     fs = prob.feasible_set
 
-    x = initial_states(cfg)
+    x = np.stack([initial_states(c) for c in cfgs])
     delta0 = max_disagreement(x)
 
-    mats = cfg.schedule.distinct_matrices(max(K, 1))
+    mats = first.schedule.distinct_matrices(max(K, 1))
     n_mats = len(mats)
     nu = max_contraction(mats)
     bound_on = nu < 1.0
@@ -226,63 +244,97 @@ def run(cfg: RunConfig) -> RunTrace:
             RuntimeWarning,
         )
 
-    # fixed probe points for the sum non-expansiveness invariant
-    rng_y = np.random.default_rng([cfg.seed, _STREAM_YSET])
-    probes = np.vstack([fs.project_many(np.zeros((1, D))), fs.sample(10, rng_y)])
+    # fixed probe points per run for the sum non-expansiveness invariant
+    origin = fs.project_many(np.zeros((1, D)))
+    probes = np.stack([
+        np.vstack([origin, fs.sample(10, np.random.default_rng([c.seed, _STREAM_YSET]))])
+        for c in cfgs])
 
-    alpha = cfg.steps.at(np.arange(K + 1))
-    ks = np.r_[0:K:cfg.record_every, K]
-    states = np.empty((ks.shape[0], S, D))
+    alpha = steps.at(np.arange(K + 1))
+    ks = np.r_[0:K:first.record_every, K]
+    states = np.empty((ks.shape[0], B, S, D))
     states[0] = x
     r = 1
-    max_drift = 0.0
-    max_slack = -np.inf
-    for k in range(K):
-        v = _fuse(x, mats[k % n_mats])
+    rows = np.arange(B)  # the batch row of each run still stepping
+    errors: dict[int, EngineError] = {}
+    max_drift = np.zeros(B)
+    max_slack = np.full(B, -np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked below
+        for k in range(K):
+            v = mats[k % n_mats] @ x
 
-        drift = float(np.linalg.norm(v.mean(axis=0) - x.mean(axis=0)))
-        max_drift = max(max_drift, drift)
-        sq_x = ((x[None, :, :] - probes[:, None, :]) ** 2).sum(axis=(1, 2))
-        sq_v = ((v[None, :, :] - probes[:, None, :]) ** 2).sum(axis=(1, 2))
-        max_slack = max(max_slack, float(np.max(sq_v - sq_x)))
+            # sum / S is np.mean's arithmetic without its call overhead, and a
+            # (1, D) @ (D, 1) matmul takes the dot product np.linalg.norm takes
+            dm = v.sum(axis=1) / S - x.sum(axis=1) / S
+            np.maximum(max_drift, np.sqrt(dm[:, None, :] @ dm[:, :, None])[:, 0, 0],
+                       out=max_drift)
+            sq_x = ((x[:, None] - probes[:, :, None]) ** 2).sum(axis=(2, 3))
+            sq_v = ((v[:, None] - probes[:, :, None]) ** 2).sum(axis=(2, 3))
+            np.maximum(max_slack, (sq_v - sq_x).max(axis=1), out=max_slack)
 
-        x = _descend(v, k, alpha[k], prob)
-        if k + 1 == ks[r]:
-            states[r] = x
-            r += 1
+            g = prob.evaluator.grads(v)
+            if not np.isfinite(g).all():
+                ok = np.isfinite(g).all(axis=(1, 2))
+                for i in np.flatnonzero(~ok):
+                    errors[int(rows[i])] = _nonfinite(g[i], k, cfgs[rows[i]].seed)
+                rows, v, g, probes, max_drift, max_slack = (
+                    a[ok] for a in (rows, v, g, probes, max_drift, max_slack))
+                if not rows.size:
+                    break
+            x = fs.project_many(v - alpha[k] * g)
+            if k + 1 == ks[r]:
+                states[r, rows] = x
+                r += 1
 
-    x_bar = states.mean(axis=1)
-    bound = None
-    if bound_on:
-        params = BoundParams(nu=nu, l_bar=prob.l_bar, n_bar=prob.n_bar,
-                             delta0=delta0, n_agents=S)
-        bound = disagreement_caps(params, cfg.steps, K)[ks]
-    trace = RunTrace(
-        ks=ks,
-        alphas=alpha[ks],
-        states=states,
-        x_bar=x_bar,
-        f_bar=sum_value(prob, x_bar),
-        max_delta=max_delta(states),
-        max_disagreement=max_disagreement(states),
-        bound=bound,
-        summary=None,
-    )
-    trace.summary = RunSummary(
-        n_iterations=K,
-        n_agents=S,
-        dimension=D,
-        final_f_bar=float(trace.f_bar[-1]),
-        final_max_disagreement=float(trace.max_disagreement[-1]),
-        final_max_delta=float(trace.max_delta[-1]),
-        max_average_drift=max_drift,
-        max_nonexpansive_slack=float(max_slack) if np.isfinite(max_slack) else 0.0,
-        nu=nu,
-        delta0=delta0,
-        l_bar=prob.l_bar,
-        n_bar=prob.n_bar,
-        bound_enabled=bound_on,
-    )
+    out: list[RunTrace | EngineError] = [errors.get(b) for b in range(B)]
+    if not rows.size:
+        return out
+    kept = states if rows.size == B else states[:, rows]
+    x_bar = kept.mean(axis=2)
+    f_bar = sum_value(prob, x_bar.reshape(-1, D)).reshape(x_bar.shape[:2])
+    deltas, disagreements = max_delta(kept), max_disagreement(kept)
+    for i, b in enumerate(rows.tolist()):
+        bound = None
+        if bound_on:
+            params = BoundParams(nu=nu, l_bar=prob.l_bar, n_bar=prob.n_bar,
+                                 delta0=float(delta0[b]), n_agents=S)
+            bound = disagreement_caps(params, steps, K)[ks]
+        trace = RunTrace(
+            ks=ks,
+            alphas=alpha[ks],
+            states=kept[:, i],
+            x_bar=x_bar[:, i],
+            f_bar=f_bar[:, i],
+            max_delta=deltas[:, i],
+            max_disagreement=disagreements[:, i],
+            bound=bound,
+            summary=None,
+        )
+        trace.summary = RunSummary(
+            n_iterations=K,
+            n_agents=S,
+            dimension=D,
+            final_f_bar=float(trace.f_bar[-1]),
+            final_max_disagreement=float(trace.max_disagreement[-1]),
+            final_max_delta=float(trace.max_delta[-1]),
+            max_average_drift=float(max_drift[i]),
+            max_nonexpansive_slack=float(max_slack[i]) if np.isfinite(max_slack[i]) else 0.0,
+            nu=nu,
+            delta0=float(delta0[b]),
+            l_bar=prob.l_bar,
+            n_bar=prob.n_bar,
+            bound_enabled=bound_on,
+        )
+        out[b] = trace
+    return out
+
+
+def run(cfg: RunConfig) -> RunTrace:
+    """Execute one run: :func:`run_batch` on a batch of one, raising its
+    ``EngineError`` if the run aborted."""
+    (trace,) = run_batch([cfg])
+    if isinstance(trace, EngineError):
+        raise trace
     return trace
 
 

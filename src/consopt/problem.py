@@ -371,7 +371,10 @@ def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
         # derivative coefficients, padded one shorter
         if kmax == 1:
             return coefs, np.zeros((len(comps), dim, 1))
-        return coefs, coefs[..., 1:] * np.arange(1, kmax)
+        # one that overflows is inf, so the gradients it enters are non-finite,
+        # which the engine checks every round
+        with np.errstate(over="ignore"):
+            return coefs, coefs[..., 1:] * np.arange(1, kmax)
     names = ("a", "b", "c") + (("amplitude", "frequency") if family == SINE_QUADRATIC else ())
     return tuple(np.array([c.params[k] for c in comps]) for k in names)
 

@@ -1,15 +1,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from consopt import engine
 from consopt.cli import main
 from consopt.network import build_metropolis, complete_graph
 from consopt.problem import Box, Problem, problem_to_dict, quadratic
 from consopt.scenario import (
-    load_shipped, shipped_scenario_names, shipped_scenario_path, validate_scenario,
+    build_run_config, load_scenario, load_shipped, shipped_scenario_names,
+    shipped_scenario_path, validate_scenario,
 )
 
 
@@ -193,7 +196,8 @@ def test_run_force_overrides_failed_validation(tmp_path):
     )
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
-    rc = main(["run", "--config", str(cfg), "--force", "--out", str(tmp_path / "o2")])
+    with pytest.warns(RuntimeWarning, match="not scrambling"):
+        rc = main(["run", "--config", str(cfg), "--force", "--out", str(tmp_path / "o2")])
     assert rc == 1  # runs, but the verdict cannot pass on a split network
 
 
@@ -210,6 +214,9 @@ def test_sweep_aggregate_and_parallel_agree(tmp_path):
     par = json.loads((tmp_path / "par" / "tiny_triangle" / "aggregate.json").read_text())
     strip = lambda rows: [{k: v for k, v in r.items() if k != "dir"} for r in rows]
     assert seq["n_pass"] == 3 and strip(seq["results"]) == strip(par["results"])
+    # one wall time per batch: the whole sweep, then two processes' contiguous seeds
+    assert len(seq["wall_s"]) == 1 and len(par["wall_s"]) == 2
+    assert all(w > 0 for w in seq["wall_s"] + par["wall_s"])
     assert seq["summary"]["gap"]["min"] <= seq["summary"]["gap"]["median"] <= seq["summary"]["gap"]["max"]
 
 
@@ -228,6 +235,42 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert rc == 1
     agg = json.loads((tmp_path / "out" / "tiny_triangle" / "aggregate.json").read_text())
     assert agg["n_runs"] == 3 and agg["n_pass"] == 0
+
+
+def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):
+    from test_engine import overflowing_problem
+    doc = scenario_doc(
+        name="overflow",
+        problem=problem_to_dict(overflowing_problem()),
+        graph={"n_agents": 2, "edges": [[0, 1]]},
+        schedule={"variant": "static", "matrix": [[0.75, 0.25], [0.25, 0.75]]},
+        steps={"a": 0.5},
+        n_iterations=40,
+        decimate=5,
+    )
+    cfg = write_config(tmp_path, doc)
+    sc = load_scenario(cfg)
+    expected = {}  # each seed run alone: the error it raises, or None
+    for seed in range(7):
+        try:
+            engine.run(build_run_config(sc, seed))
+            expected[seed] = None
+        except engine.EngineError as e:
+            expected[seed] = {"seed": seed, "error": str(e), "agent": 1, "iteration": e.iteration}
+    assert 0 < sum(e is None for e in expected.values()) < 7
+    for parallel in ("1", "2"):
+        out = tmp_path / f"out{parallel}"
+        with pytest.warns(RuntimeWarning):  # validation samples gradients that overflow
+            rc = main(["sweep", "--config", str(cfg), "--seeds", "0..7", "--parallel", parallel,
+                       "--force", "--out", str(out)])
+        assert rc == 1
+        agg = json.loads((out / "overflow" / "aggregate.json").read_text())
+        assert [r["seed"] for r in agg["results"]] == list(range(7))
+        for row in agg["results"]:
+            if expected[row["seed"]] is not None:
+                assert row == expected[row["seed"]]
+            else:
+                assert "error" not in row and Path(row["dir"], "trace.jsonl").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +317,8 @@ def test_compare_partition_changes_agent_count(tmp_path):
         n_iterations=6000,
     )
     cfg = write_config(tmp_path, doc)
-    rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    with pytest.warns(RuntimeWarning, match="not scrambling"):  # the six-virtual schedule
+        rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
     rep = json.loads((tmp_path / "out" / "part" / "compare" / "compare.json").read_text())
     assert rep["passed"] is True

@@ -1,9 +1,15 @@
+import dataclasses
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consopt.engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
-    read_trace_jsonl, run, step_size, write_plotdata, write_trace_csv, write_trace_jsonl,
+    read_trace_jsonl, run, run_batch, step_size, write_plotdata, write_trace_csv,
+    write_trace_jsonl,
 )
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
@@ -12,8 +18,9 @@ from consopt.network import (
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
 from consopt.problem import (
-    Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
+    Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
 )
+from consopt.scenario import build_run_config, load_shipped, shipped_scenario_names
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -36,8 +43,7 @@ def triangle_indefinite_problem():
     return Problem(2, comps, fs)
 
 
-def mixed_family_problem():
-    fs = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+def mixed_family_problem(fs=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))):
     comps = (
         quadratic("q", [[2.0, 0.0], [0.0, -0.5]], [0.2, 0.0], 0.0, bounds_for=fs),
         polynomial("p", [[0.0, 0.1, -1.0, 0.0, 1.0], [0.0, 0.0, 1.0]], bounds_for=fs),
@@ -299,6 +305,123 @@ def test_run_aborts_on_nonfinite_gradient():
                     initial_states=np.array([[1.5]]))
     with pytest.raises(EngineError, match=r"agent 0 at iteration 0"):
         run(cfg)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+TRACE_COLUMNS = ("ks", "alphas", "states", "x_bar", "f_bar", "max_delta",
+                 "max_disagreement", "bound")
+
+
+def assert_same_run(a: RunTrace, b: RunTrace):
+    for name in TRACE_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.summary == b.summary
+
+
+def run_files(trace: RunTrace, path) -> dict:
+    """The bytes of the trace files and summary.json the run writes."""
+    path.mkdir()
+    write_trace_jsonl(trace, path / "trace.jsonl")
+    write_trace_csv(trace, path / "trace.csv")
+    files = {f: (path / f).read_bytes() for f in ("trace.jsonl", "trace.csv")}
+    files["summary.json"] = json.dumps(trace.summary.to_dict(), indent=2).encode()
+    return files
+
+
+@pytest.mark.parametrize("every", [1, None], ids=["every-iteration", "shipped-decimation"])
+@pytest.mark.parametrize("index,name", enumerate(shipped_scenario_names()))
+def test_seed_from_a_batch_of_twenty_writes_its_batch_of_one_files(tmp_path, index, name, every):
+    sc = load_shipped(name)
+    seed = 7 * index % 20  # a different position in the batch per scenario
+    cfgs = [build_run_config(sc, s, n_iterations=2000, record_every=every) for s in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
+        batch = run_batch(cfgs)
+        (alone,) = run_batch([cfgs[seed]])
+    assert run_files(batch[seed], tmp_path / "batch") == run_files(alone, tmp_path / "alone")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6, unique=True),
+    every=st.integers(1, 12),
+    in_ball=st.booleans(),
+    random_schedule=st.booleans(),
+)
+def test_run_batch_equals_each_run_alone(seeds, every, in_ball, random_schedule):
+    fs = Ball(np.array([0.1, -0.2]), 1.2) if in_ball else Box(np.array([-1.0, -1.0]),
+                                                             np.array([1.0, 1.0]))
+    prob = mixed_family_problem(fs)
+    sched = (RandomSchedule(3, 0.6, seed=seeds[0]) if random_schedule
+             else StaticSchedule(build_metropolis(complete_graph(3))))
+    cfgs = [RunConfig(prob, sched, StepSchedule(0.7, 2.0, 0.8), 25, seed=s, record_every=every)
+            for s in seeds]
+    for cfg, trace in zip(cfgs, run_batch(cfgs)):
+        assert_same_run(trace, run(cfg))
+
+
+def test_run_batch_rejects_configs_that_differ_beyond_seed_and_start():
+    prob = triangle_indefinite_problem()
+    sched = StaticSchedule(build_metropolis(complete_graph(3)))
+    base = RunConfig(prob, sched, StepSchedule(1.0), 20, seed=0, record_every=2)
+    assert len(run_batch([base, dataclasses.replace(base, seed=1,
+                                                    initial_states=np.zeros((3, 2)))])) == 2
+    others = {
+        "problem": triangle_indefinite_problem(),
+        "schedule": StaticSchedule(build_metropolis(complete_graph(3))),
+        "steps": StepSchedule(0.5),
+        "n_iterations": 21,
+        "record_every": 3,
+    }
+    for field, value in others.items():
+        with pytest.raises(ConfigError, match=field):
+            run_batch([base, dataclasses.replace(base, seed=1, **{field: value})])
+    with pytest.raises(ConfigError):
+        run_batch([])
+
+
+def overflowing_problem():
+    """Two agents on [-3, 3]; agent 1's gradient x + 0.1 x^999 is about x for
+    |x| <= 1 and overflows for |x| > 2.04."""
+    fs = Box(np.array([-3.0]), np.array([3.0]))
+    coeffs = np.zeros(1001)
+    coeffs[2], coeffs[1000] = 0.5, 1e-4
+    return Problem(1, (quadratic("f0", [[1.0]], [0.0], grad_bound=3.0, lipschitz=1.0),
+                       polynomial("f1", [coeffs.tolist()], grad_bound=1e300, lipschitz=1e300)),
+                   fs)
+
+
+def test_run_batch_drops_a_failing_run_and_keeps_the_others():
+    prob = overflowing_problem()
+    # agent 1 fuses 0.25 x_0 + 0.75 x_1
+    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0.25))
+    starts = {
+        10: [[0.6], [-0.4]],   # stays where agent 1's gradient is small
+        11: [[2.8], [2.8]],    # fuses to 2.8: overflows at iteration 0
+        12: [[0.0], [2.0]],    # fuses to 1.5, a finite but huge step to -3, and
+                               # 0.25 * 0.25 + 0.75 * -3 overflows at iteration 1
+        13: [[-0.9], [0.7]],
+    }
+    cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 40, seed=s, record_every=3,
+                      initial_states=np.array(x)) for s, x in starts.items()]
+    out = run_batch(cfgs)
+    failed = {cfg.seed: (e.agent, e.iteration) for cfg, e in zip(cfgs, out)
+              if isinstance(e, EngineError)}
+    assert failed == {11: (1, 0), 12: (1, 1)}
+    for cfg, outcome in zip(cfgs, out):
+        if cfg.seed in failed:
+            assert outcome.seed == cfg.seed and f"seed {cfg.seed}" in str(outcome)
+            with pytest.raises(EngineError) as alone:
+                run(cfg)
+            assert (alone.value.agent, alone.value.iteration) == failed[cfg.seed]
+        else:
+            assert_same_run(outcome, run(cfg))
 
 
 def test_run_warns_on_non_scrambling_schedule():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consopt.problem import (
     Ball, Box, ConfigError, Problem, analytic_bounds, check_gradient,
@@ -66,6 +67,66 @@ def test_projection_nonexpansive(fs):
     lhs = np.linalg.norm(px - py, axis=1)
     rhs = np.linalg.norm(xs - ys, axis=1)
     assert np.all(lhs <= rhs + 1e-12)
+
+
+def feasible_sets(dim):
+    """Boxes (possibly flat in some coordinate) and balls in dimension dim."""
+    coords = st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim)
+    boxes = st.tuples(coords, coords).map(
+        lambda c: Box(np.minimum(c[0], c[1]), np.maximum(c[0], c[1])))
+    balls = st.builds(lambda c, r: Ball(np.array(c), r), coords, st.floats(0.01, 4.0))
+    return st.one_of(boxes, balls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), n=st.integers(1, 40))
+def test_project_many_idempotent_and_nonexpansive(data, dim, n):
+    fs = data.draw(feasible_sets(dim))
+    points = st.lists(st.floats(-20.0, 20.0), min_size=n * dim, max_size=n * dim)
+    xs = np.array(data.draw(points)).reshape(n, dim)
+    ys = np.array(data.draw(points)).reshape(n, dim)
+    px, py = fs.project_many(xs), fs.project_many(ys)
+    np.testing.assert_array_equal(fs.project_many(px), px)
+    scale = 1.0 + np.maximum(np.abs(xs).max(), np.abs(ys).max())
+    assert np.all(np.linalg.norm(px - py, axis=1)
+                  <= np.linalg.norm(xs - ys, axis=1) + 1e-12 * scale)
+
+
+def stack_problem(family, fs, n_agents, seed):
+    """n_agents components of one family, with seeded random parameters."""
+    rng = np.random.default_rng(seed)
+    dim = fs.dimension
+    comps = []
+    for j in range(n_agents):
+        m = rng.normal(size=(dim, dim))
+        a, b = m + m.T, rng.normal(size=dim)
+        if family == "quadratic":
+            comps.append(quadratic(f"c{j}", a, b, 0.5, grad_bound=1.0, lipschitz=1.0))
+        elif family == "polynomial-separable":
+            cfs = [rng.normal(size=int(rng.integers(1, 6))) for _ in range(dim)]
+            comps.append(polynomial(f"c{j}", cfs, grad_bound=1.0, lipschitz=1.0))
+        else:
+            comps.append(sine_quadratic(f"c{j}", a, b, 0.5, rng.normal(size=dim),
+                                        rng.uniform(0.5, 4.0, size=dim),
+                                        grad_bound=1.0, lipschitz=1.0))
+    return Problem(dim, tuple(comps), fs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["quadratic", "polynomial-separable", "sine-perturbed-quadratic"]),
+       in_ball=st.booleans(), dim=st.integers(1, 5), n_agents=st.integers(1, 8),
+       batch=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_stacked_grads_and_projections_equal_each_state_alone(family, in_ball, dim, n_agents,
+                                                             batch, seed):
+    # the batched engine steps (B, S, D) stacks and relies on this equality
+    fs = Ball(np.full(dim, 0.25), 1.5) if in_ball else Box(np.full(dim, -1.0), np.full(dim, 1.5))
+    prob = stack_problem(family, fs, n_agents, seed)
+    v = np.random.default_rng(seed).normal(0.0, 2.0, size=(batch, n_agents, dim))
+    grads = prob.evaluator.grads(v)
+    projected = fs.project_many(v)
+    for b in range(batch):
+        assert grads[b].tobytes() == prob.evaluator.grads(v[b]).tobytes()
+        assert projected[b].tobytes() == fs.project_many(v[b]).tobytes()
 
 
 def test_project_dimension_mismatch():
