@@ -1,8 +1,9 @@
 """Command-line entry point: validate, run, sweep, compare, export.
 
-Exit codes: 0 all checks/verdicts pass, 1 a verdict failed, 2 assumption
-validation failed, 3 configuration or I/O error.  The default output root is
-the CONSOPT_OUT environment variable, falling back to ./runs.
+Exit codes: 0 all checks/verdicts pass, 1 a verdict failed or a run aborted
+on a numerical failure, 2 assumption validation failed, 3 configuration or
+I/O error.  The default output root is the CONSOPT_OUT environment variable,
+falling back to ./runs.
 """
 
 from __future__ import annotations
@@ -130,12 +131,16 @@ def execute_run(sc: Scenario, seed: int, run_dir: Path, *, iterations: int | Non
 # commands
 
 
+def _print_checks(checks) -> None:
+    for c in checks:
+        status = "PASS" if c.passed else ("WARN" if c.severity == "warning" else "FAIL")
+        print(f"{status} {c.name}: {c.detail}")
+
+
 def cmd_validate(config_path, out_dir=None) -> int:
     sc = load_scenario(config_path)
     report = validate_scenario(sc)
-    for c in report.checks:
-        status = "PASS" if c.passed else ("WARN" if c.severity == "warning" else "FAIL")
-        print(f"{status} {c.name}: {c.detail}")
+    _print_checks(report.checks)
     if out_dir:
         root = _out_root(out_dir) / sc.name
         root.mkdir(parents=True, exist_ok=True)
@@ -146,10 +151,7 @@ def cmd_validate(config_path, out_dir=None) -> int:
 
 def _validate_or_bail(sc: Scenario, force: bool) -> int | None:
     report = validate_scenario(sc)
-    for c in report.checks:
-        if not c.passed:
-            tag = "WARN" if c.severity == "warning" else "FAIL"
-            print(f"{tag} {c.name}: {c.detail}")
+    _print_checks(c for c in report.checks if not c.passed)
     if not report.hard_pass and not force:
         print("validation failed; re-run with --force to execute anyway")
         return EXIT_VALIDATION
@@ -270,8 +272,7 @@ def cmd_compare(config_path, *, seed=None, iterations=None, out_dir=None, force=
         if sc.graph is None:
             raise ConfigError("compare needs a 'graph' field to schedule the original problem")
         orig_schedule = StaticSchedule(build_metropolis(sc.graph))
-    orig = dataclasses.replace(sc, transformed=None, schedule=orig_schedule,
-                               transform_kind="none", init_points=None)
+    orig = dataclasses.replace(sc, transformed=None, schedule=orig_schedule, init_points=None)
     res_o = execute_run(orig, use_seed, root / "original", iterations=iterations)
 
     payload = {
@@ -380,6 +381,9 @@ def main(argv=None) -> int:
     except (ConfigError, ConstructionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except engine.EngineError as e:  # the message names the seed, agent and iteration
+        print(f"run error: {e}", file=sys.stderr)
+        return EXIT_VERDICT
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_CONFIG

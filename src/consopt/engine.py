@@ -180,6 +180,14 @@ def fuse(states, matrix) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
+def _step(v: np.ndarray, alpha, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """The projected gradient step on fused states (..., S, D): each agent
+    steps along its own component gradient.  Returns the new states and the
+    gradients, which the caller checks; every operation is row-wise."""
+    g = prob.evaluator.grads(v)
+    return prob.feasible_set.project_many(v - alpha * g), g
+
+
 def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     """Projected gradient step: each agent uses its own component gradient."""
     v = np.asarray(fused, dtype=float)
@@ -187,10 +195,10 @@ def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     if v.shape != shape:
         raise ConfigError(f"fused states have shape {v.shape}, expected {shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        g = cfg.problem.evaluator.grads(v)
+        x, g = _step(v, step_size(cfg.steps, k), cfg.problem)
     if not np.isfinite(g).all():
         raise _nonfinite(g, k, cfg.seed)
-    return cfg.problem.feasible_set.project_many(v - step_size(cfg.steps, k) * g)
+    return x
 
 
 def initial_states(cfg: RunConfig) -> np.ndarray:
@@ -272,16 +280,15 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
             sq_v = ((v[:, None] - probes[:, :, None]) ** 2).sum(axis=(2, 3))
             np.maximum(max_slack, (sq_v - sq_x).max(axis=1), out=max_slack)
 
-            g = prob.evaluator.grads(v)
+            x, g = _step(v, alpha[k], prob)
             if not np.isfinite(g).all():
                 ok = np.isfinite(g).all(axis=(1, 2))
                 for i in np.flatnonzero(~ok):
                     errors[int(rows[i])] = _nonfinite(g[i], k, cfgs[rows[i]].seed)
-                rows, v, g, probes, max_drift, max_slack = (
-                    a[ok] for a in (rows, v, g, probes, max_drift, max_slack))
+                rows, x, probes, max_drift, max_slack = (
+                    a[ok] for a in (rows, x, probes, max_drift, max_slack))
                 if not rows.size:
                     break
-            x = fs.project_many(v - alpha[k] * g)
             if k + 1 == ks[r]:
                 states[r, rows] = x
                 r += 1

@@ -306,20 +306,6 @@ class WeightSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class StaticSchedule(WeightSchedule):
-    matrix: WeightMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_agents", self.matrix.n_agents)
-
-    def distinct_matrices(self, horizon=None):
-        return self.matrix.entries[None]
-
-    def matrix_at(self, k):
-        return self.matrix
-
-
-@dataclass(frozen=True, eq=False)
 class CyclicSchedule(WeightSchedule):
     matrices: tuple[WeightMatrix, ...]
 
@@ -341,6 +327,13 @@ class CyclicSchedule(WeightSchedule):
 
     def matrix_at(self, k):
         return self.matrices[k % len(self.matrices)]
+
+
+class StaticSchedule(CyclicSchedule):
+    """A cycle of one: every round uses the one matrix."""
+
+    def __init__(self, matrix: WeightMatrix):
+        super().__init__((matrix,))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import problem as prb
 from .problem import (
-    ComponentFunction, ConfigError, FeasibleSet, Problem,
-    QUADRATIC, POLYNOMIAL, SINE_QUADRATIC, sum_grad, sum_value,
+    POLYNOMIAL, ComponentFunction, ConfigError, FeasibleSet, Problem, problem_to_dict, rebuild,
+    sum_grad, sum_value,
 )
 from .network import ConstructionError, Graph, connected_component, graph, is_connected, neighbors
 
@@ -151,7 +150,7 @@ class TransformedProblem:
 
 
 def transformed_to_dict(t: TransformedProblem) -> dict:
-    d = prb.problem_to_dict(t.problem)
+    d = problem_to_dict(t.problem)
     d["provenance"] = t.provenance.to_dict()
     d["graph"] = {"n_agents": t.graph.n_agents, "edges": sorted(list(e) for e in t.graph.edges)}
     return d
@@ -195,13 +194,9 @@ def _shift_by_quadratic(c: ComponentFunction, qa, qb, qc, cid: str,
                         fs: FeasibleSet) -> ComponentFunction:
     """Return the component plus the quadratic 0.5 x'Qx + q'x + c, staying in
     the component's family; bounds are recomputed analytically over fs."""
-    if c.family == QUADRATIC:
-        return prb.quadratic(cid, c.params["a"] + qa, c.params["b"] + qb,
-                             c.params["c"] + qc, bounds_for=fs)
-    if c.family == SINE_QUADRATIC:
-        return prb.sine_quadratic(cid, c.params["a"] + qa, c.params["b"] + qb,
-                                  c.params["c"] + qc, c.params["amplitude"],
-                                  c.params["frequency"], bounds_for=fs)
+    if c.family != POLYNOMIAL:
+        return rebuild(c, cid, fs, a=c.params["a"] + qa, b=c.params["b"] + qb,
+                       c=c.params["c"] + qc)
     off_diag = qa - np.diag(np.diag(qa))
     if np.any(off_diag != 0.0):
         raise ConfigError(
@@ -216,20 +211,7 @@ def _shift_by_quadratic(c: ComponentFunction, qa, qb, qc, cid: str,
         if d == 0:
             new[0] += qc
         coeffs.append(new)
-    return prb.polynomial(cid, coeffs, bounds_for=fs)
-
-
-def _scale_component(c: ComponentFunction, factor: float, cid: str,
-                     fs: FeasibleSet) -> ComponentFunction:
-    if c.family == QUADRATIC:
-        return prb.quadratic(cid, c.params["a"] * factor, c.params["b"] * factor,
-                             c.params["c"] * factor, bounds_for=fs)
-    if c.family == SINE_QUADRATIC:
-        return prb.sine_quadratic(cid, c.params["a"] * factor, c.params["b"] * factor,
-                                  c.params["c"] * factor,
-                                  c.params["amplitude"] * factor,
-                                  c.params["frequency"], bounds_for=fs)
-    return prb.polynomial(cid, [cf * factor for cf in c.params["coeffs"]], bounds_for=fs)
+    return rebuild(c, cid, fs, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +289,13 @@ def partition_problem(prob: Problem, g: Graph, plan: PartitionPlan, seed: int, *
     pieces: list[ComponentFunction] = []
     for i, comp in enumerate(prob.components):
         m = plan.counts[i]
-        base = _scale_component(comp, 1.0 / m, comp.id, fs)
         if m == 1:
-            pieces.append(_scale_component(comp, 1.0, f"{comp.id}/0", fs))
+            pieces.append(rebuild(comp, f"{comp.id}/0", fs))
             continue
+        factor = 1.0 / m  # f_i / m: every parameter but the sine frequencies scales
+        base = rebuild(comp, comp.id, fs, **{
+            k: [cf * factor for cf in v] if k == "coeffs" else v * factor
+            for k, v in comp.params.items() if k != "frequency"})
         rng = np.random.default_rng([int(seed), _STREAM_PARTITION, i])
         diagonal = comp.family == POLYNOMIAL
         qa_sum = np.zeros((dim, dim))

@@ -246,7 +246,7 @@ def _symmetrize(a: np.ndarray, cid: str) -> np.ndarray:
     return _freeze(0.5 * (a + a.T))
 
 
-def _resolve_bounds(cid, family, params, dim, bounds_for, grad_bound, lipschitz):
+def _resolve_bounds(cid, family, params, bounds_for, grad_bound, lipschitz):
     if bounds_for is not None:
         l_auto, n_auto = _analytic_bounds(family, params, bounds_for)
         grad_bound = l_auto if grad_bound is None else grad_bound
@@ -264,7 +264,7 @@ def quadratic(cid: str, a, b, c: float = 0.0, *, bounds_for: FeasibleSet | None 
     a = _symmetrize(a, cid)
     b = _freeze(as_point(b, a.shape[0]))
     params = {"a": a, "b": b, "c": float(c)}
-    gb, nl = _resolve_bounds(cid, QUADRATIC, params, a.shape[0], bounds_for, grad_bound, lipschitz)
+    gb, nl = _resolve_bounds(cid, QUADRATIC, params, bounds_for, grad_bound, lipschitz)
     return ComponentFunction(cid, QUADRATIC, params, gb, nl, a.shape[0])
 
 
@@ -280,7 +280,7 @@ def polynomial(cid: str, coeffs: Sequence[Sequence[float]], *, bounds_for=None,
     if not cfs:
         raise ConfigError(f"component {cid!r}: needs at least one coordinate")
     params = {"coeffs": tuple(cfs)}
-    gb, nl = _resolve_bounds(cid, POLYNOMIAL, params, len(cfs), bounds_for, grad_bound, lipschitz)
+    gb, nl = _resolve_bounds(cid, POLYNOMIAL, params, bounds_for, grad_bound, lipschitz)
     return ComponentFunction(cid, POLYNOMIAL, params, gb, nl, len(cfs))
 
 
@@ -293,8 +293,25 @@ def sine_quadratic(cid: str, a, b, c, amplitude, frequency, *, bounds_for=None,
     amp = _freeze(as_point(amplitude, dim))
     freq = _freeze(as_point(frequency, dim))
     params = {"a": a, "b": b, "c": float(c), "amplitude": amp, "frequency": freq}
-    gb, nl = _resolve_bounds(cid, SINE_QUADRATIC, params, dim, bounds_for, grad_bound, lipschitz)
+    gb, nl = _resolve_bounds(cid, SINE_QUADRATIC, params, bounds_for, grad_bound, lipschitz)
     return ComponentFunction(cid, SINE_QUADRATIC, params, gb, nl, dim)
+
+
+# family -> (builder, parameter names in the order the builder takes them and
+# ``ComponentFunction.params`` stores them)
+_FAMILY_TABLE = {
+    QUADRATIC: (quadratic, ("a", "b", "c")),
+    POLYNOMIAL: (polynomial, ("coeffs",)),
+    SINE_QUADRATIC: (sine_quadratic, ("a", "b", "c", "amplitude", "frequency")),
+}
+
+
+def rebuild(comp: ComponentFunction, cid: str, fs: FeasibleSet, /, **params) -> ComponentFunction:
+    """A component of ``comp``'s family named ``cid``, with ``params`` in place
+    of its parameters of those names; bounds are recomputed analytically over fs."""
+    builder, names = _FAMILY_TABLE[comp.family]
+    params = {**comp.params, **params}
+    return builder(cid, *(params[k] for k in names), bounds_for=fs)
 
 
 def _check_pts(pts, dim) -> np.ndarray:
@@ -375,8 +392,7 @@ def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
         # which the engine checks every round
         with np.errstate(over="ignore"):
             return coefs, coefs[..., 1:] * np.arange(1, kmax)
-    names = ("a", "b", "c") + (("amplitude", "frequency") if family == SINE_QUADRATIC else ())
-    return tuple(np.array([c.params[k] for c in comps]) for k in names)
+    return tuple(np.array([c.params[k] for c in comps]) for k in _FAMILY_TABLE[family][1])
 
 
 class _Evaluator:
@@ -553,27 +569,31 @@ class BoundEstimate:
     lipschitz: float
     l_violated: bool
     n_violated: bool
+    n_nonfinite: int = 0  # sampled pairs with a non-finite gradient at either point
 
 
 def estimate_bounds(c: ComponentFunction, fs: FeasibleSet, n_samples: int, seed: int) -> BoundEstimate:
     """Sampled lower estimates of the gradient sup and Lipschitz modulus.
 
     Flags a violation when a sampled value exceeds the declared constant;
-    samples never overshoot the true suprema, so a flag is a disproof.
+    samples never overshoot the true suprema, so a flag is a disproof.  A
+    gradient that is not finite at a sampled point has no finite bound: both
+    estimates are then inf and both flags set.
     """
     if n_samples < 100:
         raise ConfigError("estimate_bounds needs n_samples >= 100")
     rng = np.random.default_rng(seed)
     xs = fs.sample(n_samples, rng)
     ys = fs.sample(n_samples, rng)
-    gx = grad_many(c, xs)
-    gy = grad_many(c, ys)
-    l_hat = float(np.max(np.linalg.norm(gx, axis=1)))
-    dist = np.linalg.norm(xs - ys, axis=1)
-    ok = dist > 1e-12
-    n_hat = 0.0
-    if np.any(ok):
-        n_hat = float(np.max(np.linalg.norm(gx[ok] - gy[ok], axis=1) / dist[ok]))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are counted
+        gx, gy = grad_many(c, xs), grad_many(c, ys)
+        l_hat = float(np.max(np.linalg.norm(gx, axis=1)))
+        dist = np.linalg.norm(xs - ys, axis=1)
+        ok = dist > 1e-12
+        n_hat = float(np.max(np.linalg.norm(gx[ok] - gy[ok], axis=1) / dist[ok], initial=0.0))
+    n_nonfinite = int(np.count_nonzero(~np.isfinite(np.hstack([gx, gy])).all(axis=1)))
+    if n_nonfinite:
+        l_hat = n_hat = np.inf
     # the estimates themselves carry rounding error, so a violation must
     # clear a small relative margin to count as a disproof
     slack = 1e-9
@@ -581,6 +601,7 @@ def estimate_bounds(c: ComponentFunction, fs: FeasibleSet, n_samples: int, seed:
         l_hat, n_hat, c.grad_bound, c.lipschitz,
         l_violated=l_hat > c.grad_bound * (1 + slack) + 1e-12,
         n_violated=n_hat > c.lipschitz * (1 + slack) + 1e-12,
+        n_nonfinite=n_nonfinite,
     )
 
 
@@ -642,6 +663,7 @@ class ConvexityReport:
     passed: bool
     n_pairs: int
     worst_violation: float
+    n_nonfinite: int = 0  # sampled pairs with a non-finite sum at a tested point
 
 
 def verify_sum_convexity(prob: Problem, n_pairs: int, seed: int) -> ConvexityReport:
@@ -649,39 +671,45 @@ def verify_sum_convexity(prob: Problem, n_pairs: int, seed: int) -> ConvexityRep
 
     For sampled pairs x, y in the set and lam in {0.25, 0.5, 0.75} checks
     f(lam x + (1-lam) y) <= lam f(x) + (1-lam) f(y) + 1e-9 (1 + |f|).
-    A failure is a disproof; passing is evidence, not a certificate.
+    A failure is a disproof; passing is evidence, not a certificate.  A sum
+    that is not finite at a tested point fails the test: the worst
+    violation is then inf.
     """
     if n_pairs < 100:
         raise ConfigError("verify_sum_convexity needs n_pairs >= 100")
     rng = np.random.default_rng(seed)
     xs = prob.feasible_set.sample(n_pairs, rng)
     ys = prob.feasible_set.sample(n_pairs, rng)
-    fx = sum_value(prob, xs)
-    fy = sum_value(prob, ys)
     worst = -np.inf
-    for lam in (0.25, 0.5, 0.75):
-        z = lam * xs + (1.0 - lam) * ys
-        fz = sum_value(prob, z)
-        chord = lam * fx + (1.0 - lam) * fy
-        tol = 1e-9 * (1.0 + np.maximum(np.abs(fx), np.maximum(np.abs(fy), np.abs(fz))))
-        worst = max(worst, float(np.max(fz - chord - tol)))
-    return ConvexityReport(passed=worst <= 0.0, n_pairs=n_pairs, worst_violation=worst)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums are counted
+        fx = sum_value(prob, xs)
+        fy = sum_value(prob, ys)
+        finite = np.isfinite(fx) & np.isfinite(fy)
+        for lam in (0.25, 0.5, 0.75):
+            z = lam * xs + (1.0 - lam) * ys
+            fz = sum_value(prob, z)
+            finite &= np.isfinite(fz)
+            chord = lam * fx + (1.0 - lam) * fy
+            tol = 1e-9 * (1.0 + np.maximum(np.abs(fx), np.maximum(np.abs(fy), np.abs(fz))))
+            worst = max(worst, float(np.max(fz - chord - tol)))
+    n_nonfinite = int(np.count_nonzero(~finite))
+    if n_nonfinite:
+        worst = np.inf
+    return ConvexityReport(passed=worst <= 0.0, n_pairs=n_pairs, worst_violation=worst,
+                           n_nonfinite=n_nonfinite)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def _plain(v):
+    """A parameter as JSON values: arrays, and tuples of them, become lists."""
+    return [_plain(e) for e in v] if isinstance(v, tuple) else np.asarray(v).tolist()
+
+
 def component_to_dict(c: ComponentFunction) -> dict:
-    if c.family == POLYNOMIAL:
-        params = {"coeffs": [cf.tolist() for cf in c.params["coeffs"]]}
-    elif c.family == QUADRATIC:
-        params = {"a": c.params["a"].tolist(), "b": c.params["b"].tolist(), "c": c.params["c"]}
-    else:
-        params = {
-            "a": c.params["a"].tolist(), "b": c.params["b"].tolist(), "c": c.params["c"],
-            "amplitude": c.params["amplitude"].tolist(), "frequency": c.params["frequency"].tolist(),
-        }
+    params = {k: _plain(c.params[k]) for k in _FAMILY_TABLE[c.family][1]}
     return {
         "id": c.id, "family": c.family, "params": params,
         "grad_bound": c.grad_bound, "lipschitz": c.lipschitz,
@@ -692,18 +720,13 @@ def component_from_dict(d: dict) -> ComponentFunction:
     try:
         cid, family, params = d["id"], d["family"], d["params"]
         gb, nl = float(d["grad_bound"]), float(d["lipschitz"])
-        if family == QUADRATIC:
-            return quadratic(cid, params["a"], params["b"], float(params.get("c", 0.0)),
-                             grad_bound=gb, lipschitz=nl)
-        if family == POLYNOMIAL:
-            return polynomial(cid, params["coeffs"], grad_bound=gb, lipschitz=nl)
-        if family == SINE_QUADRATIC:
-            return sine_quadratic(cid, params["a"], params["b"], float(params.get("c", 0.0)),
-                                  params["amplitude"], params["frequency"],
-                                  grad_bound=gb, lipschitz=nl)
+        if family not in FAMILIES:
+            raise ConfigError(f"unknown component family {family!r}")
+        builder, names = _FAMILY_TABLE[family]
+        args = [float(params.get(k, 0.0)) if k == "c" else params[k] for k in names]
     except KeyError as e:
         raise ConfigError(f"component definition missing field {e.args[0]!r}") from e
-    raise ConfigError(f"unknown component family {family!r}")
+    return builder(cid, *args, grad_bound=gb, lipschitz=nl)
 
 
 def problem_to_dict(prob: Problem) -> dict:

@@ -33,18 +33,15 @@ _VALIDATE_HORIZON = 128
 @dataclass(eq=False)
 class Scenario:
     name: str
-    raw: dict
     problem: Problem
     graph: Graph | None
     transformed: TransformedProblem | None
     schedule: WeightSchedule
     steps: StepSchedule
-    transform_kind: str
     n_iterations: int
     seeds: tuple[int, ...]
     decimate: int
-    connectivity_mode: str
-    q_window: int | None
+    q_window: int | None  # None: every round's support graph must be connected
     tol_consensus: float
     tol_gap: float
     init_points: np.ndarray | None
@@ -87,7 +84,7 @@ def _parse_seeds(spec) -> tuple[int, ...]:
 
 def _parse_transform(spec: dict | None, prob: Problem, g: Graph | None):
     if spec is None or spec.get("kind", "none") == "none":
-        return "none", None
+        return None
     kind = spec["kind"]
     if g is None:
         raise ConfigError(f"transform {kind!r} requires a 'graph' field in the config")
@@ -103,18 +100,16 @@ def _parse_transform(spec: dict | None, prob: Problem, g: Graph | None):
             else:
                 raise ConfigError(
                     "field 'transform.plan' must be 'six-virtual' or {m_per_agent}")
-        t = privacy.partition_problem(
+        return privacy.partition_problem(
             prob, g, plan, int(_field(spec, "seed", 0)),
             perturbation_scale=float(_field(spec, "perturbation_scale", 1.0)),
             max_grad_bound=spec.get("max_grad_bound"),
         )
-        return kind, t
     if kind == "random_sharing":
-        t = privacy.random_function_sharing(
+        return privacy.random_function_sharing(
             prob, g, float(_field(spec, "scale", required=True)),
             int(_field(spec, "seed", 0)),
         )
-        return kind, t
     raise ConfigError(f"unknown transform kind {kind!r}")
 
 
@@ -157,7 +152,7 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
         except KeyError as e:
             raise ConfigError(f"field 'graph' missing {e.args[0]!r}") from e
 
-    transform_kind, transformed = _parse_transform(raw.get("transform"), prob, g)
+    transformed = _parse_transform(raw.get("transform"), prob, g)
     run_problem = transformed.problem if transformed else prob
 
     schedule = network.schedule_from_dict(_field(raw, "schedule", required=True))
@@ -190,17 +185,14 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
 
     return Scenario(
         name=name,
-        raw=raw,
         problem=prob,
         graph=g,
         transformed=transformed,
         schedule=schedule,
         steps=steps,
-        transform_kind=transform_kind,
         n_iterations=int(_field(raw, "n_iterations", required=True)),
         seeds=_parse_seeds(raw.get("seeds")),
         decimate=int(raw.get("decimate", 1)),
-        connectivity_mode=mode,
         q_window=q_window,
         tol_consensus=float(tols.get("consensus", 1e-3)),
         tol_gap=float(tols.get("gap", 1e-3)),
@@ -246,10 +238,6 @@ class ValidationReport:
     def hard_pass(self) -> bool:
         return all(c.passed for c in self.checks if c.severity == "error")
 
-    @property
-    def warnings(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.severity == "warning" and not c.passed)
-
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks], "hard_pass": self.hard_pass}
 
@@ -268,7 +256,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     conv = verify_sum_convexity(prob, 200, _VALIDATION_SEED)
     checks.append(CheckResult(
         "sum-convexity", conv.passed, "error",
-        f"worst sampled violation {conv.worst_violation:.3g} over {conv.n_pairs} pairs",
+        f"worst sampled violation {conv.worst_violation:.3g} over {conv.n_pairs} pairs"
+        + (f" ({conv.n_nonfinite} with a non-finite sum)" if conv.n_nonfinite else ""),
     ))
 
     fs = prob.feasible_set
@@ -280,10 +269,11 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     bad_l, bad_n = [], []
     for idx, c in enumerate(prob.components):
         est = estimate_bounds(c, fs, 200, _VALIDATION_SEED + idx)
+        nf = f" (non-finite at {est.n_nonfinite} of 200 sampled pairs)" if est.n_nonfinite else ""
         if est.l_violated:
-            bad_l.append(f"{c.id}: sampled {est.l_hat:.3g} > declared {c.grad_bound:.3g}")
+            bad_l.append(f"{c.id}: sampled {est.l_hat:.3g} > declared {c.grad_bound:.3g}{nf}")
         if est.n_violated:
-            bad_n.append(f"{c.id}: sampled {est.n_hat:.3g} > declared {c.lipschitz:.3g}")
+            bad_n.append(f"{c.id}: sampled {est.n_hat:.3g} > declared {c.lipschitz:.3g}{nf}")
     checks.append(CheckResult(
         "gradient-bounds", not bad_l, "error",
         "; ".join(bad_l) or "sampled gradient norms stay below declared bounds",
@@ -312,7 +302,7 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             else f"matrix support stays within the declared links{scope}",
         ))
 
-    if sc.connectivity_mode == "per-k":
+    if sc.q_window is None:
         disconnected = np.flatnonzero(~network.support_connected(mats)).tolist()
         checks.append(CheckResult(
             "connectivity", not disconnected, "error",
@@ -356,8 +346,4 @@ def shipped_scenario_path(name: str) -> Path:
 
 
 def load_shipped(name: str) -> Scenario:
-    text = _scenario_root().joinpath(f"{name}.json").read_text()
-    sc = load_scenario(json.loads(text))
-    if sc.name == "scenario":
-        sc.name = name
-    return sc
+    return load_scenario(shipped_scenario_path(name))

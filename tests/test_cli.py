@@ -51,6 +51,20 @@ def write_config(tmp_path, doc, fname="scenario.json"):
     return path
 
 
+def overflow_config(tmp_path):
+    """Two agents whose second gradient overflows outside [-2.04, 2.04]."""
+    from test_engine import overflowing_problem
+    return write_config(tmp_path, scenario_doc(
+        name="overflow",
+        problem=problem_to_dict(overflowing_problem()),
+        graph={"n_agents": 2, "edges": [[0, 1]]},
+        schedule={"variant": "static", "matrix": [[0.75, 0.25], [0.25, 0.75]]},
+        steps={"a": 0.5},
+        n_iterations=40,
+        decimate=5,
+    ))
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -113,6 +127,17 @@ def test_validate_disconnected_schedule_fails(tmp_path, capsys):
     rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
     assert rc == 2
     assert "FAIL connectivity" in capsys.readouterr().out
+
+
+def test_validate_fails_checks_on_nonfinite_samples(tmp_path, capsys):
+    # evaluated without a RuntimeWarning (the suite turns those into errors)
+    rc = main(["validate", "--config", str(overflow_config(tmp_path))])
+    lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert rc == 2
+    assert "with a non-finite sum" in lines["FAIL sum-convexity"]
+    for check in ("gradient-bounds", "gradient-lipschitz"):
+        assert "f1: sampled inf > declared 1e+300 (non-finite at " in lines[f"FAIL {check}"]
+        assert "of 200 sampled pairs)" in lines[f"FAIL {check}"]
 
 
 def test_validate_malformed_config_names_field(tmp_path, capsys):
@@ -260,9 +285,8 @@ def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):
     assert 0 < sum(e is None for e in expected.values()) < 7
     for parallel in ("1", "2"):
         out = tmp_path / f"out{parallel}"
-        with pytest.warns(RuntimeWarning):  # validation samples gradients that overflow
-            rc = main(["sweep", "--config", str(cfg), "--seeds", "0..7", "--parallel", parallel,
-                       "--force", "--out", str(out)])
+        rc = main(["sweep", "--config", str(cfg), "--seeds", "0..7", "--parallel", parallel,
+                   "--force", "--out", str(out)])
         assert rc == 1
         agg = json.loads((out / "overflow" / "aggregate.json").read_text())
         assert [r["seed"] for r in agg["results"]] == list(range(7))
@@ -271,6 +295,19 @@ def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):
                 assert row == expected[row["seed"]]
             else:
                 assert "error" not in row and Path(row["dir"], "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_numerical_failure_is_a_run_error(command, tmp_path, capsys):
+    cfg = overflow_config(tmp_path)
+    with pytest.raises(engine.EngineError) as raised:
+        engine.run(build_run_config(load_scenario(cfg), 0))
+    rc = main([command, "--config", str(cfg), "--seed", "0", "--force",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"run error: {raised.value}\n"
+    assert "agent 1 at iteration 1 (seed 0)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consopt.analysis import centralized_solve, verdict
 from consopt.engine import RunConfig, StepSchedule, run
@@ -13,8 +14,8 @@ from consopt.privacy import (
     random_function_sharing, six_virtual_plan, virtual_topology,
 )
 from consopt.problem import (
-    Box, ConfigError, Problem, polynomial, quadratic, sum_grad, sum_value,
-    value_many,
+    Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_grad,
+    sum_value, value_many,
 )
 
 TRIANGLE = complete_graph(3)
@@ -212,6 +213,83 @@ def test_sharing_reproducible():
     b = random_function_sharing(prob, TRIANGLE, 0.5, seed=11)
     for pa, pb in zip(a.problem.components, b.problem.components):
         np.testing.assert_array_equal(pa.params["a"], pb.params["a"])
+
+
+# ---------------------------------------------------------------------------
+# both transforms, on drawn problems
+
+FAMILIES = ("quadratic", "polynomial-separable", "sine-perturbed-quadratic")
+PATH3 = graph(3, [(0, 1), (1, 2)])
+
+
+def drawn_problem(families, in_ball, dim, seed):
+    """One component per agent, each of the family named, with seeded parameters."""
+    fs = Ball(np.full(dim, 0.25), 1.5) if in_ball else Box(np.full(dim, -1.0), np.full(dim, 1.5))
+    rng = np.random.default_rng(seed)
+    comps = []
+    for j, family in enumerate(families):
+        m = rng.normal(size=(dim, dim))
+        a, b, c = m + m.T, rng.normal(size=dim), rng.normal()
+        if family == "quadratic":
+            comps.append(quadratic(f"c{j}", a, b, c, bounds_for=fs))
+        elif family == "polynomial-separable":
+            cfs = [rng.normal(size=int(rng.integers(1, 6))) for _ in range(dim)]
+            comps.append(polynomial(f"c{j}", cfs, bounds_for=fs))
+        else:
+            comps.append(sine_quadratic(f"c{j}", a, b, c, rng.normal(size=dim),
+                                        rng.uniform(0.5, 4.0, size=dim), bounds_for=fs))
+    return Problem(dim, tuple(comps), fs)
+
+
+def assert_preserves_sum(prob, t, seed):
+    """Summed value and gradient agree pointwise within 1e-9 (1 + |f|)."""
+    xs = prob.feasible_set.sample(64, np.random.default_rng([seed, 1]))
+    f = sum_value(prob, xs)
+    tol = 1e-9 * (1.0 + np.abs(f))
+    assert np.all(np.abs(sum_value(t.problem, xs) - f) <= tol)
+    assert np.all(np.linalg.norm(sum_grad(t.problem, xs) - sum_grad(prob, xs), axis=1) <= tol)
+
+
+def assert_bitwise_equal(p, q):
+    assert (p.id, p.family, p.dimension) == (q.id, q.family, q.dimension)
+    assert (p.grad_bound, p.lipschitz) == (q.grad_bound, q.lipschitz)
+    assert list(p.params) == list(q.params)
+    for key, v in p.params.items():
+        pairs = zip(v, q.params[key], strict=True) if key == "coeffs" else [(v, q.params[key])]
+        for a, b in pairs:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+drawn = dict(families=st.lists(st.sampled_from(FAMILIES), min_size=3, max_size=3),
+             in_ball=st.booleans(), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=st.sampled_from(["m1", "m2", "m3", "six-virtual"]),
+       scale=st.floats(0.0, 2.0), **drawn)
+def test_partition_preserves_the_sum_of_drawn_problems(plan, scale, families, in_ball, dim,
+                                                      seed):
+    prob = drawn_problem(families, in_ball, dim, seed)
+    make_plan = (six_virtual_plan if plan == "six-virtual"
+                 else lambda: default_plan(TRIANGLE, int(plan[1])))
+    t = partition_problem(prob, TRIANGLE, make_plan(), seed, perturbation_scale=scale)
+    assert t.problem.n_agents == make_plan().n_virtual
+    assert_preserves_sum(prob, t, seed)
+    again = partition_problem(prob, TRIANGLE, make_plan(), seed, perturbation_scale=scale)
+    for p, q in zip(t.problem.components, again.problem.components, strict=True):
+        assert_bitwise_equal(p, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.sampled_from([TRIANGLE, PATH3]), scale=st.floats(0.0, 2.0), **drawn)
+def test_sharing_preserves_the_sum_of_drawn_problems(g, scale, families, in_ball, dim, seed):
+    prob = drawn_problem(families, in_ball, dim, seed)
+    t = random_function_sharing(prob, g, scale, seed)
+    assert [c.family for c in t.problem.components] == families
+    assert_preserves_sum(prob, t, seed)
+    again = random_function_sharing(prob, g, scale, seed)
+    for p, q in zip(t.problem.components, again.problem.components, strict=True):
+        assert_bitwise_equal(p, q)
 
 
 # ---------------------------------------------------------------------------

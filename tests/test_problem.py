@@ -8,7 +8,7 @@ from consopt.problem import (
     Ball, Box, ConfigError, Problem, analytic_bounds, check_gradient,
     component_from_dict, component_to_dict, estimate_bounds, eval_component,
     grad_component, grad_many, polynomial, problem_from_dict, problem_to_dict,
-    project, quadratic, sine_quadratic, sum_grad, sum_value, value_many,
+    project, quadratic, rebuild, sine_quadratic, sum_grad, sum_value, value_many,
     verify_sum_convexity,
 )
 
@@ -339,6 +339,36 @@ def test_estimate_bounds_flags_understated_bound():
     assert est.l_violated and est.n_violated
 
 
+BOX3 = Box(np.array([-3.0]), np.array([3.0]))
+
+
+def overflowing_gradient():
+    # x + 0.1 x^999 overflows to inf for |x| > 2.04
+    coeffs = np.zeros(1001)
+    coeffs[2], coeffs[1000] = 0.5, 1e-4
+    return polynomial("inf", [coeffs.tolist()], grad_bound=1e300, lipschitz=1e300)
+
+
+def nan_gradient():
+    # 1e308 x overflows for |x| > 1.8, so sin and cos of it are NaN there
+    return sine_quadratic("nan", [[1.0]], [0.0], 0.0, [1e-300], [1e308],
+                          grad_bound=1e300, lipschitz=1e300)
+
+
+@pytest.mark.parametrize("make", [overflowing_gradient, nan_gradient])
+def test_estimate_bounds_fails_on_nonfinite_gradients(make):
+    # evaluated without a RuntimeWarning (the suite turns those into errors)
+    est = estimate_bounds(make(), BOX3, 200, seed=0)
+    assert 0 < est.n_nonfinite < 200
+    assert est.l_hat == est.n_hat == np.inf
+    assert est.l_violated and est.n_violated
+
+
+def test_estimate_bounds_counts_no_nonfinite_gradient_on_a_finite_one():
+    est = estimate_bounds(quartic_minus(), BOX1, 200, seed=0)
+    assert est.n_nonfinite == 0 and np.isfinite(est.l_hat) and np.isfinite(est.n_hat)
+
+
 def test_estimate_bounds_needs_samples():
     with pytest.raises(ConfigError):
         estimate_bounds(quartic_minus(), BOX1, 50, seed=0)
@@ -370,7 +400,18 @@ def test_sum_convexity_concave_sum_fails():
 
 def test_sum_convexity_single_quadratic_passes():
     prob = Problem(1, (quadratic("f", [[2.0]], [1.0], bounds_for=BOX1),), BOX1)
-    assert verify_sum_convexity(prob, 300, seed=0).passed
+    rep = verify_sum_convexity(prob, 300, seed=0)
+    assert rep.passed and rep.n_nonfinite == 0
+
+
+@pytest.mark.parametrize("make", [overflowing_gradient, nan_gradient])
+def test_sum_convexity_fails_on_nonfinite_sums(make):
+    # both sums are convex wherever they are finite: only the non-finite
+    # samples can fail the test
+    prob = Problem(1, (make(),), BOX3)
+    rep = verify_sum_convexity(prob, 200, seed=0)
+    assert not rep.passed
+    assert 0 < rep.n_nonfinite < 200 and rep.worst_violation == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +443,46 @@ def test_polynomial_component_roundtrip():
     xs = np.linspace(-2, 2, 17)[:, None]
     np.testing.assert_array_equal(value_many(c, xs), value_many(back, xs))
     np.testing.assert_array_equal(grad_many(c, xs), grad_many(back, xs))
+
+
+@pytest.mark.parametrize("family, params, missing", [
+    ("quadratic", {"b": [0.0]}, "a"),
+    ("quadratic", {"a": [[1.0]]}, "b"),
+    ("polynomial-separable", {}, "coeffs"),
+    ("sine-perturbed-quadratic", {"a": [[1.0]], "b": [0.0], "amplitude": [1.0]}, "frequency"),
+])
+def test_missing_component_parameter_named_in_error(family, params, missing):
+    d = {"id": "x", "family": family, "params": params, "grad_bound": 1.0, "lipschitz": 1.0}
+    with pytest.raises(ConfigError, match=f"missing field '{missing}'"):
+        component_from_dict(d)
+
+
+def test_component_constant_term_is_optional_and_family_is_checked():
+    d = {"id": "x", "family": "sine-perturbed-quadratic", "grad_bound": 1.0, "lipschitz": 1.0,
+         "params": {"a": [[1.0]], "b": [0.0], "amplitude": [0.5], "frequency": [2.0]}}
+    c = component_from_dict(d)
+    assert c.params["c"] == 0.0
+    assert list(component_to_dict(c)["params"]) == ["a", "b", "c", "amplitude", "frequency"]
+    with pytest.raises(ConfigError, match="unknown component family 'cubic'"):
+        component_from_dict({**d, "family": "cubic"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quadratic("q", [[1.0, 0.25], [0.25, -0.5]], [1 / 3, 0.7], 0.123, bounds_for=BOX2),
+    lambda: polynomial("p", [[0.0, 1.0, -3.0, 0.5], [2.0]], bounds_for=BOX2),
+    lambda: sine_quadratic("s", [[0.4, 0.0], [0.0, 0.9]], [0.0, -1 / 7], 0.5,
+                           [0.3, 0.1], [2.0, 5.0], bounds_for=BOX2),
+])
+def test_rebuild_keeps_the_family_and_replaces_only_named_parameters(make):
+    c = make()
+    same = rebuild(c, "copy", BOX2)
+    assert (same.id, same.family, same.dimension) == ("copy", c.family, c.dimension)
+    assert component_to_dict(same)["params"] == component_to_dict(c)["params"]
+    assert (same.grad_bound, same.lipschitz) == analytic_bounds(c, BOX2)
+    key = "coeffs" if c.family == "polynomial-separable" else "b"
+    new = [[1.0, 2.0], [0.0, 0.0, 3.0]] if key == "coeffs" else [1.0, -1.0]
+    changed = component_to_dict(rebuild(c, "x", BOX2, **{key: new}))["params"]
+    assert changed == {**component_to_dict(c)["params"], key: new}
 
 
 def test_missing_field_named_in_error():

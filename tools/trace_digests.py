@@ -3,11 +3,13 @@
 
 For each scenario, runs ``execute_run`` at seed 0 into a temporary
 directory and prints the sha256 of ``trace.jsonl``, ``trace.csv``,
-``plotdata.csv``, ``summary.json`` and ``bound_check.json`` (``-`` when the
-schedule is not scrambling and no bound check is written), plus the
-oracle's ``f_star``.  It then runs ``cmd_export`` on that directory into a
-second one and prints the sha256 of the ``trace.csv`` and ``plotdata.csv``
-it wrote (``export/`` lines), so the read path is compared too.
+``plotdata.csv``, ``summary.json``, ``oracle.json``, ``verdict.json``,
+``bound_check.json`` and ``transformed_problem.json`` (``-`` for a file the
+run does not write: no bound check when the schedule is not scrambling, no
+transformed problem without a transform), plus the oracle's ``f_star``.
+It then runs ``cmd_export`` on that directory into a second one and prints
+the sha256 of the ``trace.csv`` and ``plotdata.csv`` it wrote (``export/``
+lines), so the read path is compared too.
 Each scenario runs twice: with its own iterations and decimation, and at
 2000 iterations recording every one (``<name>@dense`` lines), so that the
 record path is compared at every iteration.  Diffing the output of two
@@ -29,7 +31,8 @@ from pathlib import Path
 from consopt.cli import cmd_export, execute_run
 from consopt.scenario import load_shipped, shipped_scenario_names
 
-FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "bound_check.json")
+FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.json",
+         "verdict.json", "bound_check.json", "transformed_problem.json")
 EXPORTED = ("trace.csv", "plotdata.csv")
 # (label suffix, execute_run overrides): the shipped settings, then every iteration
 SETTINGS = (("", {}), ("@dense", {"iterations": 2000, "decimate": 1}))
