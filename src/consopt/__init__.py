@@ -10,9 +10,9 @@ changing its global optimum.
 
 from .problem import (
     Ball, Box, ComponentFunction, ConfigError, FeasibleSet, Problem,
-    analytic_bounds, check_gradient, estimate_bounds, eval_component,
-    grad_component, polynomial, problem_from_dict, problem_to_dict, project,
-    quadratic, sine_quadratic, sum_grad, sum_value, verify_sum_convexity,
+    analytic_bounds, estimate_bounds, polynomial, problem_from_dict,
+    problem_to_dict, quadratic, sine_quadratic, sum_grad, sum_value,
+    verify_sum_convexity,
 )
 from .network import (
     ConstructionError, CyclicSchedule, Graph, RandomSchedule, StaticSchedule,
@@ -26,9 +26,8 @@ from .engine import (
     read_trace_jsonl, run, run_batch, step_size, write_trace_csv, write_trace_jsonl,
 )
 from .analysis import (
-    BoundParams, BoundUnavailableError, OracleSolution, VerdictReport,
-    centralized_solve, check_disagreement_bound, disagreement_bound,
-    max_delta, max_disagreement, verdict,
+    BoundParams, OracleSolution, VerdictReport, centralized_solve,
+    check_disagreement_bound, max_delta, max_disagreement, verdict,
 )
 from .privacy import (
     PartitionPlan, SIX_VIRTUAL_PATTERN, TransformedProblem, certify_equivalence,

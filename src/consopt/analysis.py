@@ -22,10 +22,6 @@ ORACLE_RESIDUAL_TOL = 1e-6
 BOUND_SLACK = 1e-9
 
 
-class BoundUnavailableError(ValueError):
-    """The disagreement bound is vacuous: the schedule is not scrambling."""
-
-
 def _states(states) -> np.ndarray:
     x = np.asarray(states, dtype=float)
     if x.ndim == 1:
@@ -91,32 +87,13 @@ class BoundParams:
             raise ConfigError("bound parameters must be nonnegative with n_agents >= 1")
 
 
-def disagreement_bound(p: BoundParams, steps: StepSchedule, k: int) -> float:
-    """Closed-form cap on max_J ||x_J - x_bar|| after k+1 rounds.
-
-    Evaluates (S-1)/S * (nu^(k+1) delta0 + l_bar * sum_{i=1..k} alpha_i
-    nu^(k-i)), with 0^0 = 1 so the i = k term is alpha_k itself.  Raises
-    when nu >= 1 (non-scrambling schedules make the cap vacuous).
-    """
-    if p.nu >= 1.0:
-        raise BoundUnavailableError("contraction coefficient is 1; bound unavailable")
-    if k < 0:
-        raise ConfigError("iteration index must be >= 0")
-    tail = 0.0
-    if k >= 1:
-        i = np.arange(1, k + 1)
-        tail = float(np.sum(steps.at(i) * p.nu ** (k - i).astype(float)))
-    lead = p.nu ** (k + 1) * p.delta0
-    factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
-    return factor * (lead + p.l_bar * tail)
-
-
 def disagreement_caps(p: BoundParams, steps: StepSchedule, k_max: int) -> np.ndarray:
     """The disagreement cap at every iteration t = 0..k_max, by recursion.
 
     Runs h_t = nu h_{t-1} + l_bar alpha_t from h_0 = nu delta0 and returns
-    (S-1)/S * h_t, which equals :func:`disagreement_bound` at t; entry 0 is
-    the algebraic cap (S-1)/S * delta0 on the initial states.
+    (S-1)/S * h_t, which equals the closed form (S-1)/S * (nu^(t+1) delta0 +
+    l_bar * sum_{i=1..t} alpha_i nu^(t-i)); entry 0 is the algebraic cap
+    (S-1)/S * delta0 on the initial states.
     """
     factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
     caps = np.empty(k_max + 1)
@@ -156,7 +133,7 @@ def check_disagreement_bound(trace: RunTrace) -> BoundCheckReport:
     recorded iteration.
 
     ``trace.bound`` holds the cap from :func:`disagreement_caps`: at
-    iteration t >= 1 the closed form evaluated at t, and at the initial
+    iteration t >= 1 the closed form at t, and at the initial
     record the algebraic cap (S-1)/S * delta0.  Not applicable when the
     trace has no bound column (a non-scrambling schedule).  Tolerance 1e-9
     absolute.

@@ -23,11 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import BoundParams, disagreement_caps, max_delta, max_disagreement
-from .problem import ConfigError, Problem, sum_value
+from .problem import ConfigError, FeasibleSet, Problem, sum_value
 from .network import WeightMatrix, WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
 _STREAM_YSET = 12
+# floats per buffer of rounds awaiting the invariant check: every temporary
+# of one check is at most 64 KB
+_CHECK_FLOATS = 2**13
 
 
 class EngineError(RuntimeError):
@@ -209,6 +212,13 @@ def initial_states(cfg: RunConfig) -> np.ndarray:
     return cfg.problem.feasible_set.sample(cfg.problem.n_agents, rng)
 
 
+def _probe_points(fs: FeasibleSet, seed: int) -> np.ndarray:
+    """The run's fixed points for the sum non-expansiveness invariant: the
+    projection of the origin and ten seeded samples from the set, (11, D)."""
+    origin = fs.project_many(np.zeros((1, fs.dimension)))
+    return np.vstack([origin, fs.sample(10, np.random.default_rng([seed, _STREAM_YSET]))])
+
+
 _SHARED = ("problem", "schedule", "steps", "n_iterations", "record_every")
 
 
@@ -219,8 +229,9 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     their runs step together as one (B, S, D) stack, and each run's trace is
     bitwise the one it has in a batch of its own.  Records the initial state
     (iteration 0) and every ``record_every``-th iteration, always including
-    the terminal one.  Fusion invariants are tracked at every round
-    regardless of decimation.  When the schedule is scrambling the
+    the terminal one.  The fusion invariants are checked at every round
+    regardless of decimation, and folded into their maxima once per block of
+    rounds.  When the schedule is scrambling the
     closed-form disagreement bound is recorded alongside each iterate;
     otherwise a warning is emitted and the bound column is absent.
 
@@ -252,11 +263,11 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
             RuntimeWarning,
         )
 
-    # fixed probe points per run for the sum non-expansiveness invariant
-    origin = fs.project_many(np.zeros((1, D)))
-    probes = np.stack([
-        np.vstack([origin, fs.sample(10, np.random.default_rng([c.seed, _STREAM_YSET]))])
-        for c in cfgs])
+    # each run's fixed probe points for the sum non-expansiveness invariant, as
+    # (P, B, S, D): a point repeated for every agent, so that its differences
+    # with a block of states run over contiguous memory
+    probes = np.stack([_probe_points(fs, c.seed) for c in cfgs], axis=1)
+    ys = np.repeat(probes[:, :, None], S, axis=2)  # (P, B, S, D)
 
     alpha = steps.at(np.arange(K + 1))
     ks = np.r_[0:K:first.record_every, K]
@@ -267,31 +278,53 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     errors: dict[int, EngineError] = {}
     max_drift = np.zeros(B)
     max_slack = np.full(B, -np.inf)
+
+    # the fused states v of up to C rounds and the states x each round fused
+    # (plus the one after) wait in these buffers for one invariant check
+    C = max(1, _CHECK_FLOATS // (B * S * D))
+    vs, xs = np.empty((C, B, S, D)), np.empty((C + 1, B, S, D))
+    xs[0] = x
+
+    def flush(n: int) -> None:
+        """Fold the n buffered rounds into the per-run drift and slack maxima;
+        each round's arithmetic is the same whatever n and C are."""
+        v, u = vs[:n].reshape(-1, S, D), xs[:n].reshape(-1, S, D)
+        # sum / S is np.mean's arithmetic without its call overhead, and a
+        # (1, D) @ (D, 1) matmul takes the dot product np.linalg.norm takes
+        dm = v.sum(axis=1) / S - u.sum(axis=1) / S
+        drift = np.sqrt(dm[:, None, :] @ dm[:, :, None]).reshape(n, -1)
+        np.maximum(max_drift, drift.max(axis=0), out=max_drift)
+        for y in ys:
+            slack = (((vs[:n] - y) ** 2).sum(axis=(2, 3))
+                     - ((xs[:n] - y) ** 2).sum(axis=(2, 3)))
+            np.maximum(max_slack, slack.max(axis=0), out=max_slack)
+        xs[0] = xs[n]
+
+    j = 0  # rounds buffered
     with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked below
         for k in range(K):
             v = mats[k % n_mats] @ x
-
-            # sum / S is np.mean's arithmetic without its call overhead, and a
-            # (1, D) @ (D, 1) matmul takes the dot product np.linalg.norm takes
-            dm = v.sum(axis=1) / S - x.sum(axis=1) / S
-            np.maximum(max_drift, np.sqrt(dm[:, None, :] @ dm[:, :, None])[:, 0, 0],
-                       out=max_drift)
-            sq_x = ((x[:, None] - probes[:, :, None]) ** 2).sum(axis=(2, 3))
-            sq_v = ((v[:, None] - probes[:, :, None]) ** 2).sum(axis=(2, 3))
-            np.maximum(max_slack, (sq_v - sq_x).max(axis=1), out=max_slack)
-
             x, g = _step(v, alpha[k], prob)
+            vs[j] = v
+            j += 1
+            xs[j] = x
             if not np.isfinite(g).all():
                 ok = np.isfinite(g).all(axis=(1, 2))
                 for i in np.flatnonzero(~ok):
                     errors[int(rows[i])] = _nonfinite(g[i], k, cfgs[rows[i]].seed)
-                rows, x, probes, max_drift, max_slack = (
-                    a[ok] for a in (rows, x, probes, max_drift, max_slack))
+                # the survivors keep their buffered rounds, round k included
+                rows, x, max_drift, max_slack = (a[ok] for a in (rows, x, max_drift, max_slack))
+                vs, xs, ys = vs[:, ok], xs[:, ok], ys[:, ok]
                 if not rows.size:
                     break
+            if j == C:
+                flush(j)
+                j = 0
             if k + 1 == ks[r]:
                 states[r, rows] = x
                 r += 1
+        if j:
+            flush(j)
 
     out: list[RunTrace | EngineError] = [errors.get(b) for b in range(B)]
     if not rows.size:

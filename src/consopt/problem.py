@@ -11,7 +11,6 @@ checked by sampling, not assumed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -77,10 +76,6 @@ class FeasibleSet:
         """Per-coordinate [lo, hi] intervals covering the set."""
         raise NotImplementedError
 
-    def interior_margin(self, p: np.ndarray) -> float:
-        """How far p can move along any single axis and stay inside."""
-        raise NotImplementedError
-
     def center_point(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -119,10 +114,6 @@ class Box(FeasibleSet):
 
     def interval_hull(self):
         return self.lo.copy(), self.hi.copy()
-
-    def interior_margin(self, p):
-        p = as_point(p, self.dimension)
-        return float(min(np.min(p - self.lo), np.min(self.hi - p)))
 
     def center_point(self):
         return 0.5 * (self.lo + self.hi)
@@ -173,10 +164,6 @@ class Ball(FeasibleSet):
     def interval_hull(self):
         return self.center - self.radius, self.center + self.radius
 
-    def interior_margin(self, p):
-        p = as_point(p, self.dimension)
-        return float(self.radius - np.linalg.norm(p - self.center))
-
     def center_point(self):
         return self.center.copy()
 
@@ -197,12 +184,6 @@ def set_from_dict(d: dict) -> FeasibleSet:
     except KeyError as e:
         raise ConfigError(f"feasible set definition missing field {e.args[0]!r}") from e
     raise ConfigError(f"unknown feasible set variant {variant!r}")
-
-
-def project(fs: FeasibleSet, p) -> np.ndarray:
-    """Exact Euclidean projection of a single point onto the set."""
-    p = as_point(p, fs.dimension)
-    return fs.project_many(p[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +425,6 @@ def grad_many(c: ComponentFunction, pts) -> np.ndarray:
     return _Evaluator((c,)).grads(pts[:, None, :])[:, 0]
 
 
-def eval_component(c: ComponentFunction, p) -> float:
-    """Exact closed-form value of the component at one point."""
-    return float(value_many(c, as_point(p, c.dimension))[0])
-
-
-def grad_component(c: ComponentFunction, p) -> np.ndarray:
-    """Exact closed-form gradient of the component at one point."""
-    return grad_many(c, as_point(p, c.dimension))[0]
-
-
 # ---------------------------------------------------------------------------
 # analytic bound certification
 
@@ -519,46 +490,6 @@ def analytic_bounds(c: ComponentFunction, fs: FeasibleSet) -> tuple[float, float
 
 # ---------------------------------------------------------------------------
 # sampled validators
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    max_rel_error: float
-    n_checked: int
-    n_skipped: int
-
-
-def check_gradient(c: ComponentFunction, fs: FeasibleSet, pts, h: float = 1e-5) -> GradientCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    Points closer than ``h`` to the boundary of the set are skipped with a
-    warning since the difference stencil would leave the set.  Relative
-    error is ||fd - g|| / max(1, ||g||).
-    """
-    if not (0.0 < h <= 1e-2):
-        raise ConfigError("finite-difference step h must lie in (0, 1e-2]")
-    pts = _check_pts(pts, c.dimension)
-    worst = 0.0
-    checked = skipped = 0
-    for p in pts:
-        if fs.interior_margin(p) < h:
-            skipped += 1
-            continue
-        fd = np.empty(c.dimension)
-        for d in range(c.dimension):
-            e = np.zeros(c.dimension)
-            e[d] = h
-            fd[d] = (eval_component(c, p + e) - eval_component(c, p - e)) / (2.0 * h)
-        g = grad_component(c, p)
-        rel = float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g)))
-        worst = max(worst, rel)
-        checked += 1
-    if skipped:
-        warnings.warn(
-            f"check_gradient: skipped {skipped} point(s) within {h} of the boundary",
-            RuntimeWarning,
-        )
-    return GradientCheckReport(worst, checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -724,9 +655,15 @@ def component_from_dict(d: dict) -> ComponentFunction:
             raise ConfigError(f"unknown component family {family!r}")
         builder, names = _FAMILY_TABLE[family]
         args = [float(params.get(k, 0.0)) if k == "c" else params[k] for k in names]
+        return builder(cid, *args, grad_bound=gb, lipschitz=nl)
     except KeyError as e:
         raise ConfigError(f"component definition missing field {e.args[0]!r}") from e
-    return builder(cid, *args, grad_bound=gb, lipschitz=nl)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:  # a field of the wrong JSON type
+        cid = d.get("id") if isinstance(d, dict) else None
+        raise ConfigError(f"component {cid!r}: malformed definition "
+                          f"({type(e).__name__}: {e})") from e
 
 
 def problem_to_dict(prob: Problem) -> dict:

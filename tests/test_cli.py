@@ -147,6 +147,22 @@ def test_validate_malformed_config_names_field(tmp_path, capsys):
     assert "problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,error", [
+    ("params", [1, 2], "TypeError"),
+    ("a", "abc", "ValueError"),
+])
+def test_validate_component_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
+                                                                        field, value, error):
+    doc = json.loads(shipped_scenario_path("triangle_quadratic").read_text())
+    comp = doc["problem"]["components"][0]
+    (comp if field == "params" else comp["params"])[field] = value
+    rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("config error: ") and f"component {comp['id']!r}" in err
+    assert error in err
+
+
 def test_validate_unparseable_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consopt import engine
 from consopt.engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
     read_trace_jsonl, run, run_batch, step_size, write_plotdata, write_trace_csv,
@@ -14,13 +15,14 @@ from consopt.engine import (
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
     CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix, build_metropolis,
-    build_two_link_matrix, complete_graph, graph,
+    build_two_link_matrix, complete_graph, graph, path_graph, ring_graph,
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
 from consopt.problem import (
     Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
 )
 from consopt.scenario import build_run_config, load_shipped, shipped_scenario_names
+from reference import reference_run
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
 
@@ -536,3 +538,122 @@ def test_trace_files_spell_nonfinite_and_absent_bounds(tmp_path):
                        "2,0.25,0.5,0.25,0.125,,0.25,0.0"]
     assert plot[1:] == ["0,,2.0,", "1,,1.0,", "2,,0.25,"]
     assert read_trace_jsonl(tmp_path / "trace.jsonl").bound is None
+
+
+# ---------------------------------------------------------------------------
+# the block-wise invariant check
+
+
+def force_check_block(monkeypatch, rounds: int, cfgs) -> None:
+    """Make run_batch buffer ``rounds`` rounds per invariant check for ``cfgs``."""
+    prob = cfgs[0].problem
+    monkeypatch.setattr(engine, "_CHECK_FLOATS",
+                        rounds * len(cfgs) * prob.n_agents * prob.dimension)
+
+
+@pytest.mark.parametrize("batch", [1, 20])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 7])
+def test_summary_does_not_depend_on_the_check_block(monkeypatch, tmp_path, rounds, batch):
+    for name in shipped_scenario_names():
+        sc = load_shipped(name)
+        for K in (0, 1, 43):  # 43 is a multiple of no forced block size
+            cfgs = [build_run_config(sc, s, n_iterations=K, record_every=5)
+                    for s in range(batch)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
+                default = run_batch(cfgs)
+                with monkeypatch.context() as m:
+                    force_check_block(m, rounds, cfgs)
+                    forced = run_batch(cfgs)
+            for b in sorted({0, batch - 1}):
+                run_dir = tmp_path / f"{name}-{K}-{b}"
+                run_dir.mkdir()
+                assert (run_files(forced[b], run_dir / "forced")
+                        == run_files(default[b], run_dir / "default")), (name, K, b)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 7])
+def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypatch, rounds):
+    prob = overflowing_problem()
+    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0.25))
+    # the starts of test_run_batch_drops_a_failing_run_and_keeps_the_others
+    starts = {10: [[0.6], [-0.4]], 11: [[2.8], [2.8]], 12: [[0.0], [2.0]], 13: [[-0.9], [0.7]]}
+    cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 40, seed=s, record_every=3,
+                      initial_states=np.array(x)) for s, x in starts.items()]
+    alone = {cfg.seed: run(cfg) for cfg in cfgs if cfg.seed in (10, 13)}
+    force_check_block(monkeypatch, rounds, cfgs)
+    out = run_batch(cfgs)
+    # seed 12 fails at iteration 1, inside the first block when it holds 2 or more rounds
+    assert [getattr(e, "iteration", None) for e in out] == [None, 0, 1, None]
+    for cfg, trace in zip(cfgs, out):
+        if cfg.seed in alone:  # the summary holds the drift and slack maxima
+            assert_same_run(trace, alone[cfg.seed])
+
+
+# ---------------------------------------------------------------------------
+# the independent reference
+
+
+def drawn_component(family: str, cid: str, dim: int, rng, fs):
+    def sym():
+        a = rng.uniform(-1.0, 1.0, (dim, dim))
+        return 0.5 * (a + a.T)
+
+    if family == "quadratic":
+        return quadratic(cid, sym(), rng.uniform(-1, 1, dim), rng.uniform(-1, 1), bounds_for=fs)
+    if family == "polynomial":
+        return polynomial(cid, [rng.uniform(-0.5, 0.5, rng.integers(1, 6)) for _ in range(dim)],
+                          bounds_for=fs)
+    return sine_quadratic(cid, sym(), rng.uniform(-1, 1, dim), rng.uniform(-1, 1),
+                          rng.uniform(-0.5, 0.5, dim), rng.uniform(0.5, 3.0, dim), bounds_for=fs)
+
+
+def drawn_schedule(kind: str, n: int, rng):
+    graphs = (complete_graph(n), path_graph(n), ring_graph(n) if n > 2 else complete_graph(n))
+    if kind == "static":
+        return StaticSchedule(build_metropolis(graphs[rng.integers(3)]))
+    if kind == "cyclic":  # the single-edge rounds of a path are not scrambling for n > 2
+        return CyclicSchedule(tuple(build_metropolis(graph(n, [(i, i + 1)]))
+                                    for i in range(n - 1)) + (build_metropolis(graphs[0]),))
+    return RandomSchedule(n, rng.uniform(0.3, 1.0), seed=int(rng.integers(1000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    families=st.lists(st.sampled_from(["quadratic", "polynomial", "sine"]), min_size=2, max_size=6),
+    dim=st.integers(1, 3),
+    in_ball=st.booleans(),
+    schedule=st.sampled_from(["static", "cyclic", "random"]),
+    n_iterations=st.integers(0, 200),
+    every=st.integers(1, 12),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3, unique=True),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_run_batch_matches_the_reference_iteration(families, dim, in_ball, schedule,
+                                                   n_iterations, every, seeds, data_seed):
+    rng = np.random.default_rng(data_seed)
+    fs = (Ball(rng.uniform(-0.5, 0.5, dim), rng.uniform(0.5, 1.5)) if in_ball
+          else Box(-rng.uniform(0.5, 1.5, dim), rng.uniform(0.5, 1.5, dim)))
+    comps = tuple(drawn_component(f, f"f{i}", dim, rng, fs) for i, f in enumerate(families))
+    prob = Problem(dim, comps, fs)
+    sched = drawn_schedule(schedule, len(comps), rng)
+    steps = StepSchedule(rng.uniform(0.05, 0.5), rng.uniform(1.0, 5.0), rng.uniform(0.51, 1.0))
+    cfgs = [RunConfig(prob, sched, steps, n_iterations, seed=s, record_every=every)
+            for s in seeds]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
+        traces = run_batch(cfgs)
+    for cfg, tr in zip(cfgs, traces):
+        ref = reference_run(cfg, initial_states(cfg), engine._probe_points(fs, cfg.seed))
+        want_ks = sorted(set(range(0, n_iterations, every)) | {n_iterations})
+        assert tr.ks.tolist() == want_ks
+        np.testing.assert_allclose(tr.alphas, [ref.alphas[k] for k in want_ks], rtol=1e-15)
+        np.testing.assert_allclose(tr.states, ref.states[want_ks], rtol=1e-12, atol=1e-12)
+        s = tr.summary
+        assert abs(s.max_average_drift - ref.max_drift) <= 1e-12
+        assert abs(s.max_nonexpansive_slack - ref.max_slack) <= 1e-12
+        assert s.delta0 == pytest.approx(ref.delta0, rel=1e-13)
+        assert s.nu == pytest.approx(ref.nu, rel=1e-13, abs=1e-15)
+        assert (tr.bound is None) == (ref.caps is None)
+        if tr.bound is not None:
+            np.testing.assert_allclose(tr.bound, [ref.caps[k] for k in want_ks], rtol=1e-13)

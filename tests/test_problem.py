@@ -1,19 +1,87 @@
 import json
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.problem import (
-    Ball, Box, ConfigError, Problem, analytic_bounds, check_gradient,
-    component_from_dict, component_to_dict, estimate_bounds, eval_component,
-    grad_component, grad_many, polynomial, problem_from_dict, problem_to_dict,
-    project, quadratic, rebuild, sine_quadratic, sum_grad, sum_value, value_many,
+    Ball, Box, ConfigError, Problem, analytic_bounds, as_point, component_from_dict,
+    component_to_dict, estimate_bounds, grad_many, polynomial, problem_from_dict,
+    problem_to_dict, quadratic, rebuild, sine_quadratic, sum_grad, sum_value, value_many,
     verify_sum_convexity,
 )
 
 BOX1 = Box(np.array([-2.0]), np.array([2.0]))
 BOX2 = Box(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# one-point helpers and the finite-difference gradient check
+
+
+def project(fs, p) -> np.ndarray:
+    """Exact Euclidean projection of a single point onto the set."""
+    p = as_point(p, fs.dimension)
+    return fs.project_many(p[None, :])[0]
+
+
+def eval_component(c, p) -> float:
+    """Exact closed-form value of the component at one point."""
+    return float(value_many(c, as_point(p, c.dimension))[0])
+
+
+def grad_component(c, p) -> np.ndarray:
+    """Exact closed-form gradient of the component at one point."""
+    return grad_many(c, as_point(p, c.dimension))[0]
+
+
+def interior_margin(fs, p) -> float:
+    """How far p can move along any single axis and stay inside a box or ball."""
+    p = as_point(p, fs.dimension)
+    if isinstance(fs, Box):
+        return float(min(np.min(p - fs.lo), np.min(fs.hi - p)))
+    return float(fs.radius - np.linalg.norm(p - fs.center))
+
+
+@dataclass(frozen=True)
+class GradientCheckReport:
+    max_rel_error: float
+    n_checked: int
+    n_skipped: int
+
+
+def check_gradient(c, fs, pts, h: float = 1e-5) -> GradientCheckReport:
+    """Compare analytic gradients against central finite differences.
+
+    Points closer than ``h`` to the boundary of the set are skipped with a
+    warning since the difference stencil would leave the set.  Relative
+    error is ||fd - g|| / max(1, ||g||).
+    """
+    if not (0.0 < h <= 1e-2):
+        raise ConfigError("finite-difference step h must lie in (0, 1e-2]")
+    worst = 0.0
+    checked = skipped = 0
+    for p in np.atleast_2d(np.asarray(pts, dtype=float)):
+        if interior_margin(fs, p) < h:
+            skipped += 1
+            continue
+        fd = np.empty(c.dimension)
+        for d in range(c.dimension):
+            e = np.zeros(c.dimension)
+            e[d] = h
+            fd[d] = (eval_component(c, p + e) - eval_component(c, p - e)) / (2.0 * h)
+        g = grad_component(c, p)
+        rel = float(np.linalg.norm(fd - g) / max(1.0, np.linalg.norm(g)))
+        worst = max(worst, rel)
+        checked += 1
+    if skipped:
+        warnings.warn(
+            f"check_gradient: skipped {skipped} point(s) within {h} of the boundary",
+            RuntimeWarning,
+        )
+    return GradientCheckReport(worst, checked, skipped)
 
 
 def quartic_minus(cid="q"):
