@@ -22,9 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, engine
-from .network import ConstructionError, StaticSchedule, build_metropolis
+from .network import StaticSchedule, build_metropolis
 from .privacy import certify_equivalence, transformed_to_dict
-from .problem import ConfigError
+from .problem import ConfigError, ConstructionError, reading
 from .scenario import Scenario, build_run_config, load_scenario, validate_scenario
 
 EXIT_OK = 0
@@ -301,7 +301,11 @@ def cmd_export(run_dir, out_dir=None) -> int:
         raise ConfigError(f"no trace.jsonl under {src}")
     trace = engine.read_trace_jsonl(trace_path)
     oracle_path = src / "oracle.json"
-    f_star = json.loads(oracle_path.read_text())["f_star"] if oracle_path.exists() else None
+    f_star = None
+    if oracle_path.exists():
+        with reading(str(oracle_path)):
+            f_star = json.loads(oracle_path.read_text())["f_star"]
+            f_star = None if f_star is None else float(f_star)
     dest = Path(out_dir) if out_dir else src
     dest.mkdir(parents=True, exist_ok=True)
     engine.write_trace_csv(trace, dest / "trace.csv")

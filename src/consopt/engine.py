@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import BoundParams, disagreement_caps, max_delta, max_disagreement
-from .problem import ConfigError, FeasibleSet, Problem, sum_value
+from .problem import ConfigError, FeasibleSet, Problem, reading, sum_value
 from .network import WeightMatrix, WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
@@ -453,11 +453,8 @@ def read_trace_jsonl(path) -> RunTrace:
                 blocks.append(_columns(lines, shapes))
             except (ValueError, KeyError, TypeError):
                 for n, line in enumerate(lines, n0):  # name the first bad record
-                    try:
+                    with reading(f"trace file {path} line {n}"):
                         _columns([line], shapes)
-                    except (ValueError, KeyError, TypeError) as e:
-                        raise ConfigError(f"trace file {path} line {n}: bad record "
-                                          f"({type(e).__name__}: {e})") from None
                 raise
     if not blocks:
         raise ConfigError(f"trace file {path} has no records")

@@ -14,15 +14,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problem import ConfigError
+from .problem import ConfigError, ConstructionError, reading
 
 DS_TOL = 1e-12
 DEFAULT_ETA = 1e-3
 _CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
-
-
-class ConstructionError(ValueError):
-    """A builder could not produce a matrix satisfying its contract."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +62,6 @@ def ring_graph(n: int) -> Graph:
     if n < 3:
         return path_graph(n)
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def neighbors(g: Graph, i: int) -> tuple[int, ...]:
-    out = [j if a == i else a for a, j in g.edges if i in (a, j)]
-    return tuple(sorted(out))
 
 
 def adjacency(g: Graph) -> np.ndarray:
@@ -426,7 +417,7 @@ def _matrix_from_entries(entries, eta=None) -> WeightMatrix:
 
 
 def schedule_from_dict(d: dict) -> WeightSchedule:
-    try:
+    with reading("schedule"):
         variant = d["variant"]
         if variant == "static":
             return StaticSchedule(_matrix_from_entries(d["matrix"], d.get("eta")))
@@ -439,6 +430,4 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
                 int(d["n_agents"]), float(d["edge_probability"]), int(d["seed"]),
                 float(d.get("eta", DEFAULT_ETA)),
             )
-    except KeyError as e:
-        raise ConfigError(f"schedule definition missing field {e.args[0]!r}") from e
     raise ConfigError(f"unknown schedule variant {variant!r}")

@@ -14,7 +14,7 @@ only as provenance metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .problem import (
     POLYNOMIAL, ComponentFunction, ConfigError, FeasibleSet, Problem, problem_to_dict, rebuild,
     sum_grad, sum_value,
 )
-from .network import ConstructionError, Graph, connected_component, graph, is_connected, neighbors
+from .network import ConstructionError, Graph, connected_component, graph, is_connected
 
 _STREAM_PARTITION = 21
 _STREAM_SHARE = 22
@@ -44,25 +44,19 @@ SIX_VIRTUAL_PATTERN = ((2, 5), (2, 5), (1, 4), (1, 4), (0, 3), (0, 3))
 class PartitionPlan:
     """How each real agent's objective splits into virtual pieces.
 
-    ``counts[i]`` is the number of pieces of agent i, ``assigned_neighbors``
-    names the real neighbor each piece fronts (metadata only), and
-    ``virtual_edges`` are links between global virtual indices, where piece
-    j of agent i has index ``sum(counts[:i]) + j``.
+    ``counts[i]`` is the number of pieces of agent i, and ``virtual_edges``
+    are links between global virtual indices, where piece j of agent i has
+    index ``sum(counts[:i]) + j``.
     """
 
     counts: tuple[int, ...]
-    assigned_neighbors: tuple[tuple[int, ...], ...]
     virtual_edges: frozenset
 
     def __post_init__(self):
         counts = tuple(int(m) for m in self.counts)
         if any(m < 1 for m in counts):
             raise ConfigError("every agent needs at least one piece")
-        assigned = tuple(tuple(int(a) for a in row) for row in self.assigned_neighbors)
-        if len(assigned) != len(counts) or any(len(a) != m for a, m in zip(assigned, counts)):
-            raise ConfigError("assigned_neighbors must list one neighbor per piece")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "assigned_neighbors", assigned)
         object.__setattr__(self, "virtual_edges",
                            frozenset((min(int(u), int(v)), max(int(u), int(v)))
                                      for u, v in self.virtual_edges))
@@ -82,16 +76,12 @@ def default_plan(g: Graph, m_per_agent: int) -> PartitionPlan:
     if m_per_agent < 1:
         raise ConfigError("m_per_agent must be >= 1")
     counts = (m_per_agent,) * g.n_agents
-    assigned = []
-    for i in range(g.n_agents):
-        nb = neighbors(g, i) or (i,)
-        assigned.append(tuple(nb[j % len(nb)] for j in range(m_per_agent)))
     edges = set()
     for i, j in g.edges:
         for a in range(m_per_agent):
             for b in range(m_per_agent):
                 edges.add((i * m_per_agent + a, j * m_per_agent + b))
-    return PartitionPlan(counts, tuple(assigned), frozenset(edges))
+    return PartitionPlan(counts, frozenset(edges))
 
 
 def six_virtual_plan() -> PartitionPlan:
@@ -101,7 +91,7 @@ def six_virtual_plan() -> PartitionPlan:
     for i, links in enumerate(SIX_VIRTUAL_PATTERN):
         for j in links:
             edges.add((min(i, j), max(i, j)))
-    return PartitionPlan((2, 2, 2), ((1, 2), (0, 2), (0, 1)), frozenset(edges))
+    return PartitionPlan((2, 2, 2), frozenset(edges))
 
 
 def virtual_topology(g: Graph, plan: PartitionPlan) -> Graph:
@@ -139,7 +129,7 @@ class TransformProvenance:
     details: dict
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "owners": list(self.owners), "details": dict(self.details)}
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +216,7 @@ class EquivalenceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "value_residual": self.value_residual, "grad_residual": self.grad_residual,
-            "n_points": self.n_points, "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def certify_equivalence(original: Problem, transformed: TransformedProblem,

@@ -11,6 +11,7 @@ checked by sampling, not assumed.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -35,6 +36,24 @@ _BALL_SLACK = 1e-13
 
 class ConfigError(ValueError):
     """Malformed input: dimension mismatch, invalid parameter, bad config."""
+
+
+class ConstructionError(ValueError):
+    """A builder could not produce a matrix satisfying its contract."""
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """Read a parsed JSON document as ``what``: a missing key or a value of the
+    wrong type or shape becomes a ``ConfigError`` that names ``what``."""
+    try:
+        yield
+    except (ConfigError, ConstructionError):
+        raise
+    except KeyError as e:
+        raise ConfigError(f"{what}: missing field {e.args[0]!r}") from e
+    except (IndexError, TypeError, ValueError, AttributeError) as e:
+        raise ConfigError(f"{what}: malformed ({type(e).__name__}: {e})") from e
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -175,14 +194,12 @@ class Ball(FeasibleSet):
 
 
 def set_from_dict(d: dict) -> FeasibleSet:
-    try:
+    with reading("feasible set"):
         variant = d["variant"]
         if variant == "box":
             return Box(np.asarray(d["lo"], float), np.asarray(d["hi"], float))
         if variant == "ball":
             return Ball(np.asarray(d["center"], float), float(d["radius"]))
-    except KeyError as e:
-        raise ConfigError(f"feasible set definition missing field {e.args[0]!r}") from e
     raise ConfigError(f"unknown feasible set variant {variant!r}")
 
 
@@ -648,22 +665,16 @@ def component_to_dict(c: ComponentFunction) -> dict:
 
 
 def component_from_dict(d: dict) -> ComponentFunction:
-    try:
-        cid, family, params = d["id"], d["family"], d["params"]
+    with reading("component definition"):
+        cid = d["id"]
+    with reading(f"component {cid!r}"):
+        family, params = d["family"], d["params"]
         gb, nl = float(d["grad_bound"]), float(d["lipschitz"])
         if family not in FAMILIES:
             raise ConfigError(f"unknown component family {family!r}")
         builder, names = _FAMILY_TABLE[family]
         args = [float(params.get(k, 0.0)) if k == "c" else params[k] for k in names]
         return builder(cid, *args, grad_bound=gb, lipschitz=nl)
-    except KeyError as e:
-        raise ConfigError(f"component definition missing field {e.args[0]!r}") from e
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:  # a field of the wrong JSON type
-        cid = d.get("id") if isinstance(d, dict) else None
-        raise ConfigError(f"component {cid!r}: malformed definition "
-                          f"({type(e).__name__}: {e})") from e
 
 
 def problem_to_dict(prob: Problem) -> dict:
@@ -675,10 +686,8 @@ def problem_to_dict(prob: Problem) -> dict:
 
 
 def problem_from_dict(d: dict) -> Problem:
-    try:
+    with reading("problem"):
         dim = int(d["dimension"])
         fs = set_from_dict(d["set"])
         comps = tuple(component_from_dict(cd) for cd in d["components"])
-    except KeyError as e:
-        raise ConfigError(f"problem definition missing field {e.args[0]!r}") from e
     return Problem(dim, comps, fs)

@@ -10,7 +10,7 @@ the executable problem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from .engine import RunConfig, StepSchedule
 from .network import Graph, WeightSchedule, graph, is_q_connected, support_graph
 from .privacy import TransformedProblem
 from .problem import (
-    ConfigError, Problem, estimate_bounds, problem_from_dict, verify_sum_convexity,
+    ConfigError, Problem, estimate_bounds, problem_from_dict, reading, verify_sum_convexity,
 )
 
 SCHEMA_VERSION = 1
@@ -56,12 +56,29 @@ class Scenario:
         return self.transformed.graph if self.transformed else self.graph
 
 
-def _field(d: dict, key: str, default=None, required: bool = False):
-    if key in d:
-        return d[key]
-    if required:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return default
+_ABSENT = object()
+
+
+def _read(raw: dict, path: str, parse=None, default=_ABSENT):
+    """``parse`` of the config field at a dotted ``path`` (the value itself without
+    ``parse``), or ``default`` when the field or an object above it is absent; a
+    field without a default is required."""
+    with reading(path):
+        value = raw
+        for key in path.split("."):
+            value = value.get(key, _ABSENT)  # AttributeError when not an object
+            if value is _ABSENT:
+                if default is _ABSENT:
+                    raise ConfigError(f"config: missing field {path!r}")
+                return default
+        return value if parse is None else parse(value)
+
+
+def _load_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
 
 
 def _parse_seeds(spec) -> tuple[int, ...]:
@@ -72,45 +89,47 @@ def _parse_seeds(spec) -> tuple[int, ...]:
     if isinstance(spec, list):
         return tuple(int(s) for s in spec)
     if isinstance(spec, dict):
-        try:
-            start, stop = int(spec["start"]), int(spec["stop"])
-        except KeyError as e:
-            raise ConfigError(f"field 'seeds' missing {e.args[0]!r}") from e
+        start, stop = int(spec["start"]), int(spec["stop"])
         if stop <= start:
             raise ConfigError("field 'seeds': stop must exceed start")
         return tuple(range(start, stop))
     raise ConfigError("field 'seeds' must be an int, list, or {start, stop}")
 
 
-def _parse_transform(spec: dict | None, prob: Problem, g: Graph | None):
-    if spec is None or spec.get("kind", "none") == "none":
+def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
+    if raw.get("transform") is None:
         return None
-    kind = spec["kind"]
+    kind = _read(raw, "transform.kind", default="none")
+    if kind == "none":
+        return None
     if g is None:
         raise ConfigError(f"transform {kind!r} requires a 'graph' field in the config")
+    seed = _read(raw, "transform.seed", int, 0)
     if kind == "partition":
-        if "m_per_agent" in spec:
-            plan = privacy.default_plan(g, int(spec["m_per_agent"]))
-        else:
-            plan_spec = _field(spec, "plan", required=True)
-            if plan_spec == "six-virtual":
-                plan = privacy.six_virtual_plan()
-            elif isinstance(plan_spec, dict) and "m_per_agent" in plan_spec:
-                plan = privacy.default_plan(g, int(plan_spec["m_per_agent"]))
-            else:
+        m = _read(raw, "transform.m_per_agent", int, None)
+        if m is None:
+            plan_spec = _read(raw, "transform.plan")
+            if isinstance(plan_spec, dict) and "m_per_agent" in plan_spec:
+                m = _read(raw, "transform.plan.m_per_agent", int)
+            elif plan_spec != "six-virtual":
                 raise ConfigError(
                     "field 'transform.plan' must be 'six-virtual' or {m_per_agent}")
+        plan = privacy.six_virtual_plan() if m is None else privacy.default_plan(g, m)
+        cap = _read(raw, "transform.max_grad_bound", lambda v: None if v is None else float(v),
+                    None)
         return privacy.partition_problem(
-            prob, g, plan, int(_field(spec, "seed", 0)),
-            perturbation_scale=float(_field(spec, "perturbation_scale", 1.0)),
-            max_grad_bound=spec.get("max_grad_bound"),
+            prob, g, plan, seed,
+            perturbation_scale=_read(raw, "transform.perturbation_scale", float, 1.0),
+            max_grad_bound=cap,
         )
     if kind == "random_sharing":
         return privacy.random_function_sharing(
-            prob, g, float(_field(spec, "scale", required=True)),
-            int(_field(spec, "seed", 0)),
-        )
+            prob, g, _read(raw, "transform.scale", float), seed)
     raise ConfigError(f"unknown transform kind {kind!r}")
+
+
+def _parse_graph(spec) -> Graph | None:
+    return None if spec is None else graph(int(spec["n_agents"]), spec["edges"])
 
 
 def load_scenario(source, base_dir: Path | None = None) -> Scenario:
@@ -118,86 +137,69 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
     if isinstance(source, (str, Path)):
         path = Path(source)
         base_dir = base_dir or path.parent
-        try:
-            raw = json.loads(path.read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read config {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-        name = raw.get("name", path.stem)
+        raw = _load_json(path, "config")
+        default_name = path.stem
     else:
         raw = dict(source)
-        name = raw.get("name", "scenario")
+        default_name = "scenario"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
 
-    version = int(_field(raw, "schema_version", SCHEMA_VERSION))
+    version = _read(raw, "schema_version", int, SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
-    prob_spec = _field(raw, "problem", required=True)
+    prob_spec = _read(raw, "problem")
     if isinstance(prob_spec, dict) and "file" in prob_spec:
-        ref = Path(prob_spec["file"])
+        ref = _read(raw, "problem.file", Path)
         if not ref.is_absolute():
             ref = (base_dir or Path.cwd()) / ref
-        try:
-            prob_spec = json.loads(ref.read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read problem file {ref}: {e}") from e
+        prob_spec = _load_json(ref, "problem file")
     prob = problem_from_dict(prob_spec)
 
-    g = None
-    if raw.get("graph") is not None:
-        gd = raw["graph"]
-        try:
-            g = graph(int(gd["n_agents"]), gd["edges"])
-        except KeyError as e:
-            raise ConfigError(f"field 'graph' missing {e.args[0]!r}") from e
-
-    transformed = _parse_transform(raw.get("transform"), prob, g)
+    g = _read(raw, "graph", _parse_graph, None)
+    transformed = _parse_transform(raw, prob, g)
     run_problem = transformed.problem if transformed else prob
 
-    schedule = network.schedule_from_dict(_field(raw, "schedule", required=True))
+    schedule = _read(raw, "schedule", network.schedule_from_dict)
     if schedule.n_agents != run_problem.n_agents:
         raise ConfigError(
             f"schedule is for {schedule.n_agents} agents but the executable problem "
             f"has {run_problem.n_agents}"
         )
 
-    steps_spec = _field(raw, "steps", required=True)
-    steps = StepSchedule(
-        float(steps_spec["a"]), float(steps_spec.get("b", 1.0)), float(steps_spec.get("p", 1.0))
-    )
+    steps = StepSchedule(_read(raw, "steps.a", float), _read(raw, "steps.b", float, 1.0),
+                         _read(raw, "steps.p", float, 1.0))
 
-    conn = raw.get("connectivity", {"mode": "per-k"})
-    mode = conn.get("mode", "per-k")
+    mode = _read(raw, "connectivity.mode", default="per-k")
     if mode not in ("per-k", "q-connected"):
         raise ConfigError("field 'connectivity.mode' must be 'per-k' or 'q-connected'")
-    q_window = int(conn["Q"]) if mode == "q-connected" else None
+    q_window = _read(raw, "connectivity.Q", int) if mode == "q-connected" else None
     if q_window is not None and q_window < 1:
         raise ConfigError("field 'connectivity.Q' must be >= 1")
 
-    tols = raw.get("tolerances", {})
-    init_spec = raw.get("init", {"kind": "seeded-uniform"})
+    init_kind = _read(raw, "init.kind", default=None)
     init_points = None
-    if init_spec.get("kind") == "explicit":
-        init_points = np.asarray(init_spec["points"], dtype=float)
-    elif init_spec.get("kind") not in (None, "seeded-uniform"):
+    if init_kind == "explicit":
+        init_points = _read(raw, "init.points", lambda p: np.asarray(p, dtype=float))
+    elif init_kind not in (None, "seeded-uniform"):
         raise ConfigError("field 'init.kind' must be 'seeded-uniform' or 'explicit'")
 
     return Scenario(
-        name=name,
+        name=raw.get("name", default_name),
         problem=prob,
         graph=g,
         transformed=transformed,
         schedule=schedule,
         steps=steps,
-        n_iterations=int(_field(raw, "n_iterations", required=True)),
-        seeds=_parse_seeds(raw.get("seeds")),
-        decimate=int(raw.get("decimate", 1)),
+        n_iterations=_read(raw, "n_iterations", int),
+        seeds=_read(raw, "seeds", _parse_seeds, (0,)),
+        decimate=_read(raw, "decimate", int, 1),
         q_window=q_window,
-        tol_consensus=float(tols.get("consensus", 1e-3)),
-        tol_gap=float(tols.get("gap", 1e-3)),
+        tol_consensus=_read(raw, "tolerances.consensus", float, 1e-3),
+        tol_gap=_read(raw, "tolerances.gap", float, 1e-3),
         init_points=init_points,
-        oracle_budget=int(raw.get("oracle_budget", 200_000)),
+        oracle_budget=_read(raw, "oracle_budget", int, 200_000),
     )
 
 
@@ -226,8 +228,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "severity": self.severity, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

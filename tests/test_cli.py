@@ -163,6 +163,87 @@ def test_validate_component_field_of_the_wrong_type_is_a_config_error(tmp_path, 
     assert error in err
 
 
+def _set_field(doc, path, value):
+    *parents, key = path.split(".")
+    for p in parents:
+        doc = doc[p]
+    doc[key] = value
+
+
+# (case, dotted field of scenario_doc and its value, text the error must name)
+MALFORMED_CONFIGS = [
+    ("dimension", "problem.dimension", "x", "problem"),
+    ("components-int", "problem.components", 5, "problem"),
+    ("components-item", "problem.components", [5], "component"),
+    ("set-lo", "problem.set.lo", "abc", "feasible set"),
+    ("problem-int", "problem", 3, "problem"),
+    ("steps-list", "steps", [1], "steps"),
+    ("steps-a", "steps.a", "x", "steps.a"),
+    ("n_iterations", "n_iterations", "x", "n_iterations"),
+    ("decimate", "decimate", "x", "decimate"),
+    ("oracle_budget", "oracle_budget", "x", "oracle_budget"),
+    ("edges-int", "graph.edges", 3, "graph"),
+    ("edges-short", "graph.edges", [[0]], "graph"),
+    ("schedule-int", "schedule", 3, "schedule"),
+    ("matrix", "schedule.matrix", "x", "schedule"),
+    ("seeds", "seeds", {"start": "a", "stop": 3}, "seeds"),
+    ("tolerances-int", "tolerances", 3, "tolerances"),
+    ("tolerances-gap", "tolerances.gap", "x", "tolerances.gap"),
+    ("Q", "connectivity", {"mode": "q-connected", "Q": "x"}, "connectivity.Q"),
+    ("points", "init", {"kind": "explicit", "points": "x"}, "init.points"),
+    ("points-ragged", "init", {"kind": "explicit", "points": [[0, 0], [0], [0, 0]]},
+     "init.points"),
+    ("transform-seed", "transform", {"kind": "random_sharing", "scale": 0.1, "seed": "x"},
+     "transform.seed"),
+]
+
+
+def _assert_one_config_error(rc, err, names):
+    assert rc == 3, err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert names in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("path,value,names", [c[1:] for c in MALFORMED_CONFIGS],
+                         ids=[c[0] for c in MALFORMED_CONFIGS])
+def test_validate_malformed_field_is_one_config_error(tmp_path, capsys, path, value, names):
+    doc = scenario_doc()
+    _set_field(doc, path, value)
+    rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
+    _assert_one_config_error(rc, capsys.readouterr().err, names)
+
+
+@pytest.mark.parametrize("case", ["top-level-list", "problem-file-not-json"])
+def test_validate_malformed_document_is_one_config_error(tmp_path, capsys, case):
+    if case == "top-level-list":
+        cfg, names = write_config(tmp_path, [scenario_doc()]), "config"
+    else:
+        (tmp_path / "prob.json").write_text("{not json")
+        cfg = write_config(tmp_path, scenario_doc(problem={"file": "prob.json"}))
+        names = "cannot read problem file"
+    rc = main(["validate", "--config", str(cfg)])
+    _assert_one_config_error(rc, capsys.readouterr().err, names)
+
+
+@pytest.mark.parametrize("oracle", ['{"x_star": [0.0, 0.0]}', "{not json"],
+                         ids=["no-f_star", "not-json"])
+def test_export_malformed_oracle_is_one_config_error(tmp_path, capsys, oracle):
+    cfg = write_config(tmp_path, scenario_doc(n_iterations=20))
+    main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])  # verdict may fail
+    run_dir = tmp_path / "out" / "tiny_triangle" / "seed0000"
+    (run_dir / "oracle.json").write_text(oracle)
+    capsys.readouterr()
+    rc = main(["export", "--run-dir", str(run_dir), "--out", str(tmp_path / "exported")])
+    _assert_one_config_error(rc, capsys.readouterr().err, str(run_dir / "oracle.json"))
+
+
+def test_null_graph_transform_and_seeds_mean_absent(tmp_path):
+    cfg = write_config(tmp_path, scenario_doc(graph=None, transform=None, seeds=None))
+    sc = load_scenario(cfg)
+    assert sc.graph is None and sc.transformed is None and sc.seeds == (0,)
+    assert main(["validate", "--config", str(cfg)]) == 0
+
+
 def test_validate_unparseable_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

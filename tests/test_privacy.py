@@ -60,15 +60,14 @@ def test_single_agent_plan_is_connected():
 
 
 def test_plan_without_cross_links_reports_isolated_agents():
-    plan = PartitionPlan((2, 2, 2), ((1, 2), (0, 2), (0, 1)),
-                         frozenset({(0, 1), (2, 3), (4, 5)}))
+    plan = PartitionPlan((2, 2, 2), frozenset({(0, 1), (2, 3), (4, 5)}))
     with pytest.raises(ConstructionError, match="isolated"):
         virtual_topology(TRIANGLE, plan)
 
 
 def test_plan_link_between_unlinked_owners_rejected():
     g = graph(3, [(0, 1), (1, 2)])  # no 0~2 link
-    plan = PartitionPlan((1, 1, 1), ((1,), (0,), (1,)), frozenset({(0, 1), (1, 2), (0, 2)}))
+    plan = PartitionPlan((1, 1, 1), frozenset({(0, 1), (1, 2), (0, 2)}))
     with pytest.raises(ConstructionError, match="no real link"):
         virtual_topology(g, plan)
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.problem import (
-    Ball, Box, ConfigError, Problem, analytic_bounds, as_point, component_from_dict,
-    component_to_dict, estimate_bounds, grad_many, polynomial, problem_from_dict,
-    problem_to_dict, quadratic, rebuild, sine_quadratic, sum_grad, sum_value, value_many,
-    verify_sum_convexity,
+    Ball, Box, ConfigError, ConstructionError, Problem, analytic_bounds, as_point,
+    component_from_dict, component_to_dict, estimate_bounds, grad_many, polynomial,
+    problem_from_dict, problem_to_dict, quadratic, reading, rebuild, sine_quadratic, sum_grad,
+    sum_value, value_many, verify_sum_convexity,
 )
 
 BOX1 = Box(np.array([-2.0]), np.array([2.0]))
@@ -551,6 +551,23 @@ def test_rebuild_keeps_the_family_and_replaces_only_named_parameters(make):
     new = [[1.0, 2.0], [0.0, 0.0, 3.0]] if key == "coeffs" else [1.0, -1.0]
     changed = component_to_dict(rebuild(c, "x", BOX2, **{key: new}))["params"]
     assert changed == {**component_to_dict(c)["params"], key: new}
+
+
+def test_reading_names_what_and_passes_typed_errors_through():
+    from consopt import network
+    assert network.ConstructionError is ConstructionError
+    with pytest.raises(ConfigError, match=r"^doc: missing field 'k'$"):
+        with reading("doc"):
+            {}["k"]
+    for bad, name in ((lambda: int("x"), "ValueError"), (lambda: [][0], "IndexError"),
+                      (lambda: len(3), "TypeError"), (lambda: (3).get, "AttributeError")):
+        with pytest.raises(ConfigError, match=rf"^doc: malformed \({name}: "):
+            with reading("doc"):
+                bad()
+    for err in (ConfigError("as raised"), ConstructionError("as raised")):
+        with pytest.raises(type(err), match="^as raised$"):
+            with reading("doc"):
+                raise err
 
 
 def test_missing_field_named_in_error():

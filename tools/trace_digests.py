@@ -12,8 +12,12 @@ the sha256 of the ``trace.csv`` and ``plotdata.csv`` it wrote (``export/``
 lines), so the read path is compared too.
 Each scenario runs twice: with its own iterations and decimation, and at
 2000 iterations recording every one (``<name>@dense`` lines), so that the
-record path is compared at every iteration.  Diffing the output of two
-checkouts checks that a change kept every trace byte-identical:
+record path is compared at every iteration.  Before its runs, each scenario
+goes through ``cmd_validate`` with an output root, and the sha256 of what it
+printed and of the ``validation.json`` it wrote are printed (``validate/``
+lines), so that loading and validation are compared too.  Diffing the output
+of two checkouts checks that a change kept every trace and report
+byte-identical:
 
     PYTHONPATH=src python tools/trace_digests.py > digests.txt
 """
@@ -28,8 +32,8 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from consopt.cli import cmd_export, execute_run
-from consopt.scenario import load_shipped, shipped_scenario_names
+from consopt.cli import cmd_export, cmd_validate, execute_run
+from consopt.scenario import load_shipped, shipped_scenario_names, shipped_scenario_path
 
 FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.json",
          "verdict.json", "bound_check.json", "transformed_problem.json")
@@ -45,6 +49,13 @@ def _sha256(path: Path) -> str:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in shipped_scenario_names():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                cmd_validate(shipped_scenario_path(name), Path(tmp) / "validate")
+            print(f"{name} validate/stdout "
+                  f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}")
+            report = Path(tmp) / "validate" / name / "validation.json"
+            print(f"{name} validate/validation.json {_sha256(report)}")
             for suffix, overrides in SETTINGS:
                 label = name + suffix
                 run_dir = Path(tmp) / label
