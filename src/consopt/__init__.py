@@ -23,7 +23,7 @@ from .network import (
 )
 from .engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse,
-    read_trace_jsonl, run, run_batch, step_size, write_trace_csv, write_trace_jsonl,
+    read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
 )
 from .analysis import (
     BoundParams, OracleSolution, VerdictReport, centralized_solve,

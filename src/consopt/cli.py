@@ -25,7 +25,7 @@ from . import analysis, engine
 from .network import StaticSchedule, build_metropolis
 from .privacy import certify_equivalence, transformed_to_dict
 from .problem import ConfigError, ConstructionError, reading
-from .scenario import Scenario, build_run_config, load_scenario, validate_scenario
+from .scenario import Scenario, build_run_config, load_scenario, parse_seeds, validate_scenario
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -106,12 +106,11 @@ def run_scenario(sc: Scenario, seeds, run_dirs=None, *, iterations: int | None =
 
 def _write_artifacts(sc: Scenario, run_dir: Path, trace, oracle, vd, report) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_trace_jsonl(trace, run_dir / "trace.jsonl")
-    engine.write_trace_csv(trace, run_dir / "trace.csv")
+    engine.write_trace_csv(trace, run_dir / "trace.csv", run_dir / "plotdata.csv", oracle.f_star,
+                           jsonl=run_dir / "trace.jsonl")
     _write_json(run_dir / "summary.json", trace.summary.to_dict())
     _write_json(run_dir / "oracle.json", oracle.to_dict())
     _write_json(run_dir / "verdict.json", vd.to_dict())
-    engine.write_plotdata(trace, run_dir / "plotdata.csv", oracle.f_star)
     if sc.transformed is not None:
         _write_json(run_dir / "transformed_problem.json", transformed_to_dict(sc.transformed))
     if report is not None:
@@ -164,7 +163,7 @@ def cmd_run(config_path, *, seed=None, iterations=None, out_dir=None,
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
-    use_seed = sc.seeds[0] if seed is None else int(seed)
+    use_seed = sc.seeds[0] if seed is None else parse_seeds(seed, "--seed")[0]
     run_dir = _out_root(out_dir) / sc.name / f"seed{use_seed:04d}"
     result = execute_run(sc, use_seed, run_dir, iterations=iterations, decimate=decimate)
     print(
@@ -252,7 +251,7 @@ def cmd_compare(config_path, *, seed=None, iterations=None, out_dir=None, force=
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
-    use_seed = sc.seeds[0] if seed is None else int(seed)
+    use_seed = sc.seeds[0] if seed is None else parse_seeds(seed, "--seed")[0]
     root = _out_root(out_dir) / sc.name / "compare"
 
     if sc.transformed is not None:
@@ -308,21 +307,13 @@ def cmd_export(run_dir, out_dir=None) -> int:
             f_star = None if f_star is None else float(f_star)
     dest = Path(out_dir) if out_dir else src
     dest.mkdir(parents=True, exist_ok=True)
-    engine.write_trace_csv(trace, dest / "trace.csv")
-    engine.write_plotdata(trace, dest / "plotdata.csv", f_star)
+    engine.write_trace_csv(trace, dest / "trace.csv", dest / "plotdata.csv", f_star)
     print(f"exported {trace.n_records} records to {dest}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b)))
-    return [int(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +364,7 @@ def main(argv=None) -> int:
             return cmd_run(args.config, seed=args.seed, iterations=args.iterations,
                            out_dir=args.out, decimate=args.decimate, force=args.force)
         if args.command == "sweep":
-            seeds = _parse_seed_range(args.seeds) if args.seeds else None
+            seeds = parse_seeds(args.seeds, "--seeds") if args.seeds else None
             return cmd_sweep(args.config, seeds=seeds, parallel=args.parallel,
                              iterations=args.iterations, out_dir=args.out,
                              decimate=args.decimate, force=args.force)

@@ -12,10 +12,11 @@ batch, each with the trace it would have alone.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
-import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -383,47 +384,64 @@ def run(cfg: RunConfig) -> RunTrace:
 
 
 TRACE_FIELDS = ("k", "alpha", "x", "x_bar", "f_bar", "max_delta", "max_disagreement", "bound")
-_BLOCK = 1024  # records held as Python values at a time, writing or reading
-_COLUMNS = dict(zip(TRACE_FIELDS, (f.name for f in dataclasses.fields(RunTrace))))
+_BLOCK = 256  # records formatted or parsed at a time, writing or reading
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # of float repr
 
 
-def trace_records(trace: RunTrace, fields: tuple[str, ...] = TRACE_FIELDS):
-    """Yield one tuple of plain Python values per record, holding ``fields``
-    (names from ``TRACE_FIELDS``, the order of ``RunTrace``) in the order
-    given; ``bound`` is None when the column is absent."""
-    columns = [getattr(trace, _COLUMNS[f]) for f in fields]
-    for lo in range(0, trace.n_records, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        yield from zip(*(itertools.repeat(None) if c is None else c[block].tolist()
-                         for c in columns))
+def _reprs(values: list) -> list[str]:
+    """The ``repr`` of each float of a list, which ``json.dumps`` also writes, in one C call."""
+    return repr(values)[1:-1].split(", ")
 
 
-def write_trace_jsonl(trace: RunTrace, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(json.dumps(dict(zip(TRACE_FIELDS, r))) + "\n" for r in trace_records(trace))
+def _trace_lines(trace: RunTrace, f_star: float | None, jsonl: bool):
+    """Yield the lines of ``trace.csv``, ``plotdata.csv`` and (if ``jsonl``) ``trace.jsonl``:
+    the headers, then each ``_BLOCK`` records' lines, from floats formatted once for all."""
+    R, S, D = trace.states.shape
+    bounded = trace.bound is not None
+    cols = [trace.alphas, trace.f_bar, trace.max_disagreement, trace.max_delta,
+            *([trace.bound] if bounded else []), trace.states.reshape(R, S * D),
+            *([trace.x_bar] if jsonl else [])]
+    q = 4 + bounded  # a row's first x column; x_bar, which only the JSONL holds, follows x
+    F = q + S * D + D * jsonl
+    # a row's strings in the JSONL template's order, which is that of TRACE_FIELDS
+    pick = operator.itemgetter(0, *range(q, F), 1, 3, 2, *([4] if bounded else []))
+    xs = ", ".join(["%s"] * D)
+    template = ('{"k": %s, "alpha": %s, "x": [' + ", ".join([f"[{xs}]"] * S)
+                + f'], "x_bar": [{xs}], "f_bar": %s, "max_delta": %s, "max_disagreement": %s, '
+                + ('"bound": %s}\n' if bounded else '"bound": null}\n'))
+    names = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(S, D))
+    yield [f"k,alpha,f_bar,max_disagreement,max_delta,bound,{names}\n"], \
+        ["k,f_gap,max_disagreement,bound\n"]
+    for lo in range(0, R, _BLOCK):
+        ks = trace.ks[lo:lo + _BLOCK].tolist()
+        block = np.column_stack([c[lo:lo + _BLOCK] for c in cols])
+        s = _reprs(block.ravel().tolist())
+        rows = range(0, len(ks) * F, F)
+        bounds = s[4::F] if bounded else [""] * len(ks)
+        gaps = ([""] * len(ks) if f_star is None
+                else _reprs([f - f_star for f in trace.f_bar[lo:lo + _BLOCK].tolist()]))
+        lines = ([f"{k},{','.join(s[o:o + 4])},{'' if b in _JSON_SPELLING else b},"
+                  f"{','.join(s[o + q:o + q + S * D])}\n" for k, o, b in zip(ks, rows, bounds)],
+                 [f"{k},{g},{m},{b}\n" for k, g, m, b in zip(ks, gaps, s[2::F], bounds)])
+        if jsonl:
+            if not np.isfinite(block).all():
+                s = [_JSON_SPELLING.get(c, c) for c in s]
+            lines += ([template % ((k,) + pick(s[o:o + F])) for k, o in zip(ks, rows)],)
+        yield lines
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
-    """CSV columns: k, alpha, f_bar, max_disagreement, max_delta, bound, x_J_d;
-    the bound cell is empty when the bound is absent or non-finite."""
-    xs = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(trace.states.shape[1:]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"k,alpha,f_bar,max_disagreement,max_delta,bound,{xs}\n")
-        fields = ("k", "alpha", "x", "f_bar", "max_delta", "max_disagreement", "bound")
-        for k, alpha, x, f_bar, mdl, mdis, bound in trace_records(trace, fields):
-            b = repr(bound) if bound is not None and math.isfinite(bound) else ""
-            cells = ",".join(map(repr, itertools.chain.from_iterable(x)))
-            fh.write(f"{k!r},{alpha!r},{f_bar!r},{mdis!r},{mdl!r},{b},{cells}\n")
-
-
-def write_plotdata(trace: RunTrace, path, f_star: float | None) -> None:
-    """CSV columns: k, f_gap (empty without an oracle), max_disagreement, bound."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,f_gap,max_disagreement,bound\n")
-        fields = ("k", "f_bar", "max_disagreement", "bound")
-        for k, f_bar, mdis, bound in trace_records(trace, fields):
-            gap = "" if f_star is None else repr(f_bar - f_star)
-            fh.write(f"{k!r},{gap},{mdis!r},{'' if bound is None else repr(bound)}\n")
+def write_trace_csv(trace: RunTrace, path, plotdata, f_star: float | None, jsonl=None) -> None:
+    """Write ``trace.csv`` at ``path``, ``plotdata.csv`` at ``plotdata`` and, if given,
+    ``trace.jsonl`` at ``jsonl`` in one pass.  trace.csv: k, alpha, f_bar,
+    max_disagreement, max_delta, bound (empty when absent or non-finite), x_J_d;
+    plotdata.csv: k, f_gap (empty without an oracle), max_disagreement, bound;
+    trace.jsonl: one ``json.dumps`` object per record, keyed by ``TRACE_FIELDS``."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", newline="\n"))
+                 for p in (path, plotdata, jsonl) if p is not None]
+        for lines in _trace_lines(trace, f_star, jsonl is not None):
+            for fh, block in zip(files, lines):
+                fh.writelines(block)
 
 
 def _columns(lines, shapes) -> list[np.ndarray]:

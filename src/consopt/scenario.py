@@ -81,19 +81,20 @@ def _load_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
 
 
-def _parse_seeds(spec) -> tuple[int, ...]:
-    if spec is None:
-        return (0,)
-    if isinstance(spec, int):
-        return (spec,)
-    if isinstance(spec, list):
-        return tuple(int(s) for s in spec)
-    if isinstance(spec, dict):
-        start, stop = int(spec["start"]), int(spec["stop"])
-        if stop <= start:
-            raise ConfigError("field 'seeds': stop must exceed start")
-        return tuple(range(start, stop))
-    raise ConfigError("field 'seeds' must be an int, list, or {start, stop}")
+def parse_seeds(spec, field: str = "seeds") -> tuple[int, ...]:
+    """The seeds a config's ``seeds`` (an int, a list, ``{start, stop}``, or null
+    for seed 0) or a command line's ``N`` or ``A..B`` names: one or more
+    non-negative integers, else a ``ConfigError`` naming ``field``."""
+    with reading(field):
+        if isinstance(spec, str):
+            a, dots, b = spec.partition("..")
+            spec = {"start": int(a), "stop": int(b)} if dots else int(spec)
+        if isinstance(spec, dict):
+            spec = range(spec["start"], spec["stop"])
+        seeds = tuple(spec) if isinstance(spec, (list, range)) else (0 if spec is None else spec,)
+    if not seeds or any(type(s) is not int or s < 0 for s in seeds):
+        raise ConfigError(f"{field}: expected one or more non-negative integers, got {spec!r}")
+    return seeds
 
 
 def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
@@ -193,7 +194,7 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
         schedule=schedule,
         steps=steps,
         n_iterations=_read(raw, "n_iterations", int),
-        seeds=_read(raw, "seeds", _parse_seeds, (0,)),
+        seeds=_read(raw, "seeds", parse_seeds, (0,)),
         decimate=_read(raw, "decimate", int, 1),
         q_window=q_window,
         tol_consensus=_read(raw, "tolerances.consensus", float, 1e-3),

@@ -17,12 +17,16 @@ states and the probe points.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from consopt.analysis import BoundParams
-from consopt.engine import RunConfig, StepSchedule
+from consopt.engine import RunConfig, RunTrace, StepSchedule
 from consopt.problem import Ball, Box, ComponentFunction, ConfigError
 
 
@@ -131,3 +135,51 @@ def reference_run(cfg: RunConfig, x0: np.ndarray, probes: np.ndarray) -> Referen
             caps.append(factor * h)
     return ReferenceRun(np.array(states), alphas, max(drifts, default=0.0),
                         max(slacks, default=0.0), delta0, nu, caps)
+
+
+# ---------------------------------------------------------------------------
+# trace files, one record at a time
+
+
+TRACE_FIELDS = ("k", "alpha", "x", "x_bar", "f_bar", "max_delta", "max_disagreement", "bound")
+_BLOCK = 1024  # records held as Python values at a time
+_COLUMNS = dict(zip(TRACE_FIELDS, (f.name for f in dataclasses.fields(RunTrace))))
+
+
+def trace_records(trace: RunTrace, fields: tuple[str, ...] = TRACE_FIELDS):
+    """Yield one tuple of plain Python values per record, holding ``fields``
+    (names from ``TRACE_FIELDS``, the order of ``RunTrace``) in the order
+    given; ``bound`` is None when the column is absent."""
+    columns = [getattr(trace, _COLUMNS[f]) for f in fields]
+    for lo in range(0, trace.n_records, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        yield from zip(*(itertools.repeat(None) if c is None else c[block].tolist()
+                         for c in columns))
+
+
+def write_trace_jsonl(trace: RunTrace, path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(json.dumps(dict(zip(TRACE_FIELDS, r))) + "\n" for r in trace_records(trace))
+
+
+def write_trace_csv(trace: RunTrace, path) -> None:
+    """CSV columns: k, alpha, f_bar, max_disagreement, max_delta, bound, x_J_d;
+    the bound cell is empty when the bound is absent or non-finite."""
+    xs = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(trace.states.shape[1:]))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"k,alpha,f_bar,max_disagreement,max_delta,bound,{xs}\n")
+        fields = ("k", "alpha", "x", "f_bar", "max_delta", "max_disagreement", "bound")
+        for k, alpha, x, f_bar, mdl, mdis, bound in trace_records(trace, fields):
+            b = repr(bound) if bound is not None and math.isfinite(bound) else ""
+            cells = ",".join(map(repr, itertools.chain.from_iterable(x)))
+            fh.write(f"{k!r},{alpha!r},{f_bar!r},{mdis!r},{mdl!r},{b},{cells}\n")
+
+
+def write_plotdata(trace: RunTrace, path, f_star: float | None) -> None:
+    """CSV columns: k, f_gap (empty without an oracle), max_disagreement, bound."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("k,f_gap,max_disagreement,bound\n")
+        fields = ("k", "f_bar", "max_disagreement", "bound")
+        for k, f_bar, mdis, bound in trace_records(trace, fields):
+            gap = "" if f_star is None else repr(f_bar - f_star)
+            fh.write(f"{k!r},{gap},{mdis!r},{'' if bound is None else repr(bound)}\n")

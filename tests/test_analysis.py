@@ -6,7 +6,7 @@ from consopt.analysis import (
     BoundParams, centralized_solve, check_disagreement_bound, disagreement_caps, max_delta,
     max_disagreement, verdict,
 )
-from consopt.engine import RunConfig, StepSchedule, read_trace_jsonl, run, write_trace_jsonl
+from consopt.engine import RunConfig, StepSchedule, read_trace_jsonl, run, write_trace_csv
 from consopt.network import CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis, graph
 from consopt.problem import Ball, Box, Problem, polynomial, quadratic
 from reference import BoundUnavailableError, disagreement_bound
@@ -169,7 +169,8 @@ def test_check_bound_lazy_two_agent_scrambling():
 def test_check_bound_reads_the_bound_column_back_from_disk(tmp_path):
     cfg = RunConfig(triangle_problem(), uniform_schedule(3), ALPHA, 60, seed=2, record_every=7)
     tr = run(cfg)
-    write_trace_jsonl(tr, tmp_path / "trace.jsonl")
+    write_trace_csv(tr, tmp_path / "trace.csv", tmp_path / "plotdata.csv", None,
+                    jsonl=tmp_path / "trace.jsonl")
     back = read_trace_jsonl(tmp_path / "trace.jsonl")
     assert back.summary is None
     assert check_disagreement_bound(back).to_dict() == check_disagreement_bound(tr).to_dict()

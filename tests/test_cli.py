@@ -237,6 +237,32 @@ def test_export_malformed_oracle_is_one_config_error(tmp_path, capsys, oracle):
     _assert_one_config_error(rc, capsys.readouterr().err, str(run_dir / "oracle.json"))
 
 
+# (case, command and its seed options, the config's seeds, text the error must name)
+BAD_SEEDS = [
+    ("empty-range", ["sweep", "--seeds", "3..3"], None, "--seeds"),
+    ("reversed-range", ["sweep", "--seeds", "5..3"], None, "--seeds"),
+    ("not-an-integer", ["sweep", "--seeds", "abc"], None, "--seeds"),
+    ("range-end-not-an-integer", ["sweep", "--seeds", "1..x"], None, "--seeds"),
+    ("negative-run-seed", ["run", "--seed", "-1"], None, "--seed"),
+    ("negative-config-range", ["sweep"], {"start": -1, "stop": 1}, "seeds"),
+    ("empty-config-range", ["sweep"], {"start": 3, "stop": 3}, "seeds"),
+    ("fractional-config-seed", ["sweep"], [0, 1.5], "seeds"),
+]
+
+
+@pytest.mark.parametrize("argv,seeds,names", [c[1:] for c in BAD_SEEDS],
+                         ids=[c[0] for c in BAD_SEEDS])
+def test_bad_seed_range_is_one_config_error(tmp_path, capsys, argv, seeds, names):
+    doc = scenario_doc(n_iterations=20)
+    if seeds is not None:
+        doc["seeds"] = seeds
+    out = tmp_path / "out"
+    rc = main([argv[0], "--config", str(write_config(tmp_path, doc)), "--out", str(out),
+               *argv[1:]])
+    _assert_one_config_error(rc, capsys.readouterr().err, names)
+    assert not out.exists()  # nothing ran
+
+
 def test_null_graph_transform_and_seeds_mean_absent(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(graph=None, transform=None, seeds=None))
     sc = load_scenario(cfg)
@@ -487,7 +513,7 @@ def test_problem_file_reference(tmp_path):
 
 def test_export_regenerates_identical_csv(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(n_iterations=1500))
-    # the shipped decimation, then every one of 2500 iterations (three read blocks)
+    # the shipped decimation, then every one of 2500 iterations (ten read blocks)
     for name, extra in (("shipped", []), ("dense", ["--decimate", "1", "--iterations", "2500"])):
         out = tmp_path / name
         assert main(["run", "--config", str(cfg), "--out", str(out / "run"), *extra]) == 0

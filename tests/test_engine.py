@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 from consopt import engine
 from consopt.engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
-    read_trace_jsonl, run, run_batch, step_size, write_plotdata, write_trace_csv,
-    write_trace_jsonl,
+    read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
 )
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
@@ -22,6 +24,7 @@ from consopt.problem import (
     Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
 )
 from consopt.scenario import build_run_config, load_shipped, shipped_scenario_names
+import reference
 from reference import reference_run
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
@@ -268,6 +271,18 @@ def test_descend_rejects_wrong_state_shape():
         descend(np.zeros((2, 2)), 0, cfg)
 
 
+TRACE_FILES = ("trace.jsonl", "trace.csv", "plotdata.csv")
+
+
+def trace_files(trace: RunTrace, path, f_star=None) -> dict:
+    """Write the trace files into the new directory ``path`` in one pass, as a
+    run does, and return their bytes by name."""
+    path.mkdir()
+    write_trace_csv(trace, path / "trace.csv", path / "plotdata.csv", f_star,
+                    jsonl=path / "trace.jsonl")
+    return {f: (path / f).read_bytes() for f in TRACE_FILES}
+
+
 def test_run_deterministic_and_bitwise_exports(tmp_path):
     prob = triangle_indefinite_problem()
     sched = StaticSchedule(build_metropolis(complete_graph(3)))
@@ -275,11 +290,7 @@ def test_run_deterministic_and_bitwise_exports(tmp_path):
     t1, t2 = run(cfg), run(cfg)
     np.testing.assert_array_equal(t1.states, t2.states)
     np.testing.assert_array_equal(t1.f_bar, t2.f_bar)
-    for name, tr in (("a", t1), ("b", t2)):
-        write_trace_jsonl(tr, tmp_path / f"{name}.jsonl")
-        write_trace_csv(tr, tmp_path / f"{name}.csv")
-    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert trace_files(t1, tmp_path / "a") == trace_files(t2, tmp_path / "b")
 
 
 def test_run_zero_iterations_keeps_initial_record():
@@ -328,10 +339,7 @@ def assert_same_run(a: RunTrace, b: RunTrace):
 
 def run_files(trace: RunTrace, path) -> dict:
     """The bytes of the trace files and summary.json the run writes."""
-    path.mkdir()
-    write_trace_jsonl(trace, path / "trace.jsonl")
-    write_trace_csv(trace, path / "trace.csv")
-    files = {f: (path / f).read_bytes() for f in ("trace.jsonl", "trace.csv")}
+    files = trace_files(trace, path, 0.0)
     files["summary.json"] = json.dumps(trace.summary.to_dict(), indent=2).encode()
     return files
 
@@ -463,15 +471,76 @@ def test_run_config_validation():
 # trace serialization
 
 
+# values whose repr is easy to get wrong: signed zero, the least subnormal,
+# the switch to exponent notation, and a float that is not a short decimal
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e-7, 0.1, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 255, 256, 257, 513]),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    bound=st.sampled_from([None, "finite", math.nan, math.inf, -math.inf]),
+    f_star=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    palette=st.lists(st.sampled_from(SPECIAL_FLOATS)
+                     | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    nonfinite_states=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_files_match_the_per_record_reference_writers(
+        n, shape, bound, f_star, palette, nonfinite_states, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array(palette)
+    nonfinite = np.array([math.nan, math.inf, -math.inf])
+
+    def column(*dims, extra=None):
+        """Floats of many magnitudes, with the palette's (and ``extra``) sprinkled in."""
+        a = rng.standard_normal((n, *dims)) * 10.0 ** rng.integers(-200, 200, (n, *dims))
+        picked = rng.random(a.shape) < 0.3
+        a[picked] = rng.choice(special if extra is None else np.r_[special, extra], picked.sum())
+        return a
+
+    S, D = shape
+    bounds = None if bound is None else column()
+    if bound not in (None, "finite"):
+        bounds[rng.random(n) < 0.5] = bound
+    # a hand-edited trace that export reads back may hold non-finite states
+    trace = RunTrace(
+        ks=np.arange(n) * int(rng.integers(1, 5)),
+        alphas=column(),
+        states=column(S, D, extra=nonfinite if nonfinite_states else None),
+        x_bar=column(D, extra=nonfinite if nonfinite_states else None),
+        f_bar=column(),
+        max_delta=column(),
+        max_disagreement=column(),
+        bound=bounds,
+        summary=None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = Path(tmp) / "reference"
+        ref.mkdir()
+        reference.write_trace_jsonl(trace, ref / "trace.jsonl")
+        reference.write_trace_csv(trace, ref / "trace.csv")
+        reference.write_plotdata(trace, ref / "plotdata.csv", f_star)
+        expected = {f: (ref / f).read_bytes() for f in TRACE_FILES}
+        assert trace_files(trace, Path(tmp) / "run", f_star) == expected
+        # export's pass, without the JSONL
+        export = Path(tmp) / "export"
+        export.mkdir()
+        write_trace_csv(trace, export / "trace.csv", export / "plotdata.csv", f_star)
+        assert sorted(p.name for p in export.iterdir()) == ["plotdata.csv", "trace.csv"]
+        for f in ("trace.csv", "plotdata.csv"):
+            assert (export / f).read_bytes() == expected[f], f
+
+
 def test_trace_jsonl_roundtrip(tmp_path):
     prob = triangle_indefinite_problem()
     sched = StaticSchedule(build_metropolis(complete_graph(3)))
-    # 2501 records span three read blocks
+    # 2501 records span ten read blocks of 256 lines
     for iterations, every in ((40, 4), (2500, 1)):
         tr = run(RunConfig(prob, sched, StepSchedule(1.0), iterations, seed=3, record_every=every))
-        path = tmp_path / f"trace{iterations}.jsonl"
-        write_trace_jsonl(tr, path)
-        back = read_trace_jsonl(path)
+        trace_files(tr, tmp_path / f"trace{iterations}")
+        back = read_trace_jsonl(tmp_path / f"trace{iterations}" / "trace.jsonl")
         assert back.n_records == tr.n_records and back.ks.dtype.kind == "i"
         for name in ("ks", "alphas", "states", "x_bar", "f_bar", "max_delta",
                      "max_disagreement", "bound"):
@@ -485,7 +554,7 @@ def test_trace_csv_layout(tmp_path):
                     initial_states=np.array([[1.0]]))
     tr = run(cfg)
     path = tmp_path / "trace.csv"
-    write_trace_csv(tr, path)
+    write_trace_csv(tr, path, tmp_path / "plotdata.csv", None)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,alpha,f_bar,max_disagreement,max_delta,bound,x_0_0"
     assert len(lines) == 1 + tr.n_records
@@ -507,9 +576,8 @@ def test_trace_files_spell_nonfinite_and_absent_bounds(tmp_path):
     )
 
     def files(trace, f_star):
-        write_trace_jsonl(trace, tmp_path / "trace.jsonl")
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        write_plotdata(trace, tmp_path / "plotdata.csv", f_star)
+        write_trace_csv(trace, tmp_path / "trace.csv", tmp_path / "plotdata.csv", f_star,
+                        jsonl=tmp_path / "trace.jsonl")
         return [(tmp_path / f).read_text().splitlines()
                 for f in ("trace.jsonl", "trace.csv", "plotdata.csv")]
 

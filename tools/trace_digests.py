@@ -15,16 +15,20 @@ Each scenario runs twice: with its own iterations and decimation, and at
 record path is compared at every iteration.  Before its runs, each scenario
 goes through ``cmd_validate`` with an output root, and the sha256 of what it
 printed and of the ``validation.json`` it wrote are printed (``validate/``
-lines), so that loading and validation are compared too.  Diffing the output
+lines), so that loading and validation are compared too.  Comparing the output
 of two checkouts checks that a change kept every trace and report
-byte-identical:
+byte-identical: save one checkout's digests, then check the other against them,
+which prints the lines that differ and exits 1 on any difference:
 
     PYTHONPATH=src python tools/trace_digests.py > digests.txt
+    PYTHONPATH=src python tools/trace_digests.py --against digests.txt
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -46,16 +50,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
-def main() -> int:
+def digests():
+    """Yield the digest lines, scenario by scenario."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in shipped_scenario_names():
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 cmd_validate(shipped_scenario_path(name), Path(tmp) / "validate")
-            print(f"{name} validate/stdout "
-                  f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}")
+            yield (f"{name} validate/stdout "
+                   f"{hashlib.sha256(stdout.getvalue().encode()).hexdigest()}")
             report = Path(tmp) / "validate" / name / "validation.json"
-            print(f"{name} validate/validation.json {_sha256(report)}")
+            yield f"{name} validate/validation.json {_sha256(report)}"
             for suffix, overrides in SETTINGS:
                 label = name + suffix
                 run_dir = Path(tmp) / label
@@ -67,11 +72,28 @@ def main() -> int:
                     cmd_export(run_dir, export_dir)
                 f_star = json.loads((run_dir / "oracle.json").read_text())["f_star"]
                 for fname in FILES:
-                    print(f"{label} {fname} {_sha256(run_dir / fname)}")
+                    yield f"{label} {fname} {_sha256(run_dir / fname)}"
                 for fname in EXPORTED:
-                    print(f"{label} export/{fname} {_sha256(export_dir / fname)}")
-                print(f"{label} f_star {f_star!r}")
-    return 0
+                    yield f"{label} export/{fname} {_sha256(export_dir / fname)}"
+                yield f"{label} f_star {f_star!r}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Print seed-0 artifact digests for every "
+                                             "shipped scenario.")
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare with the digests saved in FILE instead of printing them: "
+                         "print the lines that differ and exit 1 on any difference")
+    args = ap.parse_args(argv)
+    if args.against is None:
+        for line in digests():
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    lines = list(digests())
+    diff = list(difflib.unified_diff(saved, lines, args.against, "this checkout", lineterm=""))
+    print("\n".join(diff) if diff else f"{len(lines)} lines identical to {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
