@@ -191,12 +191,14 @@ def cmd_sweep(config_path, *, seeds=None, parallel=1, iterations=None,
               out_dir=None, decimate=None, force=False) -> int:
     """Run every seed; ``parallel`` P splits the seeds into P contiguous
     batches, each run in its own process."""
+    if parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {parallel}")
     sc = load_scenario(config_path)
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
     seed_list = list(sc.seeds if seeds is None else seeds)
-    n = max(1, min(parallel, len(seed_list)))
+    n = min(parallel, len(seed_list))
     batches = [seed_list[i * len(seed_list) // n:(i + 1) * len(seed_list) // n]
                for i in range(n)]
     walls, results = [], []

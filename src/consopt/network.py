@@ -170,15 +170,9 @@ def contraction_coefficient(m) -> float:
     Computed as the largest half-l1 distance between rows, equivalently one
     minus the smallest row overlap sum_k min(m[i,k], m[j,k]).  It is 0 for
     identical rows, 1 for rows with disjoint support, and < 1 exactly when
-    the matrix is scrambling.
+    the matrix is scrambling.  It is ``max_contraction`` of a stack of one.
     """
-    m = _entries(m)
-    if m.shape[0] == 1:
-        return 0.0
-    overlap = np.minimum(m[:, None, :], m[None, :, :]).sum(axis=2)
-    iu = np.triu_indices(m.shape[0], k=1)
-    nu = 1.0 - float(np.min(overlap[iu]))
-    return min(max(nu, 0.0), 1.0)
+    return max_contraction(_entries(m)[None])
 
 
 def max_contraction(mats: np.ndarray) -> float:
@@ -197,17 +191,10 @@ def max_contraction(mats: np.ndarray) -> float:
     return min(max(1.0 - low, 0.0), 1.0)
 
 
-def support_graph(m, tol: float = 0.0) -> Graph:
+def support_graph(m) -> Graph:
     """Undirected graph of off-diagonal positive entries (either direction)."""
-    m = _entries(m)
-    n = m.shape[0]
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if m[i, j] > tol or m[j, i] > tol
-    }
-    return graph(n, edges)
+    pos = _entries(m) > 0
+    return graph(len(pos), zip(*np.nonzero(np.triu(pos | pos.T, 1))))
 
 
 def support_connected(mats: np.ndarray) -> np.ndarray:
@@ -269,8 +256,7 @@ def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> Wei
         m[i, links[1]] = kappa
     if not is_doubly_stochastic(m, DS_TOL):
         raise ConstructionError("pattern columns are unbalanced; matrix is not doubly stochastic")
-    eta = kappa if kappa >= 0.5 else min(kappa, 1.0 - 2.0 * kappa)
-    return WeightMatrix(m, eta)
+    return WeightMatrix(m, _min_positive(m))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +396,7 @@ def is_q_connected(schedule: WeightSchedule, q: int, horizon: int) -> bool:
 
 def _matrix_from_entries(entries, eta=None) -> WeightMatrix:
     m = np.asarray(entries, dtype=float)
-    if eta is None:
-        nz = m[m > 0]
-        eta = float(np.min(nz)) if nz.size else 1.0
-    return WeightMatrix(m, float(eta))
+    return WeightMatrix(m, _min_positive(m) if eta is None else float(eta))
 
 
 def schedule_from_dict(d: dict) -> WeightSchedule:

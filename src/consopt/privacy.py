@@ -180,20 +180,20 @@ def _draw_quadratic(rng: np.random.Generator, dim: int, scale: float, diagonal: 
     return a, b, 0.0
 
 
-def _shift_by_quadratic(c: ComponentFunction, qa, qb, qc, cid: str,
+def _shift_by_quadratic(c: ComponentFunction, params: dict, qa, qb, qc, cid: str,
                         fs: FeasibleSet) -> ComponentFunction:
-    """Return the component plus the quadratic 0.5 x'Qx + q'x + c, staying in
-    the component's family; bounds are recomputed analytically over fs."""
+    """Return the component of ``c``'s family with ``params``, plus the quadratic
+    0.5 x'Qx + q'x + c; bounds are computed analytically over fs."""
     if c.family != POLYNOMIAL:
-        return rebuild(c, cid, fs, a=c.params["a"] + qa, b=c.params["b"] + qb,
-                       c=c.params["c"] + qc)
+        return rebuild(c, cid, fs, **{**params, "a": params["a"] + qa, "b": params["b"] + qb,
+                                      "c": params["c"] + qc})
     off_diag = qa - np.diag(np.diag(qa))
     if np.any(off_diag != 0.0):
         raise ConfigError(
             f"component {c.id!r} is separable; perturbation must be diagonal"
         )
     coeffs = []
-    for d, cf in enumerate(c.params["coeffs"]):
+    for d, cf in enumerate(params["coeffs"]):
         new = np.zeros(max(cf.size, 3))
         new[: cf.size] = cf
         new[1] += qb[d]
@@ -241,14 +241,20 @@ def certify_equivalence(original: Problem, transformed: TransformedProblem,
     return EquivalenceReport(float(np.max(dv)), float(np.max(dg)), n_points, passed)
 
 
-def _self_certify(original: Problem, t: TransformedProblem, seed: int, kind: str):
-    report = certify_equivalence(original, t, 1000, [seed, _STREAM_CERT])
+def _certified(original: Problem, pieces, g: Graph, kind: str, owners, details: dict,
+               seed: int) -> TransformedProblem:
+    """The transformed problem of ``pieces`` on ``g``, certified pointwise
+    against ``original`` before it is returned."""
+    t = TransformedProblem(Problem(original.dimension, tuple(pieces), original.feasible_set), g,
+                           TransformProvenance(kind, owners, {"seed": int(seed), **details}))
+    report = certify_equivalence(original, t, 1000, [int(seed), _STREAM_CERT])
     if not report.passed:
         raise ConstructionError(
             f"{kind} transform failed its sum-preservation certificate "
             f"(value residual {report.value_residual:.3g}, "
             f"gradient residual {report.grad_residual:.3g})"
         )
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +286,8 @@ def partition_problem(prob: Problem, g: Graph, plan: PartitionPlan, seed: int, *
             pieces.append(rebuild(comp, f"{comp.id}/0", fs))
             continue
         factor = 1.0 / m  # f_i / m: every parameter but the sine frequencies scales
-        base = rebuild(comp, comp.id, fs, **{
-            k: [cf * factor for cf in v] if k == "coeffs" else v * factor
-            for k, v in comp.params.items() if k != "frequency"})
+        params = {k: v if k == "frequency" else [cf * factor for cf in v] if k == "coeffs"
+                  else v * factor for k, v in comp.params.items()}
         rng = np.random.default_rng([int(seed), _STREAM_PARTITION, i])
         diagonal = comp.family == POLYNOMIAL
         qa_sum = np.zeros((dim, dim))
@@ -293,8 +298,8 @@ def partition_problem(prob: Problem, g: Graph, plan: PartitionPlan, seed: int, *
             qa_sum += qa
             qb_sum += qb
             qc_sum += qc
-            pieces.append(_shift_by_quadratic(base, qa, qb, qc, f"{comp.id}/{j}", fs))
-        pieces.append(_shift_by_quadratic(base, -qa_sum, -qb_sum, -qc_sum,
+            pieces.append(_shift_by_quadratic(comp, params, qa, qb, qc, f"{comp.id}/{j}", fs))
+        pieces.append(_shift_by_quadratic(comp, params, -qa_sum, -qb_sum, -qc_sum,
                                           f"{comp.id}/{m - 1}", fs))
     if max_grad_bound is not None:
         worst = max(p.grad_bound for p in pieces)
@@ -303,15 +308,9 @@ def partition_problem(prob: Problem, g: Graph, plan: PartitionPlan, seed: int, *
                 f"a piece's gradient bound {worst:.3g} exceeds the cap {max_grad_bound:.3g}; "
                 "reduce perturbation_scale"
             )
-    new_prob = Problem(dim, tuple(pieces), fs)
-    t = TransformedProblem(
-        new_prob, vgraph,
-        TransformProvenance("partition", plan.owners(),
-                            {"seed": int(seed), "perturbation_scale": perturbation_scale,
-                             "counts": list(plan.counts)}),
-    )
-    _self_certify(prob, t, int(seed), "partition")
-    return t
+    return _certified(prob, pieces, vgraph, "partition", plan.owners(),
+                      {"perturbation_scale": perturbation_scale, "counts": list(plan.counts)},
+                      seed)
 
 
 def random_function_sharing(prob: Problem, g: Graph, scale: float, seed: int) -> TransformedProblem:
@@ -328,12 +327,9 @@ def random_function_sharing(prob: Problem, g: Graph, scale: float, seed: int) ->
         raise ConfigError("scale must be >= 0")
     if not is_connected(g):
         raise ConfigError("random function sharing needs a connected graph")
-    dim = prob.dimension
-    fs = prob.feasible_set
+    S, dim = prob.n_agents, prob.dimension
     families = [c.family for c in prob.components]
-    acc_a = [np.zeros((dim, dim)) for _ in range(prob.n_agents)]
-    acc_b = [np.zeros(dim) for _ in range(prob.n_agents)]
-    acc_c = [0.0 for _ in range(prob.n_agents)]
+    acc_a, acc_b, acc_c = np.zeros((S, dim, dim)), np.zeros((S, dim)), np.zeros(S)
     for i, j in sorted(g.edges):
         for snd, rcv in ((i, j), (j, i)):
             diagonal = POLYNOMIAL in (families[snd], families[rcv])
@@ -345,14 +341,6 @@ def random_function_sharing(prob: Problem, g: Graph, scale: float, seed: int) ->
             acc_a[snd] -= qa
             acc_b[snd] -= qb
             acc_c[snd] -= qc
-    comps = tuple(
-        _shift_by_quadratic(c, acc_a[i], acc_b[i], acc_c[i], c.id, fs)
-        for i, c in enumerate(prob.components)
-    )
-    t = TransformedProblem(
-        Problem(dim, comps, fs), g,
-        TransformProvenance("random-sharing", tuple(range(prob.n_agents)),
-                            {"seed": int(seed), "scale": scale}),
-    )
-    _self_certify(prob, t, int(seed), "random-sharing")
-    return t
+    comps = [_shift_by_quadratic(c, c.params, acc_a[i], acc_b[i], acc_c[i], c.id,
+                                 prob.feasible_set) for i, c in enumerate(prob.components)]
+    return _certified(prob, comps, g, "random-sharing", tuple(range(S)), {"scale": scale}, seed)

@@ -295,23 +295,6 @@ def sine_quadratic(cid: str, a, b, c, amplitude, frequency, *, bounds_for=None,
     return ComponentFunction(cid, SINE_QUADRATIC, params, gb, nl, dim)
 
 
-# family -> (builder, parameter names in the order the builder takes them and
-# ``ComponentFunction.params`` stores them)
-_FAMILY_TABLE = {
-    QUADRATIC: (quadratic, ("a", "b", "c")),
-    POLYNOMIAL: (polynomial, ("coeffs",)),
-    SINE_QUADRATIC: (sine_quadratic, ("a", "b", "c", "amplitude", "frequency")),
-}
-
-
-def rebuild(comp: ComponentFunction, cid: str, fs: FeasibleSet, /, **params) -> ComponentFunction:
-    """A component of ``comp``'s family named ``cid``, with ``params`` in place
-    of its parameters of those names; bounds are recomputed analytically over fs."""
-    builder, names = _FAMILY_TABLE[comp.family]
-    params = {**comp.params, **params}
-    return builder(cid, *(params[k] for k in names), bounds_for=fs)
-
-
 def _check_pts(pts, dim) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
@@ -367,11 +350,22 @@ def _polynomial_grads(coefs, dcoefs, x):
     return _horner(dcoefs, x)
 
 
-_KERNELS = {
-    QUADRATIC: (_quadratic_values, _quadratic_grads),
-    SINE_QUADRATIC: (_sine_quadratic_values, _sine_quadratic_grads),
-    POLYNOMIAL: (_polynomial_values, _polynomial_grads),
+# family -> (builder, parameter names in the order the builder takes them and
+# ``ComponentFunction.params`` stores them, (value kernel, grad kernel))
+_FAMILY_TABLE = {
+    QUADRATIC: (quadratic, ("a", "b", "c"), (_quadratic_values, _quadratic_grads)),
+    POLYNOMIAL: (polynomial, ("coeffs",), (_polynomial_values, _polynomial_grads)),
+    SINE_QUADRATIC: (sine_quadratic, ("a", "b", "c", "amplitude", "frequency"),
+                     (_sine_quadratic_values, _sine_quadratic_grads)),
 }
+
+
+def rebuild(comp: ComponentFunction, cid: str, fs: FeasibleSet, /, **params) -> ComponentFunction:
+    """A component of ``comp``'s family named ``cid``, with ``params`` in place
+    of its parameters of those names; bounds are recomputed analytically over fs."""
+    builder, names, _ = _FAMILY_TABLE[comp.family]
+    params = {**comp.params, **params}
+    return builder(cid, *(params[k] for k in names), bounds_for=fs)
 
 
 def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
@@ -411,7 +405,7 @@ class _Evaluator:
                 params = _kernel_params(family, [comps[j] for j in idx])
                 # a single family indexes by a view rather than a copy
                 sel = slice(None) if len(idx) == self.n else np.array(idx)
-                self.groups.append((sel, params, _KERNELS[family]))
+                self.groups.append((sel, params, _FAMILY_TABLE[family][2]))
 
     @staticmethod
     def _select(x: np.ndarray, sel) -> np.ndarray:
@@ -672,7 +666,7 @@ def component_from_dict(d: dict) -> ComponentFunction:
         gb, nl = float(d["grad_bound"]), float(d["lipschitz"])
         if family not in FAMILIES:
             raise ConfigError(f"unknown component family {family!r}")
-        builder, names = _FAMILY_TABLE[family]
+        builder, names, _ = _FAMILY_TABLE[family]
         args = [float(params.get(k, 0.0)) if k == "c" else params[k] for k in names]
         return builder(cid, *args, grad_bound=gb, lipschitz=nl)
 

@@ -129,6 +129,13 @@ def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
     raise ConfigError(f"unknown transform kind {kind!r}")
 
 
+def _path_component(name) -> str:
+    """A scenario name: one path component, so its run dirs stay under the root."""
+    if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"field 'name' must be a single path component, got {name!r}")
+    return name
+
+
 def _parse_graph(spec) -> Graph | None:
     return None if spec is None else graph(int(spec["n_agents"]), spec["edges"])
 
@@ -160,15 +167,8 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
 
     g = _read(raw, "graph", _parse_graph, None)
     transformed = _parse_transform(raw, prob, g)
-    run_problem = transformed.problem if transformed else prob
 
     schedule = _read(raw, "schedule", network.schedule_from_dict)
-    if schedule.n_agents != run_problem.n_agents:
-        raise ConfigError(
-            f"schedule is for {schedule.n_agents} agents but the executable problem "
-            f"has {run_problem.n_agents}"
-        )
-
     steps = StepSchedule(_read(raw, "steps.a", float), _read(raw, "steps.b", float, 1.0),
                          _read(raw, "steps.p", float, 1.0))
 
@@ -186,8 +186,11 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
     elif init_kind not in (None, "seeded-uniform"):
         raise ConfigError("field 'init.kind' must be 'seeded-uniform' or 'explicit'")
 
-    return Scenario(
-        name=raw.get("name", default_name),
+    oracle_budget = _read(raw, "oracle_budget", int, 200_000)
+    if oracle_budget < 0:
+        raise ConfigError("field 'oracle_budget' must be >= 0")
+    sc = Scenario(
+        name=_read(raw, "name", _path_component, default_name),
         problem=prob,
         graph=g,
         transformed=transformed,
@@ -200,8 +203,10 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
         tol_consensus=_read(raw, "tolerances.consensus", float, 1e-3),
         tol_gap=_read(raw, "tolerances.gap", float, 1e-3),
         init_points=init_points,
-        oracle_budget=_read(raw, "oracle_budget", int, 200_000),
+        oracle_budget=oracle_budget,
     )
+    build_run_config(sc, sc.seeds[0])  # a config that loads is one that runs
+    return sc
 
 
 def build_run_config(sc: Scenario, seed: int, *, n_iterations: int | None = None,

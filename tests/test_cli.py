@@ -195,6 +195,14 @@ MALFORMED_CONFIGS = [
      "init.points"),
     ("transform-seed", "transform", {"kind": "random_sharing", "scale": 0.1, "seed": "x"},
      "transform.seed"),
+    ("oracle_budget-negative", "oracle_budget", -1, "oracle_budget"),
+    # configs that loaded and validated, and only the run rejected
+    ("decimate-zero", "decimate", 0, "record_every"),
+    ("n_iterations-negative", "n_iterations", -5, "n_iterations"),
+    ("points-outside-the-set", "init", {"kind": "explicit", "points": [[0, 0], [2, 0], [0, 0]]},
+     "feasible set"),
+    ("points-of-two-agents", "init", {"kind": "explicit", "points": [[0, 0], [0, 0]]},
+     "shape (3, 2)"),
 ]
 
 
@@ -261,6 +269,26 @@ def test_bad_seed_range_is_one_config_error(tmp_path, capsys, argv, seeds, names
                *argv[1:]])
     _assert_one_config_error(rc, capsys.readouterr().err, names)
     assert not out.exists()  # nothing ran
+
+
+@pytest.mark.parametrize("name", [5, ["a"], "", "..", "../escaped", "a/b"],
+                         ids=["int", "list", "empty", "parent", "escaped", "nested"])
+def test_scenario_name_must_be_one_path_component(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_doc(name=name, n_iterations=20))
+    for command in ("validate", "run"):
+        rc = main([command, "--config", str(cfg), "--out", str(out)])
+        _assert_one_config_error(rc, capsys.readouterr().err, "name")
+    assert not out.exists() and not (tmp_path / "escaped").exists()
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_sweep_parallel_below_one_is_one_config_error(tmp_path, capsys, parallel):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(write_config(tmp_path, scenario_doc(n_iterations=20))),
+               "--out", str(out), "--parallel", parallel])
+    _assert_one_config_error(rc, capsys.readouterr().err, "--parallel")
+    assert not out.exists()
 
 
 def test_null_graph_transform_and_seeds_mean_absent(tmp_path):

@@ -132,6 +132,23 @@ def test_two_link_matrix_half_kappa_zero_diagonal():
     assert is_doubly_stochastic(m, 1e-12)
 
 
+@pytest.mark.parametrize("kappa,eta", [(0.25, 0.25), (0.4, 0.2), (0.5, 0.5)])
+def test_two_link_matrix_eta_is_its_smallest_positive_entry(kappa, eta):
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, kappa)
+    assert m.eta == np.min(m.entries[m.entries > 0])
+    assert m.eta == pytest.approx(eta, abs=1e-15)
+
+
+def test_schedule_from_dict_without_eta_takes_the_smallest_positive_entry():
+    matrix = [[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]]
+    s = schedule_from_dict({"variant": "static", "matrix": matrix})
+    assert s.matrix_at(0).eta == 0.25
+    s = schedule_from_dict({"variant": "cyclic", "matrices": [matrix, np.eye(3).tolist()]})
+    assert [s.matrix_at(k).eta for k in range(2)] == [0.25, 1.0]
+    s = schedule_from_dict({"variant": "static", "matrix": matrix, "eta": 0.1})
+    assert s.matrix_at(0).eta == 0.1
+
+
 def test_two_link_matrix_kappa_range():
     for bad in (0.0, -0.1, 0.6):
         with pytest.raises(ConfigError):

@@ -15,7 +15,12 @@ Each scenario runs twice: with its own iterations and decimation, and at
 record path is compared at every iteration.  Before its runs, each scenario
 goes through ``cmd_validate`` with an output root, and the sha256 of what it
 printed and of the ``validation.json`` it wrote are printed (``validate/``
-lines), so that loading and validation are compared too.  Comparing the output
+lines), so that loading and validation are compared too.  Last come the
+``transform/`` lines: for one seeded 3-agent problem of each component family
+on the triangle, the sha256 of ``json.dumps(transformed_to_dict(t))`` for the
+partition transform at 1, 2 and 3 pieces per agent (``default_plan``) and for
+random function sharing, so the transforms are compared for every family,
+also those no shipped scenario uses.  Comparing the output
 of two checkouts checks that a change kept every trace and report
 byte-identical: save one checkout's digests, then check the other against them,
 which prints the lines that differ and exits 1 on any difference:
@@ -36,7 +41,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from consopt.cli import cmd_export, cmd_validate, execute_run
+from consopt.network import complete_graph
+from consopt.privacy import (
+    default_plan, partition_problem, random_function_sharing, transformed_to_dict,
+)
+from consopt.problem import Box, Problem, polynomial, quadratic, sine_quadratic
 from consopt.scenario import load_shipped, shipped_scenario_names, shipped_scenario_path
 
 FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.json",
@@ -44,10 +56,46 @@ FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.jso
 EXPORTED = ("trace.csv", "plotdata.csv")
 # (label suffix, execute_run overrides): the shipped settings, then every iteration
 SETTINGS = (("", {}), ("@dense", {"iterations": 2000, "decimate": 1}))
+TRANSFORM_SEED = 1608
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+
+
+def _family_problems():
+    """One seeded 3-agent problem per component family on the box [-1, 1]^2."""
+    rng = np.random.default_rng(TRANSFORM_SEED)
+    fs = Box(-np.ones(2), np.ones(2))
+
+    def sym():
+        m = rng.standard_normal((2, 2))
+        return m + m.T
+
+    builders = {
+        "quadratic": lambda cid: quadratic(
+            cid, sym(), rng.standard_normal(2), rng.standard_normal(), bounds_for=fs),
+        # coefficient lists of unequal length, one shorter than a quadratic
+        "polynomial": lambda cid: polynomial(
+            cid, [rng.standard_normal(2), rng.standard_normal(5)], bounds_for=fs),
+        "sine": lambda cid: sine_quadratic(
+            cid, sym(), rng.standard_normal(2), rng.standard_normal(),
+            rng.uniform(0.1, 1.0, 2), rng.uniform(1.0, 3.0, 2), bounds_for=fs),
+    }
+    for family, build in builders.items():
+        yield family, Problem(2, tuple(build(f"f{i}") for i in range(3)), fs)
+
+
+def transform_digests():
+    """Yield one line per transform of each family's problem on the triangle."""
+    g = complete_graph(3)
+    for family, prob in _family_problems():
+        runs = [(f"partition-m{m}", partition_problem(prob, g, default_plan(g, m), TRANSFORM_SEED))
+                for m in (1, 2, 3)]
+        runs.append(("sharing", random_function_sharing(prob, g, 1.0, TRANSFORM_SEED)))
+        for label, t in runs:
+            text = json.dumps(transformed_to_dict(t))
+            yield f"transform/{family} {label} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
 def digests():
@@ -76,6 +124,7 @@ def digests():
                 for fname in EXPORTED:
                     yield f"{label} export/{fname} {_sha256(export_dir / fname)}"
                 yield f"{label} f_star {f_star!r}"
+    yield from transform_digests()
 
 
 def main(argv=None) -> int:
