@@ -10,24 +10,22 @@ changing its global optimum.
 
 from .problem import (
     Ball, Box, ComponentFunction, ConfigError, FeasibleSet, Problem,
-    analytic_bounds, estimate_bounds, polynomial, problem_from_dict,
-    problem_to_dict, quadratic, sine_quadratic, sum_grad, sum_value,
-    verify_sum_convexity,
+    estimate_bounds, polynomial, problem_from_dict, problem_to_dict,
+    quadratic, sine_quadratic, sum_grad, sum_value, verify_sum_convexity,
 )
 from .network import (
     ConstructionError, CyclicSchedule, Graph, RandomSchedule, StaticSchedule,
     WeightMatrix, WeightSchedule, build_metropolis, build_two_link_matrix,
-    complete_graph, contraction_coefficient, graph, is_connected,
-    is_doubly_stochastic, is_q_connected, is_scrambling, path_graph,
-    ring_graph, schedule_from_dict, support_graph,
+    complete_graph, graph, is_connected, is_doubly_stochastic, is_q_connected,
+    max_contraction, path_graph, ring_graph, schedule_from_dict, support_graph,
 )
 from .engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse,
     read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
 )
 from .analysis import (
-    BoundParams, OracleSolution, VerdictReport, centralized_solve,
-    check_disagreement_bound, max_delta, max_disagreement, verdict,
+    OracleSolution, VerdictReport, centralized_solve, check_disagreement_bound,
+    disagreement_caps, max_delta, max_disagreement, verdict,
 )
 from .privacy import (
     PartitionPlan, SIX_VIRTUAL_PATTERN, TransformedProblem, certify_equivalence,

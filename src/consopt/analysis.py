@@ -16,7 +16,7 @@ import numpy as np
 from .problem import ConfigError, Problem, QUADRATIC, sum_grad, sum_value
 
 if TYPE_CHECKING:
-    from .engine import RunTrace, StepSchedule
+    from .engine import RunTrace
 
 ORACLE_RESIDUAL_TOL = 1e-6
 BOUND_SLACK = 1e-9
@@ -65,43 +65,24 @@ def max_delta(states):
 # the closed-form disagreement bound
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the disagreement bound.
+def disagreement_caps(nu: float, l_bar: float, alphas, delta0: float,
+                      n_agents: int) -> np.ndarray:
+    """The disagreement cap at every iteration t = 0..len(alphas)-1, by recursion.
 
-    nu is the schedule-wide contraction coefficient (max over rounds),
-    l_bar / n_bar the summed gradient / Lipschitz constants, delta0 the
-    largest initial pairwise distance.
+    ``nu`` is the schedule's contraction coefficient, ``l_bar`` the summed
+    gradient bounds, ``alphas[t]`` the step at iteration t and ``delta0`` the
+    largest initial pairwise distance.  Runs h_t = nu h_{t-1} + l_bar alpha_t
+    from h_0 = nu delta0 and returns (S-1)/S * h_t, which equals the closed
+    form (S-1)/S * (nu^(t+1) delta0 + l_bar * sum_{i=1..t} alpha_i nu^(t-i));
+    entry 0 is the algebraic cap (S-1)/S * delta0 on the initial states.
     """
-
-    nu: float
-    l_bar: float
-    n_bar: float
-    delta0: float
-    n_agents: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.nu <= 1.0):
-            raise ConfigError("nu must lie in [0, 1]")
-        if self.l_bar < 0 or self.n_bar < 0 or self.delta0 < 0 or self.n_agents < 1:
-            raise ConfigError("bound parameters must be nonnegative with n_agents >= 1")
-
-
-def disagreement_caps(p: BoundParams, steps: StepSchedule, k_max: int) -> np.ndarray:
-    """The disagreement cap at every iteration t = 0..k_max, by recursion.
-
-    Runs h_t = nu h_{t-1} + l_bar alpha_t from h_0 = nu delta0 and returns
-    (S-1)/S * h_t, which equals the closed form (S-1)/S * (nu^(t+1) delta0 +
-    l_bar * sum_{i=1..t} alpha_i nu^(t-i)); entry 0 is the algebraic cap
-    (S-1)/S * delta0 on the initial states.
-    """
-    factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
-    caps = np.empty(k_max + 1)
-    caps[0] = factor * p.delta0
-    h = p.nu * p.delta0
-    alphas = steps.at(np.arange(k_max + 1)).tolist()
-    for t in range(1, k_max + 1):
-        h = p.nu * h + p.l_bar * alphas[t]
+    factor = (n_agents - 1) / n_agents if n_agents > 1 else 0.0
+    alphas = np.asarray(alphas, dtype=float).tolist()
+    caps = np.empty(len(alphas))
+    caps[0] = factor * delta0
+    h = nu * delta0
+    for t in range(1, len(alphas)):
+        h = nu * h + l_bar * alphas[t]
         caps[t] = factor * h
     return caps
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import BoundParams, disagreement_caps, max_delta, max_disagreement
+from .analysis import disagreement_caps, max_delta, max_disagreement
 from .problem import ConfigError, FeasibleSet, Problem, reading, sum_value
 from .network import WeightMatrix, WeightSchedule, max_contraction
 
@@ -337,9 +337,7 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     for i, b in enumerate(rows.tolist()):
         bound = None
         if bound_on:
-            params = BoundParams(nu=nu, l_bar=prob.l_bar, n_bar=prob.n_bar,
-                                 delta0=float(delta0[b]), n_agents=S)
-            bound = disagreement_caps(params, steps, K)[ks]
+            bound = disagreement_caps(nu, prob.l_bar, alpha, float(delta0[b]), S)[ks]
         trace = RunTrace(
             ks=ks,
             alphas=alpha[ks],

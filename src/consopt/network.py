@@ -157,27 +157,12 @@ def is_doubly_stochastic(m, tol: float = DS_TOL) -> bool:
     return bool(ok_rows and ok_cols)
 
 
-def is_scrambling(m) -> bool:
-    """True iff every pair of rows shares a column where both are positive."""
-    pos = _entries(m) > 0
-    overlap = np.einsum("ik,jk->ij", pos, pos)
-    return bool(np.all(overlap > 0))
-
-
-def contraction_coefficient(m) -> float:
-    """One-step worst-case shrink factor of pairwise disagreement.
-
-    Computed as the largest half-l1 distance between rows, equivalently one
-    minus the smallest row overlap sum_k min(m[i,k], m[j,k]).  It is 0 for
-    identical rows, 1 for rows with disjoint support, and < 1 exactly when
-    the matrix is scrambling.  It is ``max_contraction`` of a stack of one.
-    """
-    return max_contraction(_entries(m)[None])
-
-
 def max_contraction(mats: np.ndarray) -> float:
     """The schedule's nu: the largest contraction coefficient over an
-    (n, S, S) stack, evaluated ``_CHUNK`` matrices at a time."""
+    (n, S, S) stack, evaluated ``_CHUNK`` matrices at a time.  A matrix's
+    coefficient, one minus its smallest row overlap sum_k min(m[i,k], m[j,k])
+    (its largest half-l1 row distance), is < 1 exactly when it is scrambling.
+    """
     mats = np.asarray(mats, dtype=float)
     S = mats.shape[-1]
     if S == 1:
@@ -268,17 +253,13 @@ class WeightSchedule:
 
     Round k uses ``mats[k % len(mats)]`` with ``mats = distinct_matrices(horizon)``
     for any horizon above k, so a run builds its matrices once and indexes them.
-    ``matrix_at(k)`` is the same matrix as a ``WeightMatrix``.
     """
 
     n_agents: int
 
-    def distinct_matrices(self, horizon: int | None = None) -> np.ndarray:
+    def distinct_matrices(self, horizon: int) -> np.ndarray:
         """The read-only (n, S, S) stack the rounds cycle through; an unbounded
         schedule returns one matrix per round of the first ``horizon``."""
-        raise NotImplementedError
-
-    def matrix_at(self, k: int) -> WeightMatrix:
         raise NotImplementedError
 
 
@@ -299,11 +280,8 @@ class CyclicSchedule(WeightSchedule):
         object.__setattr__(self, "n_agents", n)
         object.__setattr__(self, "_stack", stack)
 
-    def distinct_matrices(self, horizon=None):
+    def distinct_matrices(self, horizon):
         return self._stack
-
-    def matrix_at(self, k):
-        return self.matrices[k % len(self.matrices)]
 
 
 class StaticSchedule(CyclicSchedule):
@@ -369,12 +347,7 @@ class RandomSchedule(WeightSchedule):
         out.setflags(write=False)
         return out
 
-    def matrix_at(self, k):
-        return WeightMatrix(self._build(np.array([k]))[0], self.eta_floor)
-
-    def distinct_matrices(self, horizon=None):
-        if horizon is None:
-            raise ConfigError("random schedules need an explicit horizon")
+    def distinct_matrices(self, horizon):
         return self._build(np.arange(horizon))
 
 

@@ -494,11 +494,6 @@ def _analytic_bounds(family: str, params: dict, fs: FeasibleSet) -> tuple[float,
     return l_bound, n_bound
 
 
-def analytic_bounds(c: ComponentFunction, fs: FeasibleSet) -> tuple[float, float]:
-    """Certified (gradient sup, Lipschitz modulus) of the component over fs."""
-    return _analytic_bounds(c.family, c.params, fs)
-
-
 # ---------------------------------------------------------------------------
 # sampled validators
 

@@ -140,14 +140,16 @@ def _parse_graph(spec) -> Graph | None:
     return None if spec is None else graph(int(spec["n_agents"]), spec["edges"])
 
 
-def load_scenario(source, base_dir: Path | None = None) -> Scenario:
-    """Build a scenario from a config path or an already-parsed dict."""
+def load_scenario(source) -> Scenario:
+    """Build a scenario from a config path or an already-parsed dict; a relative
+    ``problem.file`` is read from the config's directory, or the working one."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        base_dir = base_dir or path.parent
+        base_dir = path.parent
         raw = _load_json(path, "config")
         default_name = path.stem
     else:
+        base_dir = Path.cwd()
         raw = dict(source)
         default_name = "scenario"
     if not isinstance(raw, dict):
@@ -161,7 +163,7 @@ def load_scenario(source, base_dir: Path | None = None) -> Scenario:
     if isinstance(prob_spec, dict) and "file" in prob_spec:
         ref = _read(raw, "problem.file", Path)
         if not ref.is_absolute():
-            ref = (base_dir or Path.cwd()) / ref
+            ref = base_dir / ref
         prob_spec = _load_json(ref, "problem file")
     prob = problem_from_dict(prob_spec)
 

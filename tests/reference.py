@@ -1,7 +1,8 @@
 """Test-only references that share no code with the library paths they check.
 
 ``disagreement_bound`` is the paper's closed-form disagreement cap, which
-cross-checks the recursion ``analysis.disagreement_caps``.
+cross-checks the recursion ``analysis.disagreement_caps``, and
+``is_scrambling`` is the combinatorial test that cross-checks nu < 1.
 
 ``reference_run`` runs the iteration of Ram, Nedic & Veeravalli (2010),
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from consopt.analysis import BoundParams
 from consopt.engine import RunConfig, RunTrace, StepSchedule
 from consopt.problem import Ball, Box, ComponentFunction, ConfigError
 
@@ -34,24 +34,30 @@ class BoundUnavailableError(ValueError):
     """The disagreement bound is vacuous: the schedule is not scrambling."""
 
 
-def disagreement_bound(p: BoundParams, steps: StepSchedule, k: int) -> float:
+def is_scrambling(m: np.ndarray) -> bool:
+    """True iff every pair of rows shares a column where both are positive."""
+    pos = np.asarray(m) > 0
+    return bool(np.all(np.einsum("ik,jk->ij", pos, pos) > 0))
+
+
+def disagreement_bound(nu: float, l_bar: float, delta0: float, n_agents: int,
+                       steps: StepSchedule, k: int) -> float:
     """Closed-form cap on max_J ||x_J - x_bar|| after k+1 rounds.
 
     Evaluates (S-1)/S * (nu^(k+1) delta0 + l_bar * sum_{i=1..k} alpha_i
     nu^(k-i)), with 0^0 = 1 so the i = k term is alpha_k itself.  Raises
     when nu >= 1 (non-scrambling schedules make the cap vacuous).
     """
-    if p.nu >= 1.0:
+    if nu >= 1.0:
         raise BoundUnavailableError("contraction coefficient is 1; bound unavailable")
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
     tail = 0.0
     if k >= 1:
         i = np.arange(1, k + 1)
-        tail = float(np.sum(steps.at(i) * p.nu ** (k - i).astype(float)))
-    lead = p.nu ** (k + 1) * p.delta0
-    factor = (p.n_agents - 1) / p.n_agents if p.n_agents > 1 else 0.0
-    return factor * (lead + p.l_bar * tail)
+        tail = float(np.sum(steps.at(i) * nu ** (k - i).astype(float)))
+    factor = (n_agents - 1) / n_agents if n_agents > 1 else 0.0
+    return factor * (nu ** (k + 1) * delta0 + l_bar * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +110,13 @@ def reference_run(cfg: RunConfig, x0: np.ndarray, probes: np.ndarray) -> Referen
     """The run of ``cfg`` from the states ``x0`` (S, D), with the sum
     non-expansiveness slack taken over the points ``probes`` (P, D)."""
     prob, steps, K = cfg.problem, cfg.steps, cfg.n_iterations
-    S, fs, sched = prob.n_agents, prob.feasible_set, cfg.schedule
+    S, fs = prob.n_agents, prob.feasible_set
     alphas = [steps.a / (k + steps.b) ** steps.p for k in range(K + 1)]
+    mats = cfg.schedule.distinct_matrices(max(K, 1))
     x = [np.array(row, dtype=float) for row in x0]
     states, drifts, slacks = [np.array(x)], [], []
     for k in range(K):
-        w = sched.matrix_at(k).entries
+        w = mats[k % len(mats)]
         v = [sum(w[i, j] * x[j] for j in range(S)) for i in range(S)]
         drifts.append(float(np.linalg.norm(sum(v) / S - sum(x) / S)))
         slacks.append(max(sum(float(np.sum((v[i] - y) ** 2)) for i in range(S))
@@ -121,8 +128,7 @@ def reference_run(cfg: RunConfig, x0: np.ndarray, probes: np.ndarray) -> Referen
 
     # nu is the largest contraction over the rounds run (at least one), and
     # over the whole cycle of a cyclic schedule
-    horizon = max(K, 1, len(getattr(sched, "matrices", ())))
-    nu = max(contraction(sched.matrix_at(k).entries) for k in range(horizon))
+    nu = max(contraction(w) for w in mats)
     delta0 = max(float(np.linalg.norm(a - b)) for a in x0 for b in x0)
     caps = None
     if nu < 1.0:

@@ -15,12 +15,13 @@ import pytest
 from consopt.analysis import centralized_solve
 from consopt.cli import execute_run, main, run_scenario
 from consopt.network import (
-    build_metropolis, build_two_link_matrix, contraction_coefficient, graph,
-    is_connected, is_doubly_stochastic, is_scrambling,
+    build_metropolis, build_two_link_matrix, graph, is_connected, is_doubly_stochastic,
+    max_contraction,
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN, certify_equivalence
 from consopt.problem import sum_value
 from consopt.scenario import load_shipped, shipped_scenario_names
+from reference import is_scrambling
 
 SEEDS = tuple(range(20))
 CONSENSUS_TOL = 1e-3
@@ -147,7 +148,7 @@ def test_criterion_5_privacy_transforms(suite, acceptance_report):
         six_ok = (sc.run_problem.n_agents == 6
                   and sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
                   and np.array_equal(
-                      sc.schedule.matrix_at(0).entries,
+                      sc.schedule.distinct_matrices(1)[0],
                       build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries))
         ok &= six_ok
     acceptance_report("5-privacy-transforms", ok, "; ".join(details))
@@ -190,8 +191,8 @@ def test_criterion_6_oracle_grid_crosscheck(suite, acceptance_report):
 
 
 def test_criterion_7_matrix_validators(acceptance_report):
-    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)
-    kappa_ok = (not is_scrambling(m)) and contraction_coefficient(m) == 1.0
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries
+    kappa_ok = (not is_scrambling(m)) and max_contraction(m[None]) == 1.0
     rng = np.random.default_rng(7_000)
     n_checked, all_ds = 0, True
     while n_checked < 1000:

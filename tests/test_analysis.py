@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.analysis import (
-    BoundParams, centralized_solve, check_disagreement_bound, disagreement_caps, max_delta,
-    max_disagreement, verdict,
+    centralized_solve, check_disagreement_bound, disagreement_caps, max_delta, max_disagreement,
+    verdict,
 )
 from consopt.engine import RunConfig, StepSchedule, read_trace_jsonl, run, write_trace_csv
 from consopt.network import CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis, graph
@@ -70,38 +70,32 @@ def test_stacked_metrics_equal_per_state_calls(n_agents):
 
 
 def test_bound_zero_contraction_keeps_only_last_term():
-    p = BoundParams(0.0, 2.5, 1.0, 7.0, 3)
+    p = (0.0, 2.5, 7.0, 3)  # nu, l_bar, delta0, S
     for k in (1, 4, 50):
         want = (2 / 3) * 2.5 * float(ALPHA.at(k))
-        assert disagreement_bound(p, ALPHA, k) == pytest.approx(want, rel=1e-14)
+        assert disagreement_bound(*p, ALPHA, k) == pytest.approx(want, rel=1e-14)
 
 
 def test_bound_k_zero_is_contracted_initial_spread():
-    p = BoundParams(0.4, 9.0, 1.0, 2.0, 4)
-    assert disagreement_bound(p, ALPHA, 0) == pytest.approx((3 / 4) * 0.4 * 2.0, rel=1e-14)
+    assert disagreement_bound(0.4, 9.0, 2.0, 4, ALPHA, 0) == pytest.approx((3 / 4) * 0.4 * 2.0, rel=1e-14)
 
 
 def test_bound_hand_summed_series():
     # S=2, nu=1/2, delta0=1, l_bar=1, alpha_i=1/(i+1), k=2:
     # 1/2 * (1/8 + (1/2*1/2 + 1/3)) = 17/48
-    p = BoundParams(0.5, 1.0, 1.0, 1.0, 2)
-    assert disagreement_bound(p, ALPHA, 2) == pytest.approx(17 / 48, rel=1e-12)
+    assert disagreement_bound(0.5, 1.0, 1.0, 2, ALPHA, 2) == pytest.approx(17 / 48, rel=1e-12)
 
 
 def test_bound_unavailable_when_not_scrambling():
-    p = BoundParams(1.0, 1.0, 1.0, 1.0, 2)
     with pytest.raises(BoundUnavailableError):
-        disagreement_bound(p, ALPHA, 3)
+        disagreement_bound(1.0, 1.0, 1.0, 2, ALPHA, 3)
 
 
 def test_bound_monotone_in_delta0_and_lbar():
-    base = BoundParams(0.3, 1.0, 1.0, 1.0, 3)
-    more_spread = BoundParams(0.3, 1.0, 1.0, 2.0, 3)
-    more_grad = BoundParams(0.3, 2.0, 1.0, 1.0, 3)
     for k in (0, 3, 10):
-        b = disagreement_bound(base, ALPHA, k)
-        assert disagreement_bound(more_spread, ALPHA, k) >= b
-        assert disagreement_bound(more_grad, ALPHA, k) >= b
+        b = disagreement_bound(0.3, 1.0, 1.0, 3, ALPHA, k)
+        assert disagreement_bound(0.3, 1.0, 2.0, 3, ALPHA, k) >= b  # more initial spread
+        assert disagreement_bound(0.3, 2.0, 1.0, 3, ALPHA, k) >= b  # larger gradients
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +113,9 @@ def triangle_problem():
 
 
 def summary_params(tr):
-    """The bound constants of a run, read from its summary."""
+    """The bound constants (nu, l_bar, delta0, S) of a run, read from its summary."""
     s = tr.summary
-    return BoundParams(s.nu, s.l_bar, s.n_bar, s.delta0, s.n_agents)
+    return s.nu, s.l_bar, s.delta0, s.n_agents
 
 
 def test_check_bound_uniform_matrix_run():
@@ -129,13 +123,13 @@ def test_check_bound_uniform_matrix_run():
     cfg = RunConfig(prob, uniform_schedule(3), ALPHA, 200, seed=4)
     tr = run(cfg)
     p = summary_params(tr)
-    assert p.nu == 0.0
+    assert p[0] == 0.0
     rep = check_disagreement_bound(tr)
     assert rep.applicable and rep.passed
     # spot-check the recursion against the direct formula at recorded indices
     for idx in (1, 5, -1):
         t = int(tr.ks[idx])
-        np.testing.assert_allclose(tr.bound[idx], disagreement_bound(p, ALPHA, t), rtol=1e-13)
+        np.testing.assert_allclose(tr.bound[idx], disagreement_bound(*p, ALPHA, t), rtol=1e-13)
 
 
 def test_check_bound_single_agent_everything_zero():
@@ -159,11 +153,11 @@ def test_check_bound_lazy_two_agent_scrambling():
     cfg = RunConfig(prob, lazy, ALPHA, 500, seed=8)
     tr = run(cfg)
     p = summary_params(tr)
-    assert p.nu == 0.5
+    assert p[0] == 0.5
     assert check_disagreement_bound(tr).passed
     for r in range(1, tr.n_records):
         t = int(tr.ks[r])
-        np.testing.assert_allclose(tr.bound[r], disagreement_bound(p, ALPHA, t), rtol=1e-13)
+        np.testing.assert_allclose(tr.bound[r], disagreement_bound(*p, ALPHA, t), rtol=1e-13)
 
 
 def test_check_bound_reads_the_bound_column_back_from_disk(tmp_path):
@@ -198,11 +192,11 @@ def test_check_bound_not_applicable_for_nu_one():
     k_max=st.integers(1, 200),
 )
 def test_cap_recursion_matches_closed_form(nu, l_bar, delta0, n_agents, a, b, p, k_max):
-    params = BoundParams(nu, l_bar, 1.0, delta0, n_agents)
     steps = StepSchedule(a, b, p)
-    caps = disagreement_caps(params, steps, k_max)
+    caps = disagreement_caps(nu, l_bar, steps.at(np.arange(k_max + 1)), delta0, n_agents)
     assert caps[0] == (n_agents - 1) / n_agents * delta0
-    closed = [disagreement_bound(params, steps, t) for t in range(1, k_max + 1)]
+    closed = [disagreement_bound(nu, l_bar, delta0, n_agents, steps, t)
+              for t in range(1, k_max + 1)]
     np.testing.assert_allclose(caps[1:], closed, rtol=1e-13)
 
 

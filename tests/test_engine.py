@@ -87,9 +87,10 @@ def test_run_records_the_step_each_round_took():
     cfg = RunConfig(prob, StaticSchedule(build_metropolis(complete_graph(3))),
                     StepSchedule(0.7, 3.0, 0.73), 200, seed=1, record_every=1)
     tr = run(cfg)
+    (m,) = cfg.schedule.distinct_matrices(cfg.n_iterations)
     for k in range(cfg.n_iterations):
         assert tr.alphas[k] == step_size(cfg.steps, k)
-        expected = descend(fuse(tr.states[k], cfg.schedule.matrix_at(k)), k, cfg)
+        expected = descend(fuse(tr.states[k], m), k, cfg)
         np.testing.assert_array_equal(expected, tr.states[k + 1])
 
 
@@ -214,7 +215,7 @@ def test_run_descent_displacement_bounded():
     sched = StaticSchedule(build_metropolis(complete_graph(3)))
     cfg = RunConfig(prob, sched, StepSchedule(1.0), 1, seed=2)
     x0 = initial_states(cfg)
-    v = fuse(x0, sched.matrix_at(0))
+    v = fuse(x0, sched.matrices[0])
     x1 = descend(v, 0, cfg)
     alpha = step_size(cfg.steps, 0)
     for j, c in enumerate(prob.components):
@@ -239,8 +240,9 @@ def test_run_round_is_public_fuse_then_descend(make_problem, make_schedule):
     cfg = RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4, record_every=1)
     tr = run(cfg)
     np.testing.assert_array_equal(tr.states[0], initial_states(cfg))
+    mats = sched.distinct_matrices(cfg.n_iterations)
     for k in range(cfg.n_iterations):
-        expected = descend(fuse(tr.states[k], sched.matrix_at(k)), k, cfg)
+        expected = descend(fuse(tr.states[k], mats[k % len(mats)]), k, cfg)
         np.testing.assert_array_equal(expected, tr.states[k + 1])
     for r in range(tr.n_records):
         assert tr.f_bar[r] == sum_value(prob, tr.x_bar[r:r + 1])[0]

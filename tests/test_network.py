@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.network import (
-    ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
-    WeightMatrix, build_metropolis, build_two_link_matrix, complete_graph,
-    connected_component, contraction_coefficient, graph, is_connected,
-    is_doubly_stochastic, is_q_connected, is_scrambling, max_contraction,
-    path_graph, ring_graph, schedule_from_dict, support_graph,
+    ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix,
+    build_metropolis, build_two_link_matrix, complete_graph, connected_component, graph,
+    is_connected, is_doubly_stochastic, is_q_connected, max_contraction, path_graph,
+    ring_graph, schedule_from_dict, support_graph,
 )
 from consopt.problem import ConfigError
 from consopt.privacy import SIX_VIRTUAL_PATTERN
+from reference import is_scrambling
+
+
+def nu(m) -> float:
+    """The contraction coefficient of one matrix: ``max_contraction`` of a stack of one."""
+    return max_contraction(np.asarray(m)[None])
 
 
 def random_connected_graph(rng, n, p):
@@ -142,11 +147,11 @@ def test_two_link_matrix_eta_is_its_smallest_positive_entry(kappa, eta):
 def test_schedule_from_dict_without_eta_takes_the_smallest_positive_entry():
     matrix = [[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]]
     s = schedule_from_dict({"variant": "static", "matrix": matrix})
-    assert s.matrix_at(0).eta == 0.25
+    assert s.matrices[0].eta == 0.25
     s = schedule_from_dict({"variant": "cyclic", "matrices": [matrix, np.eye(3).tolist()]})
-    assert [s.matrix_at(k).eta for k in range(2)] == [0.25, 1.0]
+    assert [m.eta for m in s.matrices] == [0.25, 1.0]
     s = schedule_from_dict({"variant": "static", "matrix": matrix, "eta": 0.1})
-    assert s.matrix_at(0).eta == 0.1
+    assert s.matrices[0].eta == 0.1
 
 
 def test_two_link_matrix_kappa_range():
@@ -187,11 +192,11 @@ def test_is_scrambling_examples():
 
 
 def test_contraction_examples():
-    assert contraction_coefficient(np.full((3, 3), 1 / 3)) == 0.0
-    assert contraction_coefficient(np.eye(3)) == 1.0
+    assert nu(np.full((3, 3), 1 / 3)) == 0.0
+    assert nu(np.eye(3)) == 1.0
     lazy = np.array([[0.75, 0.25], [0.25, 0.75]])
-    assert contraction_coefficient(lazy) == 0.5
-    assert contraction_coefficient(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)) == 1.0
+    assert nu(lazy) == 0.5
+    assert nu(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries) == 1.0
 
 
 def test_contraction_equals_half_l1_distance():
@@ -203,7 +208,7 @@ def test_contraction_equals_half_l1_distance():
             0.5 * float(np.abs(m[i] - m[j]).sum())
             for i in range(n) for j in range(i + 1, n)
         )
-        assert contraction_coefficient(m) == pytest.approx(half_l1, abs=1e-14)
+        assert nu(m) == pytest.approx(half_l1, abs=1e-14)
 
 
 def test_contraction_below_one_iff_scrambling():
@@ -214,7 +219,7 @@ def test_contraction_below_one_iff_scrambling():
         n = int(rng.integers(2, 10))
         mats.append(build_metropolis(random_connected_graph(rng, n, 0.35)).entries)
     for m in mats:
-        assert (contraction_coefficient(m) < 1.0) == is_scrambling(m)
+        assert (nu(m) < 1.0) == is_scrambling(m)
 
 
 def test_is_connected():
@@ -291,26 +296,28 @@ def test_q_connected_validates_window():
 def test_random_schedule_reproducible_bitwise():
     a = RandomSchedule(5, 0.5, seed=123)
     b = RandomSchedule(5, 0.5, seed=123)
-    for k in (0, 1, 17, 500):
-        np.testing.assert_array_equal(a.matrix_at(k).entries, b.matrix_at(k).entries)
-    assert not np.array_equal(a.matrix_at(0).entries,
-                              RandomSchedule(5, 0.5, seed=124).matrix_at(0).entries)
+    np.testing.assert_array_equal(a.distinct_matrices(501)[[0, 1, 17, 500]],
+                                  b.distinct_matrices(501)[[0, 1, 17, 500]])
+    assert not np.array_equal(a.distinct_matrices(1),
+                              RandomSchedule(5, 0.5, seed=124).distinct_matrices(1))
 
 
 def test_random_schedule_per_round_validity():
     s = RandomSchedule(6, 0.4, seed=9)
-    for k in range(20):
-        m = s.matrix_at(k)
-        assert is_doubly_stochastic(m.entries, 1e-12)
-        assert is_connected(support_graph(m.entries))
+    for m in s.distinct_matrices(20):
+        assert is_doubly_stochastic(m, 1e-12)
+        assert is_connected(support_graph(m))
 
 
 def test_cyclic_schedule_indexing():
     m1 = build_metropolis(graph(3, [(0, 1)]))
     m2 = build_metropolis(graph(3, [(1, 2)]))
     s = CyclicSchedule((m1, m2))
-    assert s.matrix_at(0) is m1 and s.matrix_at(1) is m2 and s.matrix_at(4) is m1
-    assert max_contraction(s.distinct_matrices()) == 1.0  # both matrices are non-scrambling
+    mats = s.distinct_matrices(5)
+    assert s.matrices == (m1, m2) and len(mats) == 2
+    for k, m in ((0, m1), (1, m2), (4, m1)):
+        np.testing.assert_array_equal(mats[k % len(mats)], m.entries)
+    assert max_contraction(mats) == 1.0  # both matrices are non-scrambling
 
 
 @pytest.mark.parametrize("n,p,seed", [
@@ -323,11 +330,8 @@ def test_random_stack_equals_per_round_reference(n, p, seed):
     assert mats.shape == (150, n, n) and not mats.flags.writeable
     ref = [reference_random_matrix(s, k) for k in range(150)]
     np.testing.assert_array_equal(mats, np.stack(ref))
-    for k in (0, 63, 64, 149):
-        m = s.matrix_at(k)
-        assert isinstance(m, WeightMatrix) and m.eta == s.eta_floor
-        np.testing.assert_array_equal(m.entries, ref[k])
-    assert max_contraction(mats) == max(contraction_coefficient(m) for m in ref)
+    assert np.min(mats, where=mats > 0, initial=1.0) >= s.eta_floor
+    assert max_contraction(mats) == max(nu(m) for m in ref)
 
 
 def test_schedules_give_read_only_stacks():
@@ -337,8 +341,9 @@ def test_schedules_give_read_only_stacks():
                     (RandomSchedule(3, 0.6, seed=5), None)):
         mats = s.distinct_matrices(4)
         assert mats.ndim == 3 and not mats.flags.writeable
-        want = want or [s.matrix_at(k) for k in range(4)]
-        np.testing.assert_array_equal(mats, np.stack([m.entries for m in want]))
+        want = [m.entries for m in want] if want else [s._build(np.array([k]))[0]
+                                                        for k in range(4)]
+        np.testing.assert_array_equal(mats, np.stack(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -350,7 +355,7 @@ def test_stacked_contraction_equals_per_matrix_max(n):
         t = rng.uniform(0.0, 0.9)
         m = build_metropolis(random_connected_graph(rng, n, 0.4)).entries
         mats.append(t * np.eye(n) + (1 - t) * (0.5 * m + 0.5 / n))
-    per_matrix = [contraction_coefficient(m) for m in mats]
+    per_matrix = [nu(m) for m in mats]
     stack = np.stack(mats)
     assert max_contraction(stack) == max(per_matrix)
     # without the identity (nu = 1) the largest nu moves through every chunk position
@@ -362,8 +367,6 @@ def test_random_schedule_floor_above_one_over_n_is_config_error():
     s = RandomSchedule(4, 0.5, seed=0, eta_floor=0.3)  # above 1/4
     with pytest.raises(ConfigError, match="eta_floor"):
         s.distinct_matrices(3)
-    with pytest.raises(ConfigError, match="eta_floor"):
-        s.matrix_at(0)
 
 
 def test_random_schedule_that_never_connects_names_the_round():
@@ -371,7 +374,7 @@ def test_random_schedule_that_never_connects_names_the_round():
     with pytest.raises(ConstructionError, match="k=0;"):
         s.distinct_matrices(2)
     with pytest.raises(ConstructionError, match="k=70;"):
-        s.matrix_at(70)
+        s._build(np.array([70]))
 
 
 @settings(max_examples=40, deadline=None)

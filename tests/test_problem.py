@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.problem import (
-    Ball, Box, ConfigError, ConstructionError, Problem, analytic_bounds, as_point,
+    Ball, Box, ConfigError, ConstructionError, Problem, as_point,
     component_from_dict, component_to_dict, estimate_bounds, grad_many, polynomial,
     problem_from_dict, problem_to_dict, quadratic, reading, rebuild, sine_quadratic, sum_grad,
     sum_value, value_many, verify_sum_convexity,
@@ -443,7 +443,8 @@ def test_estimate_bounds_needs_samples():
 
 
 def test_analytic_bounds_match_grid_for_quartic():
-    l_a, n_a = analytic_bounds(quartic_minus(), BOX1)
+    c = quartic_minus()  # its bounds certified analytically over BOX1
+    l_a, n_a = c.grad_bound, c.lipschitz
     assert l_a == pytest.approx(20.0, rel=1e-9)
     assert n_a == pytest.approx(42.0, rel=1e-9)
 
@@ -546,7 +547,7 @@ def test_rebuild_keeps_the_family_and_replaces_only_named_parameters(make):
     same = rebuild(c, "copy", BOX2)
     assert (same.id, same.family, same.dimension) == ("copy", c.family, c.dimension)
     assert component_to_dict(same)["params"] == component_to_dict(c)["params"]
-    assert (same.grad_bound, same.lipschitz) == analytic_bounds(c, BOX2)
+    assert (same.grad_bound, same.lipschitz) == (c.grad_bound, c.lipschitz)
     key = "coeffs" if c.family == "polynomial-separable" else "b"
     new = [[1.0, 2.0], [0.0, 0.0, 3.0]] if key == "coeffs" else [1.0, -1.0]
     changed = component_to_dict(rebuild(c, "x", BOX2, **{key: new}))["params"]
