@@ -67,24 +67,22 @@ def max_delta(states):
 
 def disagreement_caps(nu: float, l_bar: float, alphas, delta0: float,
                       n_agents: int) -> np.ndarray:
-    """The disagreement cap at every iteration t = 0..len(alphas)-1, by recursion.
+    """The disagreement cap after each of t = 0..len(alphas) rounds, by recursion.
 
     ``nu`` is the schedule's contraction coefficient, ``l_bar`` the summed
-    gradient bounds, ``alphas[t]`` the step at iteration t and ``delta0`` the
-    largest initial pairwise distance.  Runs h_t = nu h_{t-1} + l_bar alpha_t
-    from h_0 = nu delta0 and returns (S-1)/S * h_t, which equals the closed
-    form (S-1)/S * (nu^(t+1) delta0 + l_bar * sum_{i=1..t} alpha_i nu^(t-i));
-    entry 0 is the algebraic cap (S-1)/S * delta0 on the initial states.
+    gradient bounds, ``alphas[t]`` the step round t takes after it fuses and
+    ``delta0`` the largest initial pairwise distance.  Fusing shrinks that
+    distance by nu and the step moves agent J by at most alpha_t L_J, so it is
+    at most h_t, with h_0 = delta0 and h_t = nu h_{t-1} + l_bar alpha_{t-1}.
+    Returns (S-1)/S * h_t, which equals the closed form
+    (S-1)/S * (nu^t delta0 + l_bar * sum_{i=0..t-1} alpha_i nu^(t-1-i)).
     """
     factor = (n_agents - 1) / n_agents if n_agents > 1 else 0.0
-    alphas = np.asarray(alphas, dtype=float).tolist()
-    caps = np.empty(len(alphas))
-    caps[0] = factor * delta0
-    h = nu * delta0
-    for t in range(1, len(alphas)):
-        h = nu * h + l_bar * alphas[t]
-        caps[t] = factor * h
-    return caps
+    caps, h = [factor * delta0], delta0
+    for alpha in np.asarray(alphas, dtype=float).tolist():
+        h = nu * h + l_bar * alpha
+        caps.append(factor * h)
+    return np.array(caps)
 
 
 @dataclass(frozen=True)
@@ -113,9 +111,9 @@ def check_disagreement_bound(trace: RunTrace) -> BoundCheckReport:
     """Verify the observed max deviation against the recorded cap at every
     recorded iteration.
 
-    ``trace.bound`` holds the cap from :func:`disagreement_caps`: at
-    iteration t >= 1 the closed form at t, and at the initial
-    record the algebraic cap (S-1)/S * delta0.  Not applicable when the
+    ``trace.bound`` holds the cap from :func:`disagreement_caps` after the
+    record's t rounds, (S-1)/S * (nu^t delta0 + l_bar * sum_{i<t} alpha_i
+    nu^(t-1-i)), which is (S-1)/S * delta0 at t = 0.  Not applicable when the
     trace has no bound column (a non-scrambling schedule).  Tolerance 1e-9
     absolute.
     """

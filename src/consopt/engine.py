@@ -337,7 +337,7 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     for i, b in enumerate(rows.tolist()):
         bound = None
         if bound_on:
-            bound = disagreement_caps(nu, prob.l_bar, alpha, float(delta0[b]), S)[ks]
+            bound = disagreement_caps(nu, prob.l_bar, alpha[:K], float(delta0[b]), S)[ks]
         trace = RunTrace(
             ks=ks,
             alphas=alpha[ks],

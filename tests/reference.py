@@ -10,8 +10,9 @@ cross-checks the recursion ``analysis.disagreement_caps``, and
 
 agent by agent and round by round in plain Python and numpy.  Its
 gradients, projections, step sizes, fusion invariants, initial spread,
-contraction coefficient and disagreement caps are written out here from
-their formulas; it reads only the run config's data (component parameters,
+contraction coefficient and disagreement caps (built from the steps it
+took, and checked against its own states at every round) are written out
+here from their formulas; it reads only the run config's data (component parameters,
 declared gradient bounds, the schedule's matrix of each round), the initial
 states and the probe points.
 """
@@ -42,22 +43,25 @@ def is_scrambling(m: np.ndarray) -> bool:
 
 def disagreement_bound(nu: float, l_bar: float, delta0: float, n_agents: int,
                        steps: StepSchedule, k: int) -> float:
-    """Closed-form cap on max_J ||x_J - x_bar|| after k+1 rounds.
+    """Closed-form cap on max_J ||x_J - x_bar|| after k rounds.
 
-    Evaluates (S-1)/S * (nu^(k+1) delta0 + l_bar * sum_{i=1..k} alpha_i
-    nu^(k-i)), with 0^0 = 1 so the i = k term is alpha_k itself.  Raises
-    when nu >= 1 (non-scrambling schedules make the cap vacuous).
+    Round t fuses, which shrinks the largest pairwise distance D by nu, then
+    steps with alpha_t.  The fused states lie in the feasible set, so the
+    projected step moves agent J by at most alpha_t L_J, and D_{t+1} <=
+    nu D_t + l_bar alpha_t from D_0 = delta0.  Unrolled and scaled by the
+    (S-1)/S that bounds max_J ||x_J - x_bar|| by D, that is (S-1)/S *
+    (nu^k delta0 + l_bar * sum_{i=0..k-1} alpha_i nu^(k-1-i)), with 0^0 = 1
+    so the i = k-1 term is alpha_{k-1} itself.  Raises when nu >= 1
+    (non-scrambling schedules make the cap vacuous).
     """
     if nu >= 1.0:
         raise BoundUnavailableError("contraction coefficient is 1; bound unavailable")
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
-    tail = 0.0
-    if k >= 1:
-        i = np.arange(1, k + 1)
-        tail = float(np.sum(steps.at(i) * nu ** (k - i).astype(float)))
+    i = np.arange(k)
+    tail = float(np.sum(steps.at(i) * nu ** (k - 1 - i).astype(float)))
     factor = (n_agents - 1) / n_agents if n_agents > 1 else 0.0
-    return factor * (nu ** (k + 1) * delta0 + l_bar * tail)
+    return factor * (nu ** k * delta0 + l_bar * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +112,21 @@ class ReferenceRun:
 
 def reference_run(cfg: RunConfig, x0: np.ndarray, probes: np.ndarray) -> ReferenceRun:
     """The run of ``cfg`` from the states ``x0`` (S, D), with the sum
-    non-expansiveness slack taken over the points ``probes`` (P, D)."""
+    non-expansiveness slack taken over the points ``probes`` (P, D); raises
+    ``AssertionError`` when a round's max_delta exceeds its disagreement cap."""
     prob, steps, K = cfg.problem, cfg.steps, cfg.n_iterations
     S, fs = prob.n_agents, prob.feasible_set
     alphas = [steps.a / (k + steps.b) ** steps.p for k in range(K + 1)]
     mats = cfg.schedule.distinct_matrices(max(K, 1))
+    # nu is the largest contraction over the rounds run (at least one), and
+    # over the whole cycle of a cyclic schedule
+    nu = max(contraction(w) for w in mats)
+    delta0 = max(float(np.linalg.norm(a - b)) for a in x0 for b in x0)
+    # h caps the largest pairwise distance: the step alphas[k] moves agent i at
+    # most alphas[k] * L_i from its fused state, so round k adds l_bar alphas[k]
+    factor, l_bar = (S - 1) / S, sum(c.grad_bound for c in prob.components)
+    h = delta0
+    caps = [factor * h]
     x = [np.array(row, dtype=float) for row in x0]
     states, drifts, slacks = [np.array(x)], [], []
     for k in range(K):
@@ -125,20 +139,16 @@ def reference_run(cfg: RunConfig, x0: np.ndarray, probes: np.ndarray) -> Referen
         x = [project(fs, v[i] - alphas[k] * component_gradient(prob.components[i], v[i]))
              for i in range(S)]
         states.append(np.array(x))
+        h = nu * h + l_bar * alphas[k]
+        caps.append(factor * h)
 
-    # nu is the largest contraction over the rounds run (at least one), and
-    # over the whole cycle of a cyclic schedule
-    nu = max(contraction(w) for w in mats)
-    delta0 = max(float(np.linalg.norm(a - b)) for a in x0 for b in x0)
-    caps = None
-    if nu < 1.0:
-        # h_0 = nu delta0, h_t = nu h_{t-1} + l_bar alpha_t; the cap is (S-1)/S h_t,
-        # and (S-1)/S delta0 at t = 0
-        factor, l_bar = (S - 1) / S, sum(c.grad_bound for c in prob.components)
-        caps, h = [factor * delta0], nu * delta0
-        for t in range(1, K + 1):
-            h = nu * h + l_bar * alphas[t]
-            caps.append(factor * h)
+    if nu < 1.0:  # the cap holds at every round 0..K
+        for k, xs in enumerate(states):
+            dev = max(float(np.linalg.norm(xi - sum(xs) / S)) for xi in xs)
+            if dev > caps[k] + 1e-9:
+                raise AssertionError(f"round {k}: max_delta {dev!r} above the cap {caps[k]!r}")
+    else:
+        caps = None
     return ReferenceRun(np.array(states), alphas, max(drifts, default=0.0),
                         max(slacks, default=0.0), delta0, nu, caps)
 

@@ -72,18 +72,18 @@ def test_stacked_metrics_equal_per_state_calls(n_agents):
 def test_bound_zero_contraction_keeps_only_last_term():
     p = (0.0, 2.5, 7.0, 3)  # nu, l_bar, delta0, S
     for k in (1, 4, 50):
-        want = (2 / 3) * 2.5 * float(ALPHA.at(k))
+        want = (2 / 3) * 2.5 * float(ALPHA.at(k - 1))  # the step of the last round
         assert disagreement_bound(*p, ALPHA, k) == pytest.approx(want, rel=1e-14)
 
 
-def test_bound_k_zero_is_contracted_initial_spread():
-    assert disagreement_bound(0.4, 9.0, 2.0, 4, ALPHA, 0) == pytest.approx((3 / 4) * 0.4 * 2.0, rel=1e-14)
+def test_bound_k_zero_is_the_initial_spread():
+    assert disagreement_bound(0.4, 9.0, 2.0, 4, ALPHA, 0) == (3 / 4) * 2.0
 
 
 def test_bound_hand_summed_series():
     # S=2, nu=1/2, delta0=1, l_bar=1, alpha_i=1/(i+1), k=2:
-    # 1/2 * (1/8 + (1/2*1/2 + 1/3)) = 17/48
-    assert disagreement_bound(0.5, 1.0, 1.0, 2, ALPHA, 2) == pytest.approx(17 / 48, rel=1e-12)
+    # 1/2 * (1/4 + (1*1/2 + 1/2)) = 5/8
+    assert disagreement_bound(0.5, 1.0, 1.0, 2, ALPHA, 2) == pytest.approx(5 / 8, rel=1e-12)
 
 
 def test_bound_unavailable_when_not_scrambling():
@@ -193,11 +193,11 @@ def test_check_bound_not_applicable_for_nu_one():
 )
 def test_cap_recursion_matches_closed_form(nu, l_bar, delta0, n_agents, a, b, p, k_max):
     steps = StepSchedule(a, b, p)
-    caps = disagreement_caps(nu, l_bar, steps.at(np.arange(k_max + 1)), delta0, n_agents)
+    caps = disagreement_caps(nu, l_bar, steps.at(np.arange(k_max)), delta0, n_agents)
     assert caps[0] == (n_agents - 1) / n_agents * delta0
     closed = [disagreement_bound(nu, l_bar, delta0, n_agents, steps, t)
-              for t in range(1, k_max + 1)]
-    np.testing.assert_allclose(caps[1:], closed, rtol=1e-13)
+              for t in range(k_max + 1)]
+    np.testing.assert_allclose(caps, closed, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

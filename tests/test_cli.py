@@ -322,6 +322,30 @@ def test_run_writes_all_artifacts(tmp_path):
     assert bc["passed"] is True
 
 
+def test_disagreement_cap_bounds_the_tight_two_agent_probe(tmp_path):
+    # f0 = x and f1 = -x push two agents apart at the full declared gradient
+    # bound, and the lazy matrix halves their distance D exactly, so from x0 = 0
+    # D_{k+1} = D_k / 2 + 2 alpha_k: round k's step must enter the cap after it
+    fs = Box(np.array([-10.0]), np.array([10.0]))
+    prob = Problem(1, tuple(quadratic(f"f{i}", [[0.0]], [b], grad_bound=1.0, lipschitz=1e-12)
+                            for i, b in enumerate((1.0, -1.0))), fs)
+    cfg = write_config(tmp_path, scenario_doc(
+        name="probe", problem=problem_to_dict(prob), graph={"n_agents": 2, "edges": [[0, 1]]},
+        schedule={"variant": "static", "matrix": [[0.75, 0.25], [0.25, 0.75]]},
+        n_iterations=2000, decimate=1, seeds=0, init={"kind": "explicit", "points": [[0], [0]]},
+        tolerances={"consensus": 1e-2, "gap": 1e-3},
+    ))
+    assert main(["validate", "--config", str(cfg)]) == 0
+    # D_2000 is about 4 alpha_2000, which a consensus tolerance of 1e-2 accepts
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run_dir = tmp_path / "out" / "probe" / "seed0000"
+    bc = json.loads((run_dir / "bound_check.json").read_text())
+    assert (bc["n_checked"], bc["n_violations"]) == (2001, 0)
+    assert abs(bc["worst_margin"]) <= 1e-12  # the cap is reached, not just respected
+    trace = engine.read_trace_jsonl(run_dir / "trace.jsonl")
+    assert trace.max_delta[1] == 1.0 and trace.bound[1] == 1.0  # after one step of 1
+
+
 def test_run_zero_iterations_single_record(tmp_path):
     cfg = write_config(tmp_path, scenario_doc())
     rc = main(["run", "--config", str(cfg), "--iterations", "0",
