@@ -112,10 +112,10 @@ class RunConfig:
             x0 = np.asarray(self.initial_states, dtype=float)
             S, D = self.problem.n_agents, self.problem.dimension
             if x0.shape != (S, D):
-                raise ConfigError(f"initial states must have shape ({S}, {D})")
+                raise ConfigError(f"initial_states must have shape ({S}, {D})")
             if not (np.all(np.isfinite(x0))
                     and np.all(self.problem.feasible_set.distance_many(x0) <= 1e-12)):
-                raise ConfigError("initial states must be finite and lie in the feasible set")
+                raise ConfigError("initial_states must be finite and lie in the feasible set")
             object.__setattr__(self, "initial_states", x0)
 
 

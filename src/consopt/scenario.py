@@ -211,17 +211,25 @@ def load_scenario(source) -> Scenario:
     return sc
 
 
+# the config field (or command-line option) that sets a RunConfig field of another name
+_CONFIG_NAMES = {"record_every": "decimate", "initial_states": "init.points"}
+
+
 def build_run_config(sc: Scenario, seed: int, *, n_iterations: int | None = None,
                      record_every: int | None = None) -> RunConfig:
-    return RunConfig(
-        problem=sc.run_problem,
-        schedule=sc.schedule,
-        steps=sc.steps,
-        n_iterations=sc.n_iterations if n_iterations is None else n_iterations,
-        seed=seed,
-        initial_states=sc.init_points,
-        record_every=sc.decimate if record_every is None else record_every,
-    )
+    try:
+        return RunConfig(
+            problem=sc.run_problem,
+            schedule=sc.schedule,
+            steps=sc.steps,
+            n_iterations=sc.n_iterations if n_iterations is None else n_iterations,
+            seed=seed,
+            initial_states=sc.init_points,
+            record_every=sc.decimate if record_every is None else record_every,
+        )
+    except ConfigError as e:  # RunConfig's messages start with the field they judge
+        field, _, rule = str(e).partition(" ")
+        raise ConfigError(f"{_CONFIG_NAMES.get(field, field)} {rule}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -197,12 +197,12 @@ MALFORMED_CONFIGS = [
      "transform.seed"),
     ("oracle_budget-negative", "oracle_budget", -1, "oracle_budget"),
     # configs that loaded and validated, and only the run rejected
-    ("decimate-zero", "decimate", 0, "record_every"),
+    ("decimate-zero", "decimate", 0, "config error: decimate must be >= 1"),
     ("n_iterations-negative", "n_iterations", -5, "n_iterations"),
     ("points-outside-the-set", "init", {"kind": "explicit", "points": [[0, 0], [2, 0], [0, 0]]},
-     "feasible set"),
+     "config error: init.points must be finite and lie in the feasible set"),
     ("points-of-two-agents", "init", {"kind": "explicit", "points": [[0, 0], [0, 0]]},
-     "shape (3, 2)"),
+     "config error: init.points must have shape (3, 2)"),
 ]
 
 
