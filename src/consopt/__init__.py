@@ -33,7 +33,7 @@ from .privacy import (
     virtual_topology,
 )
 from .scenario import (
-    Scenario, build_run_config, load_scenario, load_shipped,
+    Scenario, load_scenario, load_shipped,
     shipped_scenario_names, shipped_scenario_path, validate_scenario,
 )
 

@@ -1,9 +1,9 @@
 """Command-line entry point: validate, run, sweep, compare, export.
 
 Exit codes: 0 all checks/verdicts pass, 1 a verdict failed or a run aborted
-on a numerical failure, 2 assumption validation failed, 3 configuration or
-I/O error.  The default output root is the CONSOPT_OUT environment variable,
-falling back to ./runs.
+on a numerical failure, 2 assumption validation failed, 3 a malformed command
+line, configuration or I/O error.  The default output root is the CONSOPT_OUT
+environment variable, falling back to ./runs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import statistics
@@ -25,7 +24,7 @@ from . import analysis, engine
 from .network import StaticSchedule, build_metropolis
 from .privacy import certify_equivalence, transformed_to_dict
 from .problem import ConfigError, ConstructionError, reading
-from .scenario import Scenario, build_run_config, load_scenario, parse_seeds, validate_scenario
+from .scenario import Scenario, load_scenario, parse_seeds, validate_scenario
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -46,8 +45,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class SeedRun(typing.NamedTuple):
-    """One seed of a scenario batch: its trace, verdict and bound check (None
-    when the schedule is not scrambling), or the EngineError that stopped it."""
+    """One seed of a scenario batch: its trace, verdict and bound check, or the
+    EngineError that stopped it."""
 
     seed: int
     run_dir: Path | None
@@ -74,30 +73,28 @@ def _error_row(seed: int, e: Exception) -> dict:
             "iteration": getattr(e, "iteration", None)}
 
 
-def run_scenario(sc: Scenario, seeds, run_dirs=None, *, iterations: int | None = None,
-                 decimate: int | None = None) -> tuple[analysis.OracleSolution, list[SeedRun]]:
+def run_scenario(sc: Scenario, seeds,
+                 run_dirs=None) -> tuple[analysis.OracleSolution, list[SeedRun]]:
     """Run seeds of a scenario as one batch and judge each run.
 
-    Solves the oracle once, steps every seed together (``engine.run_batch``),
-    then takes each seed's verdict and bound check.  With ``run_dirs`` (one
-    directory per seed) every artifact of a seed is written into its
-    directory.  Returns the oracle and one ``SeedRun`` per seed, in order.
+    Solves the oracle once, steps every seed's ``sc.run_config`` together
+    (``engine.run_batch``), then takes each seed's verdict and bound check.
+    With ``run_dirs`` (one directory per seed) every artifact of a seed is
+    written into its directory.  Returns the oracle and one ``SeedRun`` per
+    seed, in order.
     """
     seeds = list(seeds)
     dirs = [None] * len(seeds) if run_dirs is None else [Path(d) for d in run_dirs]
-    cfgs = [build_run_config(sc, s, n_iterations=iterations, record_every=decimate)
-            for s in seeds]
-    traces = engine.run_batch(cfgs)
+    traces = engine.run_batch([dataclasses.replace(sc.run_config, seed=s) for s in seeds])
     # solved before the batch, the oracle left a 0.2 MB higher peak RSS
-    oracle = analysis.centralized_solve(sc.run_problem, sc.oracle_budget)
+    oracle = analysis.centralized_solve(sc.run_config.problem, sc.oracle_budget)
     results = []
     for seed, run_dir, trace in zip(seeds, dirs, traces):
         if isinstance(trace, engine.EngineError):
             results.append(SeedRun(seed, run_dir, error=trace))
             continue
         vd = analysis.verdict(trace, oracle, sc.tol_consensus, sc.tol_gap)
-        report = (analysis.check_disagreement_bound(trace)
-                  if trace.summary.bound_enabled else None)
+        report = analysis.check_disagreement_bound(trace)
         if run_dir is not None:
             _write_artifacts(sc, run_dir, trace, oracle, vd, report)
         results.append(SeedRun(seed, run_dir, trace, vd, report))
@@ -113,14 +110,13 @@ def _write_artifacts(sc: Scenario, run_dir: Path, trace, oracle, vd, report) -> 
     _write_json(run_dir / "verdict.json", vd.to_dict())
     if sc.transformed is not None:
         _write_json(run_dir / "transformed_problem.json", transformed_to_dict(sc.transformed))
-    if report is not None:
+    if report.applicable:
         _write_json(run_dir / "bound_check.json", report.to_dict())
 
 
-def execute_run(sc: Scenario, seed: int, run_dir: Path, *, iterations: int | None = None,
-                decimate: int | None = None) -> dict:
+def execute_run(sc: Scenario, seed: int, run_dir: Path) -> dict:
     """Run one seed of a scenario and persist every artifact into run_dir."""
-    _, (result,) = run_scenario(sc, [seed], [run_dir], iterations=iterations, decimate=decimate)
+    _, (result,) = run_scenario(sc, [seed], [run_dir])
     if result.error is not None:
         raise result.error
     return result.row()
@@ -157,15 +153,14 @@ def _validate_or_bail(sc: Scenario, force: bool) -> int | None:
     return None
 
 
-def cmd_run(config_path, *, seed=None, iterations=None, out_dir=None,
-            decimate=None, force=False) -> int:
-    sc = load_scenario(config_path)
+def cmd_run(config_path, *, out_dir=None, force=False, **overrides) -> int:
+    sc = load_scenario(config_path, **overrides)
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
-    use_seed = sc.seeds[0] if seed is None else parse_seeds(seed, "--seed")[0]
+    use_seed = sc.seeds[0]
     run_dir = _out_root(out_dir) / sc.name / f"seed{use_seed:04d}"
-    result = execute_run(sc, use_seed, run_dir, iterations=iterations, decimate=decimate)
+    result = execute_run(sc, use_seed, run_dir)
     print(
         f"scenario {sc.name!r} seed {use_seed}: "
         f"gap {result['final_gap']:.3e}, disagreement {result['final_disagreement']:.3e}, "
@@ -174,42 +169,32 @@ def cmd_run(config_path, *, seed=None, iterations=None, out_dir=None,
     return EXIT_OK if result["overall_pass"] else EXIT_VERDICT
 
 
-def _sweep_batch(sc: Scenario, seeds, out_dir, iterations, decimate) -> tuple[float, list[dict]]:
+def _sweep_batch(sc: Scenario, seeds, out_dir) -> tuple[float, list[dict]]:
     """One batch of a sweep: its wall time and one aggregate row per seed."""
     start = time.perf_counter()
     root = _out_root(out_dir) / sc.name
-    _, results = run_scenario(sc, seeds, [root / f"seed{s:04d}" for s in seeds],
-                              iterations=iterations, decimate=decimate)
+    _, results = run_scenario(sc, seeds, [root / f"seed{s:04d}" for s in seeds])
     return time.perf_counter() - start, [r.row() for r in results]
 
 
-def _sweep_worker(config_path, *args):
-    return _sweep_batch(load_scenario(config_path), *args)
-
-
-def cmd_sweep(config_path, *, seeds=None, parallel=1, iterations=None,
-              out_dir=None, decimate=None, force=False) -> int:
+def cmd_sweep(config_path, *, parallel=1, out_dir=None, force=False, **overrides) -> int:
     """Run every seed; ``parallel`` P splits the seeds into P contiguous
-    batches, each run in its own process."""
+    batches, each run in its own process on the loaded scenario."""
     if parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {parallel}")
-    sc = load_scenario(config_path)
+    sc = load_scenario(config_path, **overrides)
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
-    seed_list = list(sc.seeds if seeds is None else seeds)
-    n = min(parallel, len(seed_list))
-    batches = [seed_list[i * len(seed_list) // n:(i + 1) * len(seed_list) // n]
-               for i in range(n)]
+    n = min(parallel, len(sc.seeds))
+    batches = [sc.seeds[i * len(sc.seeds) // n:(i + 1) * len(sc.seeds) // n] for i in range(n)]
     walls, results = [], []
     with contextlib.ExitStack() as stack:
         if n > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n))
-            calls = [pool.submit(_sweep_worker, str(config_path), b, out_dir, iterations,
-                                 decimate).result for b in batches]
+            calls = [pool.submit(_sweep_batch, sc, b, out_dir).result for b in batches]
         else:
-            calls = [functools.partial(_sweep_batch, sc, seed_list, out_dir, iterations,
-                                       decimate)]
+            calls = [lambda: _sweep_batch(sc, sc.seeds, out_dir)]
         for batch, call in zip(batches, calls):
             try:
                 wall, rows = call()
@@ -223,7 +208,7 @@ def cmd_sweep(config_path, *, seeds=None, parallel=1, iterations=None,
     diss = [r["final_disagreement"] for r in results if "final_disagreement" in r]
     aggregate = {
         "scenario": sc.name,
-        "seeds": seed_list,
+        "seeds": list(sc.seeds),
         "n_runs": len(results),
         "n_pass": len(ok),
         "wall_s": walls,
@@ -248,12 +233,12 @@ def _spread(values):
     return {"min": min(values), "median": statistics.median(values), "max": max(values)}
 
 
-def cmd_compare(config_path, *, seed=None, iterations=None, out_dir=None, force=False) -> int:
-    sc = load_scenario(config_path)
+def cmd_compare(config_path, *, out_dir=None, force=False, **overrides) -> int:
+    sc = load_scenario(config_path, **overrides)
     bail = _validate_or_bail(sc, force)
     if bail is not None:
         return bail
-    use_seed = sc.seeds[0] if seed is None else parse_seeds(seed, "--seed")[0]
+    use_seed = sc.seeds[0]
     root = _out_root(out_dir) / sc.name / "compare"
 
     if sc.transformed is not None:
@@ -263,18 +248,19 @@ def cmd_compare(config_path, *, seed=None, iterations=None, out_dir=None, force=
         equivalence = EquivalenceReport(0.0, 0.0, 0, True)
 
     # the transformed leg is the scenario itself
-    res_t = execute_run(sc, use_seed, root / "transformed", iterations=iterations)
+    res_t = execute_run(sc, use_seed, root / "transformed")
 
     # the original leg reuses the schedule when the agent count is unchanged,
     # otherwise falls back to Metropolis weights on the real graph
-    if sc.run_problem.n_agents == sc.problem.n_agents:
-        orig_schedule = sc.schedule
+    if sc.run_config.problem.n_agents == sc.problem.n_agents:
+        orig_schedule = sc.run_config.schedule
     else:
         if sc.graph is None:
             raise ConfigError("compare needs a 'graph' field to schedule the original problem")
         orig_schedule = StaticSchedule(build_metropolis(sc.graph))
-    orig = dataclasses.replace(sc, transformed=None, schedule=orig_schedule, init_points=None)
-    res_o = execute_run(orig, use_seed, root / "original", iterations=iterations)
+    orig = dataclasses.replace(sc, transformed=None, run_config=dataclasses.replace(
+        sc.run_config, problem=sc.problem, schedule=orig_schedule, initial_states=None))
+    res_o = execute_run(orig, use_seed, root / "original")
 
     payload = {
         "seed": use_seed,
@@ -318,8 +304,15 @@ def cmd_export(run_dir, out_dir=None) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a config error (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="consopt", description=__doc__)
+    ap = _Parser(prog="consopt", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, config=True):
@@ -358,23 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "validate":
             return cmd_validate(args.config, args.out)
-        if args.command == "run":
-            return cmd_run(args.config, seed=args.seed, iterations=args.iterations,
-                           out_dir=args.out, decimate=args.decimate, force=args.force)
+        if args.command == "export":
+            return cmd_export(args.run_dir, args.out)
         if args.command == "sweep":
             seeds = parse_seeds(args.seeds, "--seeds") if args.seeds else None
             return cmd_sweep(args.config, seeds=seeds, parallel=args.parallel,
-                             iterations=args.iterations, out_dir=args.out,
-                             decimate=args.decimate, force=args.force)
-        if args.command == "compare":
-            return cmd_compare(args.config, seed=args.seed, iterations=args.iterations,
-                               out_dir=args.out, force=args.force)
-        if args.command == "export":
-            return cmd_export(args.run_dir, args.out)
+                             n_iterations=args.iterations, decimate=args.decimate,
+                             out_dir=args.out, force=args.force)
+        seeds = parse_seeds(args.seed, "--seed") if args.seed is not None else None
+        if args.command == "run":
+            return cmd_run(args.config, seeds=seeds, n_iterations=args.iterations,
+                           decimate=args.decimate, out_dir=args.out, force=args.force)
+        return cmd_compare(args.config, seeds=seeds, n_iterations=args.iterations,
+                           out_dir=args.out, force=args.force)
     except (ConfigError, ConstructionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -384,7 +377,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

@@ -3,8 +3,8 @@
 A scenario bundles the problem, the communication graph, the mixing
 schedule, the step-size rule, an optional privacy transform, iteration and
 seed ranges, and output options.  Loading a scenario applies the transform
-(seeded, so the result is reproducible) and exposes both the original and
-the executable problem.
+(seeded, so the result is reproducible) and builds the run it describes: the
+executable problem's ``RunConfig`` at the first seed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import network, privacy
 from .engine import RunConfig, StepSchedule
-from .network import Graph, WeightSchedule, graph, is_q_connected, support_graph
+from .network import Graph, graph, is_q_connected, support_graph
 from .privacy import TransformedProblem
 from .problem import (
     ConfigError, Problem, estimate_bounds, problem_from_dict, reading, verify_sum_convexity,
@@ -36,20 +36,12 @@ class Scenario:
     problem: Problem
     graph: Graph | None
     transformed: TransformedProblem | None
-    schedule: WeightSchedule
-    steps: StepSchedule
-    n_iterations: int
+    run_config: RunConfig  # the executable problem's run at seeds[0]
     seeds: tuple[int, ...]
-    decimate: int
     q_window: int | None  # None: every round's support graph must be connected
     tol_consensus: float
     tol_gap: float
-    init_points: np.ndarray | None
     oracle_budget: int
-
-    @property
-    def run_problem(self) -> Problem:
-        return self.transformed.problem if self.transformed else self.problem
 
     @property
     def run_graph(self) -> Graph | None:
@@ -140,18 +132,14 @@ def _parse_graph(spec) -> Graph | None:
     return None if spec is None else graph(int(spec["n_agents"]), spec["edges"])
 
 
-def load_scenario(source) -> Scenario:
-    """Build a scenario from a config path or an already-parsed dict; a relative
-    ``problem.file`` is read from the config's directory, or the working one."""
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        base_dir = path.parent
-        raw = _load_json(path, "config")
-        default_name = path.stem
-    else:
-        base_dir = Path.cwd()
-        raw = dict(source)
-        default_name = "scenario"
+def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scenario:
+    """Build a scenario from a config path; a relative ``problem.file`` is read
+    from the config's directory.  ``seeds``, ``n_iterations`` and ``decimate``
+    (the command line's ``--seed``/``--seeds``, ``--iterations`` and
+    ``--decimate``) replace the config's values before its run is built, so
+    they follow the config's rules."""
+    path = Path(path)
+    raw = _load_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
 
@@ -163,7 +151,7 @@ def load_scenario(source) -> Scenario:
     if isinstance(prob_spec, dict) and "file" in prob_spec:
         ref = _read(raw, "problem.file", Path)
         if not ref.is_absolute():
-            ref = base_dir / ref
+            ref = path.parent / ref
         prob_spec = _load_json(ref, "problem file")
     prob = problem_from_dict(prob_spec)
 
@@ -191,45 +179,31 @@ def load_scenario(source) -> Scenario:
     oracle_budget = _read(raw, "oracle_budget", int, 200_000)
     if oracle_budget < 0:
         raise ConfigError("field 'oracle_budget' must be >= 0")
-    sc = Scenario(
-        name=_read(raw, "name", _path_component, default_name),
-        problem=prob,
-        graph=g,
-        transformed=transformed,
-        schedule=schedule,
-        steps=steps,
-        n_iterations=_read(raw, "n_iterations", int),
-        seeds=_read(raw, "seeds", parse_seeds, (0,)),
-        decimate=_read(raw, "decimate", int, 1),
-        q_window=q_window,
-        tol_consensus=_read(raw, "tolerances.consensus", float, 1e-3),
-        tol_gap=_read(raw, "tolerances.gap", float, 1e-3),
-        init_points=init_points,
-        oracle_budget=oracle_budget,
-    )
-    build_run_config(sc, sc.seeds[0])  # a config that loads is one that runs
-    return sc
-
-
-# the config field (or command-line option) that sets a RunConfig field of another name
-_CONFIG_NAMES = {"record_every": "decimate", "initial_states": "init.points"}
-
-
-def build_run_config(sc: Scenario, seed: int, *, n_iterations: int | None = None,
-                     record_every: int | None = None) -> RunConfig:
+    name = _read(raw, "name", _path_component, path.stem)
+    n_iterations = _read(raw, "n_iterations", int) if n_iterations is None else n_iterations
+    seeds = _read(raw, "seeds", parse_seeds, (0,)) if seeds is None else parse_seeds(list(seeds))
+    decimate = _read(raw, "decimate", int, 1) if decimate is None else decimate
+    tol_consensus = _read(raw, "tolerances.consensus", float, 1e-3)
+    tol_gap = _read(raw, "tolerances.gap", float, 1e-3)
     try:
-        return RunConfig(
-            problem=sc.run_problem,
-            schedule=sc.schedule,
-            steps=sc.steps,
-            n_iterations=sc.n_iterations if n_iterations is None else n_iterations,
-            seed=seed,
-            initial_states=sc.init_points,
-            record_every=sc.decimate if record_every is None else record_every,
+        run_config = RunConfig(
+            problem=transformed.problem if transformed else prob,
+            schedule=schedule,
+            steps=steps,
+            n_iterations=n_iterations,
+            seed=seeds[0],
+            initial_states=init_points,
+            record_every=decimate,
         )
     except ConfigError as e:  # RunConfig's messages start with the field they judge
         field, _, rule = str(e).partition(" ")
         raise ConfigError(f"{_CONFIG_NAMES.get(field, field)} {rule}") from None
+    return Scenario(name, prob, g, transformed, run_config, seeds, q_window,
+                    tol_consensus, tol_gap, oracle_budget)
+
+
+# the config field (or command-line option) that sets a RunConfig field of another name
+_CONFIG_NAMES = {"record_every": "decimate", "initial_states": "init.points"}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +242,7 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     well-defined, merely without the closed-form disagreement bound.
     """
     checks: list[CheckResult] = []
-    prob = sc.run_problem
+    prob = sc.run_config.problem
 
     conv = verify_sum_convexity(prob, 200, _VALIDATION_SEED)
     checks.append(CheckResult(
@@ -300,11 +274,11 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         "; ".join(bad_n) or "sampled difference quotients stay below declared moduli",
     ))
 
-    rounds = max(1, min(sc.n_iterations or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
-    mats = sc.schedule.distinct_matrices(rounds)
+    K = sc.run_config.n_iterations
+    rounds = max(1, min(K or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
+    mats = sc.run_config.schedule.distinct_matrices(rounds)
     # a schedule with one matrix per round is checked over these rounds only
-    scope = (f" (first {rounds} of {sc.n_iterations} rounds)"
-             if len(mats) == rounds < sc.n_iterations else "")
+    scope = f" (first {rounds} of {K} rounds)" if len(mats) == rounds < K else ""
     checks.append(CheckResult(
         "doubly-stochastic", network.is_doubly_stochastic(mats), "error",
         f"{len(mats)} distinct matrix(es) checked at tolerance {network.DS_TOL}{scope}",
@@ -327,8 +301,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             else f"support graph connected at every round{scope}",
         ))
     else:
-        horizon = max(sc.q_window, min(sc.n_iterations or sc.q_window, _VALIDATE_HORIZON))
-        ok = is_q_connected(sc.schedule, sc.q_window, horizon)
+        horizon = max(sc.q_window, min(K or sc.q_window, _VALIDATE_HORIZON))
+        ok = is_q_connected(sc.run_config.schedule, sc.q_window, horizon)
         checks.append(CheckResult(
             "connectivity", ok, "error",
             f"window union {'connected' if ok else 'DISCONNECTED'} for Q={sc.q_window} "

@@ -66,7 +66,7 @@ def suite():
                     "slack": tr.summary.max_nonexpansive_slack,
                     "bound_enabled": tr.summary.bound_enabled,
                 }
-                if sr.bound is not None:
+                if sr.bound.applicable:
                     entry["bound_pass"] = sr.bound.passed
                     entry["bound_margin"] = sr.bound.worst_margin
                 runs.append(entry)
@@ -82,7 +82,7 @@ def suite():
 def test_criterion_1_consensus(suite, acceptance_report):
     worst = max(r["disagreement"] for v in suite.values() for r in v["runs"])
     slowest = max(r["runtime"] for v in suite.values() for r in v["runs"])
-    iters_ok = all(v["scenario"].n_iterations <= ITER_CAP for v in suite.values())
+    iters_ok = all(v["scenario"].run_config.n_iterations <= ITER_CAP for v in suite.values())
     ok = worst <= CONSENSUS_TOL and slowest <= RUNTIME_CAP_S and iters_ok
     acceptance_report("1-consensus", ok,
            f"worst final disagreement {worst:.3e} (tol {CONSENSUS_TOL}), "
@@ -145,10 +145,10 @@ def test_criterion_5_privacy_transforms(suite, acceptance_report):
     # the six-virtual construction itself, end to end
     for name in PARTITION_SCENARIOS:
         sc = suite[name]["scenario"]
-        six_ok = (sc.run_problem.n_agents == 6
+        six_ok = (sc.run_config.problem.n_agents == 6
                   and sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
                   and np.array_equal(
-                      sc.schedule.distinct_matrices(1)[0],
+                      sc.run_config.schedule.distinct_matrices(1)[0],
                       build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries))
         ok &= six_ok
     acceptance_report("5-privacy-transforms", ok, "; ".join(details))
@@ -159,7 +159,7 @@ def test_criterion_6_oracle_grid_crosscheck(suite, acceptance_report):
     pitch = 1e-3
     checked, ok, worst_arg, worst_val = [], True, 0.0, 0.0
     for name, v in suite.items():
-        prob = v["scenario"].run_problem
+        prob = v["scenario"].run_config.problem
         if prob.dimension > 2:
             continue
         sol = v["oracle_run"]

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,8 @@ from consopt.cli import main
 from consopt.network import build_metropolis, complete_graph
 from consopt.problem import Box, Problem, problem_to_dict, quadratic
 from consopt.scenario import (
-    build_run_config, load_scenario, load_shipped, shipped_scenario_names,
-    shipped_scenario_path, validate_scenario,
+    load_scenario, load_shipped, shipped_scenario_names, shipped_scenario_path,
+    validate_scenario,
 )
 
 
@@ -291,6 +293,50 @@ def test_sweep_parallel_below_one_is_one_config_error(tmp_path, capsys, parallel
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+@pytest.mark.parametrize("option,value,error", [
+    ("--decimate", "0", "config error: decimate must be >= 1"),
+    ("--iterations", "-5", "config error: n_iterations must be >= 0"),
+], ids=["decimate-zero", "iterations-negative"])
+def test_sweep_override_follows_the_config_rules(tmp_path, capsys, parallel, option, value,
+                                                 error):
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", str(write_config(tmp_path, scenario_doc(n_iterations=20))),
+               "--out", str(out), "--parallel", parallel, option, value])
+    _assert_one_config_error(rc, capsys.readouterr().err, error)
+    assert not out.exists()  # nothing ran
+
+
+# (case, command line with CONFIG for the config's path, text the error must name)
+MALFORMED_COMMAND_LINES = [
+    ("seed-not-an-integer", ["run", "--config", "CONFIG", "--seed", "abc"],
+     "argument --seed: invalid int value"),
+    ("iterations-not-an-integer", ["run", "--config", "CONFIG", "--iterations", "1e3"],
+     "argument --iterations"),
+    ("parallel-not-an-integer", ["sweep", "--config", "CONFIG", "--parallel", "two"],
+     "argument --parallel"),
+    ("unknown-flag", ["run", "--config", "CONFIG", "--bogus"], "unrecognized arguments: --bogus"),
+    ("missing-config", ["run"], "required: --config"),
+    ("no-command", [], "required: command"),
+]
+
+
+@pytest.mark.parametrize("argv,names", [c[1:] for c in MALFORMED_COMMAND_LINES],
+                         ids=[c[0] for c in MALFORMED_COMMAND_LINES])
+def test_malformed_command_line_is_one_config_error(tmp_path, capsys, monkeypatch, argv, names):
+    cfg = str(write_config(tmp_path, scenario_doc(n_iterations=20)))
+    monkeypatch.setenv("CONSOPT_OUT", str(tmp_path / "out"))
+    rc = main([cfg if a == "CONFIG" else a for a in argv])
+    _assert_one_config_error(rc, capsys.readouterr().err, names)
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["sweep", "--help"])
+    assert exited.value.code == 0 and "--parallel" in capsys.readouterr().out
+
+
 def test_null_graph_transform_and_seeds_mean_absent(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(graph=None, transform=None, seeds=None))
     sc = load_scenario(cfg)
@@ -420,6 +466,24 @@ def test_sweep_aggregate_and_parallel_agree(tmp_path):
     assert seq["summary"]["gap"]["min"] <= seq["summary"]["gap"]["median"] <= seq["summary"]["gap"]["max"]
 
 
+def test_sweep_workers_write_the_sequential_files(tmp_path):
+    """The worker processes of a --parallel sweep get the loaded scenario, its
+    transform, schedule and overrides included, and write the sequential files."""
+    name = "partition_virtual6_scale0p1"
+    argv = ["sweep", "--config", str(shipped_scenario_path(name)), "--seeds", "0..4",
+            "--iterations", "200", "--decimate", "7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
+        codes = {p: main([*argv, "--parallel", p, "--out", str(tmp_path / p)]) for p in "12"}
+    assert codes["1"] == codes["2"]
+    for seed in range(4):
+        seq, par = (tmp_path / p / name / f"seed{seed:04d}" for p in "12")
+        for fname in ("trace.jsonl", "trace.csv", "summary.json"):
+            assert (seq / fname).read_bytes() == (par / fname).read_bytes(), (seed, fname)
+        assert json.loads((par / "summary.json").read_text())["n_iterations"] == 200
+        assert len((par / "trace.jsonl").read_text().splitlines()) == 200 // 7 + 2
+
+
 def test_sweep_seed_range_flag(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(n_iterations=1500))
     rc = main(["sweep", "--config", str(cfg), "--seeds", "5..7",
@@ -453,7 +517,7 @@ def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):
     expected = {}  # each seed run alone: the error it raises, or None
     for seed in range(7):
         try:
-            engine.run(build_run_config(sc, seed))
+            engine.run(dataclasses.replace(sc.run_config, seed=seed))
             expected[seed] = None
         except engine.EngineError as e:
             expected[seed] = {"seed": seed, "error": str(e), "agent": 1, "iteration": e.iteration}
@@ -476,7 +540,7 @@ def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):
 def test_numerical_failure_is_a_run_error(command, tmp_path, capsys):
     cfg = overflow_config(tmp_path)
     with pytest.raises(engine.EngineError) as raised:
-        engine.run(build_run_config(load_scenario(cfg), 0))
+        engine.run(load_scenario(cfg, seeds=[0]).run_config)
     rc = main([command, "--config", str(cfg), "--seed", "0", "--force",
                "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -547,7 +611,7 @@ def test_partition_m_per_agent_shorthand(tmp_path):
         n_iterations=100,
     )
     sc = load_scenario(write_config(tmp_path, doc))
-    assert sc.run_problem.n_agents == 6
+    assert sc.run_config.problem.n_agents == 6
     assert sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
 
 

@@ -23,7 +23,9 @@ from consopt.privacy import SIX_VIRTUAL_PATTERN
 from consopt.problem import (
     Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
 )
-from consopt.scenario import build_run_config, load_shipped, shipped_scenario_names
+from consopt.scenario import (
+    load_scenario, load_shipped, shipped_scenario_names, shipped_scenario_path,
+)
 import reference
 from reference import reference_run
 
@@ -349,9 +351,9 @@ def run_files(trace: RunTrace, path) -> dict:
 @pytest.mark.parametrize("every", [1, None], ids=["every-iteration", "shipped-decimation"])
 @pytest.mark.parametrize("index,name", enumerate(shipped_scenario_names()))
 def test_seed_from_a_batch_of_twenty_writes_its_batch_of_one_files(tmp_path, index, name, every):
-    sc = load_shipped(name)
+    sc = load_scenario(shipped_scenario_path(name), n_iterations=2000, decimate=every)
     seed = 7 * index % 20  # a different position in the batch per scenario
-    cfgs = [build_run_config(sc, s, n_iterations=2000, record_every=every) for s in range(20)]
+    cfgs = [dataclasses.replace(sc.run_config, seed=s) for s in range(20)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
         batch = run_batch(cfgs)
@@ -627,7 +629,7 @@ def test_summary_does_not_depend_on_the_check_block(monkeypatch, tmp_path, round
     for name in shipped_scenario_names():
         sc = load_shipped(name)
         for K in (0, 1, 43):  # 43 is a multiple of no forced block size
-            cfgs = [build_run_config(sc, s, n_iterations=K, record_every=5)
+            cfgs = [dataclasses.replace(sc.run_config, seed=s, n_iterations=K, record_every=5)
                     for s in range(batch)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice

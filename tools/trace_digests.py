@@ -10,9 +10,10 @@ transformed problem without a transform), plus the oracle's ``f_star``.
 It then runs ``cmd_export`` on that directory into a second one and prints
 the sha256 of the ``trace.csv`` and ``plotdata.csv`` it wrote (``export/``
 lines), so the read path is compared too.
-Each scenario runs twice: with its own iterations and decimation, and at
-2000 iterations recording every one (``<name>@dense`` lines), so that the
-record path is compared at every iteration.  Before its runs, each scenario
+Each scenario runs twice: with its own iterations and decimation, and
+loaded with ``load_scenario(path, n_iterations=2000, decimate=1)``
+(``<name>@dense`` lines), so that the record path is compared at every
+iteration.  Before its runs, each scenario
 goes through ``cmd_validate`` with an output root, and the sha256 of what it
 printed and of the ``validation.json`` it wrote are printed (``validate/``
 lines), so that loading and validation are compared too.  Last come the
@@ -27,6 +28,9 @@ which prints the lines that differ and exits 1 on any difference:
 
     PYTHONPATH=src python tools/trace_digests.py > digests.txt
     PYTHONPATH=src python tools/trace_digests.py --against digests.txt
+
+Each checkout runs its own copy of this tool, since the calls it makes into
+``consopt`` follow that checkout's API.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ from consopt.privacy import (
     default_plan, partition_problem, random_function_sharing, transformed_to_dict,
 )
 from consopt.problem import Box, Problem, polynomial, quadratic, sine_quadratic
-from consopt.scenario import load_shipped, shipped_scenario_names, shipped_scenario_path
+from consopt.scenario import load_scenario, shipped_scenario_names, shipped_scenario_path
 
 FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.json",
          "verdict.json", "bound_check.json", "transformed_problem.json")
 EXPORTED = ("trace.csv", "plotdata.csv")
-# (label suffix, execute_run overrides): the shipped settings, then every iteration
-SETTINGS = (("", {}), ("@dense", {"iterations": 2000, "decimate": 1}))
+# (label suffix, load_scenario overrides): the shipped settings, then every iteration
+SETTINGS = (("", {}), ("@dense", {"n_iterations": 2000, "decimate": 1}))
 TRANSFORM_SEED = 1608
 
 
@@ -114,7 +118,8 @@ def digests():
                 run_dir = Path(tmp) / label
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    execute_run(load_shipped(name), 0, run_dir, **overrides)
+                    execute_run(load_scenario(shipped_scenario_path(name), **overrides), 0,
+                                run_dir)
                 export_dir = Path(tmp) / f"{label}-export"
                 with contextlib.redirect_stdout(io.StringIO()):
                     cmd_export(run_dir, export_dir)
