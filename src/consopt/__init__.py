@@ -16,8 +16,8 @@ from .problem import (
 from .network import (
     ConstructionError, CyclicSchedule, Graph, RandomSchedule, StaticSchedule,
     WeightMatrix, WeightSchedule, build_metropolis, build_two_link_matrix,
-    complete_graph, graph, is_connected, is_doubly_stochastic, is_q_connected,
-    max_contraction, path_graph, ring_graph, schedule_from_dict, support_graph,
+    complete_graph, graph, is_connected, is_doubly_stochastic, max_contraction,
+    path_graph, ring_graph, schedule_from_dict, support_graph, windows_connected,
 )
 from .engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse,

@@ -17,7 +17,6 @@ import dataclasses
 import itertools
 import json
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -232,9 +231,10 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     (iteration 0) and every ``record_every``-th iteration, always including
     the terminal one.  The fusion invariants are checked at every round
     regardless of decimation, and folded into their maxima once per block of
-    rounds.  When the schedule is scrambling the
-    closed-form disagreement bound is recorded alongside each iterate;
-    otherwise a warning is emitted and the bound column is absent.
+    rounds.  When the schedule is scrambling the closed-form disagreement
+    bound is recorded alongside each iterate; otherwise the bound column is
+    absent and the summary's ``bound_enabled`` is false (validation's
+    ``scrambling`` check reports it).
 
     A run whose gradient goes non-finite leaves the stack, and its entry in
     the returned list is the ``EngineError`` naming its seed, agent and
@@ -257,12 +257,6 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     n_mats = len(mats)
     nu = max_contraction(mats)
     bound_on = nu < 1.0
-    if not bound_on:
-        warnings.warn(
-            "mixing schedule is not scrambling (contraction coefficient 1); "
-            "disagreement bound disabled",
-            RuntimeWarning,
-        )
 
     # each run's fixed probe points for the sum non-expansiveness invariant, as
     # (P, B, S, D): a point repeated for every agent, so that its differences

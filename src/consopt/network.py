@@ -86,13 +86,9 @@ def reachability(adj: np.ndarray) -> np.ndarray:
     return r > 0
 
 
-def connected_component(g: Graph, start: int = 0) -> set[int]:
-    return set(np.flatnonzero(reachability(adjacency(g))[start]).tolist())
-
-
 def is_connected(g: Graph) -> bool:
     """Every agent is reachable from agent 0."""
-    return bool(reachability(adjacency(g))[0].all())
+    return bool(support_connected(adjacency(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def support_graph(m) -> Graph:
 
 
 def support_connected(mats: np.ndarray) -> np.ndarray:
-    """Per matrix of an (n, S, S) stack: whether its support graph (links in
+    """Per matrix of a stack (..., S, S): whether its support graph (links in
     either direction) is connected."""
     pos = np.asarray(mats) > 0
     return reachability(pos | np.swapaxes(pos, -1, -2))[..., 0, :].all(axis=-1)
@@ -333,7 +329,7 @@ class RandomSchedule(WeightSchedule):
                     [r.random(iu[0].size) for r in rngs]) < self.edge_probability
                 drawn = drawn | np.swapaxes(drawn, 1, 2)
                 adj[pending] = drawn
-                bad = ~reachability(drawn)[:, 0].all(axis=-1)
+                bad = ~support_connected(drawn)
                 pending = pending[bad]
                 rngs = [r for r, b in zip(rngs, bad) if b]
                 if not rngs:
@@ -351,16 +347,20 @@ class RandomSchedule(WeightSchedule):
         return self._build(np.arange(horizon))
 
 
-def is_q_connected(schedule: WeightSchedule, q: int, horizon: int) -> bool:
-    """True iff every window of q consecutive support graphs unions connected."""
+def windows_connected(mats: np.ndarray, q: int, horizon: int) -> np.ndarray:
+    """Per distinct window of q consecutive rounds within the first ``horizon``:
+    whether the union of its support graphs is connected.  Round t uses
+    ``mats[t % n]``, so an (n, S, S) stack has at most n distinct windows and
+    only the first min(horizon, n + q - 1) rounds are read; window t starts at
+    round t, which for q = 1 is matrix t."""
     if q < 1 or horizon < q:
         raise ConfigError("need q >= 1 and horizon >= q")
-    pos = schedule.distinct_matrices(horizon) > 0
-    pos = pos[np.arange(horizon) % len(pos)]
+    rounds = min(horizon, len(mats) + q - 1)
+    pos = mats[np.arange(rounds) % len(mats)] > 0
     # links used within window [t, t+q) counted as differences of running sums
     used = np.cumsum(pos, axis=0, dtype=np.int64)
     used = np.concatenate([np.zeros_like(used[:1]), used])
-    return bool(np.all(support_connected(used[q:] - used[:-q])))
+    return support_connected(used[q:] - used[:-q])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .problem import (
     POLYNOMIAL, ComponentFunction, ConfigError, FeasibleSet, Problem, problem_to_dict, rebuild,
     sum_grad, sum_value,
 )
-from .network import ConstructionError, Graph, connected_component, graph, is_connected
+from .network import ConstructionError, Graph, adjacency, graph, is_connected, reachability
 
 _STREAM_PARTITION = 21
 _STREAM_SHARE = 22
@@ -112,8 +112,9 @@ def virtual_topology(g: Graph, plan: PartitionPlan) -> Graph:
                 f"virtual link ({u},{v}) joins agents {ou} and {ov} with no real link"
             )
     vg = graph(plan.n_virtual, plan.virtual_edges)
-    if not is_connected(vg):
-        missing = sorted(set(range(plan.n_virtual)) - connected_component(vg, 0))
+    reached = reachability(adjacency(vg))[0]
+    if not reached.all():
+        missing = np.flatnonzero(~reached).tolist()
         raise ConstructionError(f"virtual topology is disconnected; isolated agents: {missing}")
     return vg
 

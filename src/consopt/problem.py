@@ -98,10 +98,6 @@ class FeasibleSet:
     def center_point(self) -> np.ndarray:
         raise NotImplementedError
 
-    def max_norm(self) -> float:
-        """sup of the Euclidean norm over the set."""
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -185,9 +181,6 @@ class Ball(FeasibleSet):
 
     def center_point(self):
         return self.center.copy()
-
-    def max_norm(self):
-        return float(np.linalg.norm(self.center) + self.radius)
 
     def to_dict(self):
         return {"variant": "ball", "center": self.center.tolist(), "radius": self.radius}
@@ -464,12 +457,12 @@ def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _max_affine_norm(a, b, fs: FeasibleSet) -> float:
-    # ||Ax + b|| is convex, so over a box its max sits at a corner.
-    if isinstance(fs, Box) and fs.dimension <= 12:
-        pts = _corners(fs.lo, fs.hi)
-        return float(np.max(np.linalg.norm(pts @ a + b, axis=1)))
     if isinstance(fs, Ball):
         return float(np.linalg.norm(a @ fs.center + b) + _spec_norm(a) * fs.radius)
+    # ||Ax + b|| is convex, so over a box its max sits at a corner.
+    if fs.dimension <= 12:
+        pts = _corners(fs.lo, fs.hi)
+        return float(np.max(np.linalg.norm(pts @ a + b, axis=1)))
     return _spec_norm(a) * fs.max_norm() + float(np.linalg.norm(b))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import network, privacy
 from .engine import RunConfig, StepSchedule
-from .network import Graph, graph, is_q_connected, support_graph
+from .network import Graph, graph, support_graph, windows_connected
 from .privacy import TransformedProblem
 from .problem import (
     ConfigError, Problem, estimate_bounds, problem_from_dict, reading, verify_sum_convexity,
@@ -38,7 +38,7 @@ class Scenario:
     transformed: TransformedProblem | None
     run_config: RunConfig  # the executable problem's run at seeds[0]
     seeds: tuple[int, ...]
-    q_window: int | None  # None: every round's support graph must be connected
+    q_window: int  # every window of this many rounds must union connected
     tol_consensus: float
     tol_gap: float
     oracle_budget: int
@@ -165,9 +165,11 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     mode = _read(raw, "connectivity.mode", default="per-k")
     if mode not in ("per-k", "q-connected"):
         raise ConfigError("field 'connectivity.mode' must be 'per-k' or 'q-connected'")
-    q_window = _read(raw, "connectivity.Q", int) if mode == "q-connected" else None
-    if q_window is not None and q_window < 1:
+    q_window = _read(raw, "connectivity.Q", int, _ABSENT if mode == "q-connected" else 1)
+    if q_window < 1:
         raise ConfigError("field 'connectivity.Q' must be >= 1")
+    if mode == "per-k" and q_window != 1:
+        raise ConfigError("field 'connectivity.Q' must be 1 (or absent) in 'per-k' mode")
 
     init_kind = _read(raw, "init.kind", default=None)
     init_points = None
@@ -236,8 +238,9 @@ class ValidationReport:
 def validate_scenario(sc: Scenario) -> ValidationReport:
     """Run every assumption check against the executable problem/schedule.
 
-    Convexity of the sum, set validity, bound declarations, per-round (or
-    windowed) connectivity, and double stochasticity are hard checks; a
+    Convexity of the sum, set validity, bound declarations, double
+    stochasticity and connectivity (the union of every window of
+    ``q_window`` rounds; one round in ``per-k`` mode) are hard checks; a
     non-scrambling schedule only degrades to a warning since runs remain
     well-defined, merely without the closed-form disagreement bound.
     """
@@ -274,11 +277,12 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         "; ".join(bad_n) or "sampled difference quotients stay below declared moduli",
     ))
 
-    K = sc.run_config.n_iterations
-    rounds = max(1, min(K or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
-    mats = sc.run_config.schedule.distinct_matrices(rounds)
+    K, Q = sc.run_config.n_iterations, sc.q_window
+    # every check reads the rounds of one horizon, which holds at least one window
+    horizon = max(Q, min(K or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
+    mats = sc.run_config.schedule.distinct_matrices(horizon)
     # a schedule with one matrix per round is checked over these rounds only
-    scope = f" (first {rounds} of {K} rounds)" if len(mats) == rounds < K else ""
+    scope = f" (first {horizon} of {K} rounds)" if len(mats) == horizon < K else ""
     checks.append(CheckResult(
         "doubly-stochastic", network.is_doubly_stochastic(mats), "error",
         f"{len(mats)} distinct matrix(es) checked at tolerance {network.DS_TOL}{scope}",
@@ -293,21 +297,15 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             else f"matrix support stays within the declared links{scope}",
         ))
 
-    if sc.q_window is None:
-        disconnected = np.flatnonzero(~network.support_connected(mats)).tolist()
-        checks.append(CheckResult(
-            "connectivity", not disconnected, "error",
-            f"support graph disconnected at matrix index {disconnected}{scope}" if disconnected
-            else f"support graph connected at every round{scope}",
-        ))
+    connected = windows_connected(mats, Q, horizon)
+    if Q == 1:  # each window is one round, named by its matrix index
+        split = np.flatnonzero(~connected).tolist()
+        detail = (f"support graph disconnected at matrix index {split}" if split
+                  else "support graph connected at every round") + scope
     else:
-        horizon = max(sc.q_window, min(K or sc.q_window, _VALIDATE_HORIZON))
-        ok = is_q_connected(sc.run_config.schedule, sc.q_window, horizon)
-        checks.append(CheckResult(
-            "connectivity", ok, "error",
-            f"window union {'connected' if ok else 'DISCONNECTED'} for Q={sc.q_window} "
-            f"over horizon {horizon}",
-        ))
+        detail = (f"window union {'connected' if connected.all() else 'DISCONNECTED'} "
+                  f"for Q={Q} over horizon {horizon}")
+    checks.append(CheckResult("connectivity", bool(connected.all()), "error", detail))
 
     nu = network.max_contraction(mats)
     checks.append(CheckResult(

@@ -7,7 +7,6 @@ completes, bypassing output capture.
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -41,41 +40,39 @@ SHARING_SCENARIOS = ("sharing_scale0p1", "sharing_scale1")
 def suite():
     """Run every shipped scenario at 20 seeds once; later tests read this."""
     results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in shipped_scenario_names():
-            sc = load_shipped(name)
-            oracle_orig = centralized_solve(sc.problem, sc.oracle_budget)
-            t0 = time.perf_counter()
-            oracle_run, seed_runs = run_scenario(sc, SEEDS)
-            # the seeds run as one batch, so the batch's wall time bounds each run's
-            runtime = time.perf_counter() - t0
-            runs = []
-            for sr in seed_runs:
-                if sr.error is not None:
-                    raise sr.error
-                tr, vd = sr.trace, sr.verdict
-                entry = {
-                    "seed": sr.seed,
-                    "runtime": runtime,
-                    "disagreement": vd.consensus_final,
-                    "gap_run": vd.gap_final,
-                    "gap_orig": float(tr.f_bar[-1]) - oracle_orig.f_star,
-                    "overall_pass": vd.overall_pass,
-                    "drift": tr.summary.max_average_drift,
-                    "slack": tr.summary.max_nonexpansive_slack,
-                    "bound_enabled": tr.summary.bound_enabled,
-                }
-                if sr.bound.applicable:
-                    entry["bound_pass"] = sr.bound.passed
-                    entry["bound_margin"] = sr.bound.worst_margin
-                runs.append(entry)
-            results[name] = {
-                "scenario": sc,
-                "oracle_run": oracle_run,
-                "oracle_orig": oracle_orig,
-                "runs": runs,
+    for name in shipped_scenario_names():
+        sc = load_shipped(name)
+        oracle_orig = centralized_solve(sc.problem, sc.oracle_budget)
+        t0 = time.perf_counter()
+        oracle_run, seed_runs = run_scenario(sc, SEEDS)
+        # the seeds run as one batch, so the batch's wall time bounds each run's
+        runtime = time.perf_counter() - t0
+        runs = []
+        for sr in seed_runs:
+            if sr.error is not None:
+                raise sr.error
+            tr, vd = sr.trace, sr.verdict
+            entry = {
+                "seed": sr.seed,
+                "runtime": runtime,
+                "disagreement": vd.consensus_final,
+                "gap_run": vd.gap_final,
+                "gap_orig": float(tr.f_bar[-1]) - oracle_orig.f_star,
+                "overall_pass": vd.overall_pass,
+                "drift": tr.summary.max_average_drift,
+                "slack": tr.summary.max_nonexpansive_slack,
+                "bound_enabled": tr.summary.bound_enabled,
             }
+            if sr.bound.applicable:
+                entry["bound_pass"] = sr.bound.passed
+                entry["bound_margin"] = sr.bound.worst_margin
+            runs.append(entry)
+        results[name] = {
+            "scenario": sc,
+            "oracle_run": oracle_run,
+            "oracle_orig": oracle_orig,
+            "runs": runs,
+        }
     return results
 
 
@@ -213,16 +210,14 @@ def test_criterion_7_matrix_validators(acceptance_report):
 
 def test_criterion_8_determinism(tmp_path_factory, acceptance_report):
     mismatches = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in shipped_scenario_names():
-            sc = load_shipped(name)
-            dirs = [tmp_path_factory.mktemp(f"{name}_{i}") for i in (0, 1)]
-            for d in dirs:
-                execute_run(sc, SEEDS[0], d)
-            for fname in ("trace.jsonl", "trace.csv"):
-                if (dirs[0] / fname).read_bytes() != (dirs[1] / fname).read_bytes():
-                    mismatches.append((name, fname))
+    for name in shipped_scenario_names():
+        sc = load_shipped(name)
+        dirs = [tmp_path_factory.mktemp(f"{name}_{i}") for i in (0, 1)]
+        for d in dirs:
+            execute_run(sc, SEEDS[0], d)
+        for fname in ("trace.jsonl", "trace.csv"):
+            if (dirs[0] / fname).read_bytes() != (dirs[1] / fname).read_bytes():
+                mismatches.append((name, fname))
     ok = not mismatches
     acceptance_report("8-determinism", ok,
            f"{len(shipped_scenario_names())} scenarios re-executed; "

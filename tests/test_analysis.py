@@ -173,9 +173,8 @@ def test_check_bound_reads_the_bound_column_back_from_disk(tmp_path):
 def test_check_bound_not_applicable_for_nu_one():
     pair = CyclicSchedule((build_metropolis(graph(3, [(0, 1)])),
                            build_metropolis(graph(3, [(1, 2)]))))
-    with pytest.warns(RuntimeWarning, match="not scrambling"):
-        tr = run(RunConfig(triangle_problem(), pair, ALPHA, 10, seed=0))
-    assert tr.bound is None
+    tr = run(RunConfig(triangle_problem(), pair, ALPHA, 10, seed=0))
+    assert tr.bound is None and not tr.summary.bound_enabled
     rep = check_disagreement_bound(tr)
     assert not rep.applicable and not rep.passed
 

@@ -1,8 +1,8 @@
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from consopt import engine
 from consopt.cli import main
-from consopt.network import build_metropolis, complete_graph
+from consopt.network import build_metropolis, complete_graph, graph
 from consopt.problem import Box, Problem, problem_to_dict, quadratic
 from consopt.scenario import (
     load_scenario, load_shipped, shipped_scenario_names, shipped_scenario_path,
@@ -67,6 +67,12 @@ def overflow_config(tmp_path):
     ))
 
 
+def assert_bound_disabled(run_dir):
+    """A non-scrambling schedule's run: no bound in its summary or its trace."""
+    assert json.loads((run_dir / "summary.json").read_text())["bound_enabled"] is False
+    assert engine.read_trace_jsonl(run_dir / "trace.jsonl").bound is None
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -92,6 +98,17 @@ def test_validate_names_the_rounds_a_random_schedule_was_checked_over(capsys, tm
 @pytest.mark.parametrize("name", shipped_scenario_names())
 def test_every_shipped_scenario_validates(name):
     assert validate_scenario(load_shipped(name)).hard_pass
+
+
+def test_generator_reproduces_the_shipped_library():
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_scenarios.py"
+    spec = importlib.util.spec_from_file_location("gen_scenarios", tool)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    texts = gen.scenario_texts()
+    assert sorted(texts) == list(shipped_scenario_names())
+    for name, text in texts.items():
+        assert shipped_scenario_path(name).read_bytes() == text.encode(), name
 
 
 def test_validate_virtual_six_warns_on_scrambling(capsys):
@@ -129,6 +146,30 @@ def test_validate_disconnected_schedule_fails(tmp_path, capsys):
     rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
     assert rc == 2
     assert "FAIL connectivity" in capsys.readouterr().out
+
+
+# (case, the edges of each matrix of a cyclic schedule on three agents, its
+# connectivity field, validate's exit code, the connectivity line it prints)
+CONNECTIVITY_LINES = [
+    ("per-k-split-matrix", ([(0, 1), (1, 2)], [(0, 1)]), {"mode": "per-k"}, 2,
+     "FAIL connectivity: support graph disconnected at matrix index [1]"),
+    ("q2-alternating-edges", ([(0, 1)], [(1, 2)]), {"mode": "q-connected", "Q": 2}, 0,
+     "PASS connectivity: window union connected for Q=2 over horizon 50"),
+    ("q2-agent-never-reached", ([(0, 1)], [(0, 1)]), {"mode": "q-connected", "Q": 2}, 2,
+     "FAIL connectivity: window union DISCONNECTED for Q=2 over horizon 50"),
+]
+
+
+@pytest.mark.parametrize("edges,connectivity,code,line", [c[1:] for c in CONNECTIVITY_LINES],
+                         ids=[c[0] for c in CONNECTIVITY_LINES])
+def test_validate_prints_the_connectivity_of_each_window(tmp_path, capsys, edges,
+                                                         connectivity, code, line):
+    matrices = [build_metropolis(graph(3, e)).entries.tolist() for e in edges]
+    doc = scenario_doc(schedule={"variant": "cyclic", "matrices": matrices},
+                       connectivity=connectivity, n_iterations=50)
+    rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
+    assert rc == code
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_validate_fails_checks_on_nonfinite_samples(tmp_path, capsys):
@@ -192,6 +233,7 @@ MALFORMED_CONFIGS = [
     ("tolerances-int", "tolerances", 3, "tolerances"),
     ("tolerances-gap", "tolerances.gap", "x", "tolerances.gap"),
     ("Q", "connectivity", {"mode": "q-connected", "Q": "x"}, "connectivity.Q"),
+    ("Q-per-k", "connectivity", {"mode": "per-k", "Q": 2}, "connectivity.Q"),
     ("points", "init", {"kind": "explicit", "points": "x"}, "init.points"),
     ("points-ragged", "init", {"kind": "explicit", "points": [[0, 0], [0], [0, 0]]},
      "init.points"),
@@ -442,9 +484,9 @@ def test_run_force_overrides_failed_validation(tmp_path):
     )
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
-    with pytest.warns(RuntimeWarning, match="not scrambling"):
-        rc = main(["run", "--config", str(cfg), "--force", "--out", str(tmp_path / "o2")])
+    rc = main(["run", "--config", str(cfg), "--force", "--out", str(tmp_path / "o2")])
     assert rc == 1  # runs, but the verdict cannot pass on a split network
+    assert_bound_disabled(tmp_path / "o2" / "disconnected" / "seed0000")
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +514,7 @@ def test_sweep_workers_write_the_sequential_files(tmp_path):
     name = "partition_virtual6_scale0p1"
     argv = ["sweep", "--config", str(shipped_scenario_path(name)), "--seeds", "0..4",
             "--iterations", "200", "--decimate", "7"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
-        codes = {p: main([*argv, "--parallel", p, "--out", str(tmp_path / p)]) for p in "12"}
+    codes = {p: main([*argv, "--parallel", p, "--out", str(tmp_path / p)]) for p in "12"}
     assert codes["1"] == codes["2"]
     for seed in range(4):
         seq, par = (tmp_path / p / name / f"seed{seed:04d}" for p in "12")
@@ -593,26 +633,30 @@ def test_compare_partition_changes_agent_count(tmp_path):
         n_iterations=6000,
     )
     cfg = write_config(tmp_path, doc)
-    with pytest.warns(RuntimeWarning, match="not scrambling"):  # the six-virtual schedule
-        rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    rc = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
+    assert_bound_disabled(tmp_path / "out" / "part" / "compare" / "transformed")
     rep = json.loads((tmp_path / "out" / "part" / "compare" / "compare.json").read_text())
     assert rep["passed"] is True
 
 
 def test_partition_m_per_agent_shorthand(tmp_path):
+    from consopt.privacy import transformed_to_dict
     from consopt.scenario import load_scenario
-    doc = scenario_doc(
-        name="autopart",
-        transform={"kind": "partition", "m_per_agent": 2,
-                   "perturbation_scale": 0.1, "seed": 3},
-        schedule={"variant": "random", "n_agents": 6,
-                  "edge_probability": 0.6, "seed": 1},
-        n_iterations=100,
-    )
-    sc = load_scenario(write_config(tmp_path, doc))
+    loaded = []
+    for spelling in ({"m_per_agent": 2}, {"plan": {"m_per_agent": 2}}):
+        doc = scenario_doc(
+            name="autopart",
+            transform={"kind": "partition", **spelling, "perturbation_scale": 0.1, "seed": 3},
+            schedule={"variant": "random", "n_agents": 6,
+                      "edge_probability": 0.6, "seed": 1},
+            n_iterations=100,
+        )
+        loaded.append(load_scenario(write_config(tmp_path, doc)))
+    sc, planned = loaded
     assert sc.run_config.problem.n_agents == 6
     assert sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
+    assert transformed_to_dict(planned.transformed) == transformed_to_dict(sc.transformed)
 
 
 def test_problem_file_reference(tmp_path):

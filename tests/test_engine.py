@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,8 +230,7 @@ def cyclic_pair_schedule():
 
 @pytest.mark.parametrize("make_schedule", [
     pytest.param(lambda: StaticSchedule(build_metropolis(complete_graph(3))), id="static"),
-    pytest.param(cyclic_pair_schedule, id="cyclic", marks=pytest.mark.filterwarnings(
-        "ignore:mixing schedule is not scrambling:RuntimeWarning")),
+    pytest.param(cyclic_pair_schedule, id="cyclic"),
     pytest.param(lambda: RandomSchedule(3, 0.6, seed=5), id="random"),
 ])
 @pytest.mark.parametrize("make_problem", [triangle_indefinite_problem, mixed_family_problem])
@@ -354,10 +352,8 @@ def test_seed_from_a_batch_of_twenty_writes_its_batch_of_one_files(tmp_path, ind
     sc = load_scenario(shipped_scenario_path(name), n_iterations=2000, decimate=every)
     seed = 7 * index % 20  # a different position in the batch per scenario
     cfgs = [dataclasses.replace(sc.run_config, seed=s) for s in range(20)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
-        batch = run_batch(cfgs)
-        (alone,) = run_batch([cfgs[seed]])
+    batch = run_batch(cfgs)
+    (alone,) = run_batch([cfgs[seed]])
     assert run_files(batch[seed], tmp_path / "batch") == run_files(alone, tmp_path / "alone")
 
 
@@ -438,13 +434,12 @@ def test_run_batch_drops_a_failing_run_and_keeps_the_others():
             assert_same_run(outcome, run(cfg))
 
 
-def test_run_warns_on_non_scrambling_schedule():
+def test_run_disables_the_bound_on_non_scrambling_schedule():
     prob = triangle_indefinite_problem()
     m1 = build_metropolis(graph(3, [(0, 1)]))
     m2 = build_metropolis(graph(3, [(1, 2)]))
     cfg = RunConfig(prob, CyclicSchedule((m1, m2)), StepSchedule(1.0), 10, seed=0)
-    with pytest.warns(RuntimeWarning, match="not scrambling"):
-        tr = run(cfg)
+    tr = run(cfg)
     assert tr.bound is None and not tr.summary.bound_enabled
 
 
@@ -631,12 +626,10 @@ def test_summary_does_not_depend_on_the_check_block(monkeypatch, tmp_path, round
         for K in (0, 1, 43):  # 43 is a multiple of no forced block size
             cfgs = [dataclasses.replace(sc.run_config, seed=s, n_iterations=K, record_every=5)
                     for s in range(batch)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
-                default = run_batch(cfgs)
-                with monkeypatch.context() as m:
-                    force_check_block(m, rounds, cfgs)
-                    forced = run_batch(cfgs)
+            default = run_batch(cfgs)
+            with monkeypatch.context() as m:
+                force_check_block(m, rounds, cfgs)
+                forced = run_batch(cfgs)
             for b in sorted({0, batch - 1}):
                 run_dir = tmp_path / f"{name}-{K}-{b}"
                 run_dir.mkdir()
@@ -712,9 +705,7 @@ def test_run_batch_matches_the_reference_iteration(families, dim, in_ball, sched
     steps = StepSchedule(rng.uniform(0.05, 0.5), rng.uniform(1.0, 5.0), rng.uniform(0.51, 1.0))
     cfgs = [RunConfig(prob, sched, steps, n_iterations, seed=s, record_every=every)
             for s in seeds]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the non-scrambling notice
-        traces = run_batch(cfgs)
+    traces = run_batch(cfgs)
     for cfg, tr in zip(cfgs, traces):
         ref = reference_run(cfg, initial_states(cfg), engine._probe_points(fs, cfg.seed))
         want_ks = sorted(set(range(0, n_iterations, every)) | {n_iterations})

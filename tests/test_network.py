@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from consopt.network import (
     ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix,
-    build_metropolis, build_two_link_matrix, complete_graph, connected_component, graph,
-    is_connected, is_doubly_stochastic, is_q_connected, max_contraction, path_graph,
-    ring_graph, schedule_from_dict, support_graph,
+    adjacency, build_metropolis, build_two_link_matrix, complete_graph, graph, is_connected,
+    is_doubly_stochastic, max_contraction, path_graph, reachability, ring_graph,
+    schedule_from_dict, support_graph, windows_connected,
 )
 from consopt.problem import ConfigError
 from consopt.privacy import SIX_VIRTUAL_PATTERN
@@ -236,7 +236,8 @@ def test_reachability_matches_bfs():
         g = graph(n, [e for e, keep in zip(pairs, rng.random(len(pairs)) < 0.2) if keep])
         assert is_connected(g) == bfs_connected(g)
         start = int(rng.integers(n))
-        assert connected_component(g, start) == bfs_component(g, start)
+        reached = set(np.flatnonzero(reachability(adjacency(g))[start]).tolist())
+        assert reached == bfs_component(g, start)
 
 
 def test_graph_rejects_self_loops_and_range():
@@ -265,32 +266,49 @@ def test_fusion_sum_nonexpansive_for_any_doubly_stochastic_matrix():
 # schedules
 
 
+def q_connected(schedule, q, horizon) -> bool:
+    return bool(windows_connected(schedule.distinct_matrices(horizon), q, horizon).all())
+
+
 def test_q_connected_static_schedule():
     s = StaticSchedule(build_metropolis(ring_graph(4)))
-    assert is_q_connected(s, 1, 8)
-    assert is_q_connected(s, 3, 8)
+    assert q_connected(s, 1, 8)
+    assert q_connected(s, 3, 8)
 
 
 def test_q_connected_alternating_edges():
     m1 = build_metropolis(graph(3, [(0, 1)]))
     m2 = build_metropolis(graph(3, [(1, 2)]))
     s = CyclicSchedule((m1, m2))
-    assert is_q_connected(s, 2, 12)
-    assert not is_q_connected(s, 1, 12)
+    assert q_connected(s, 2, 12)
+    assert not q_connected(s, 1, 12)
 
 
 def test_q_connected_isolated_agent_fails():
     m = build_metropolis(graph(3, [(0, 1)]))
     s = StaticSchedule(m)
-    assert not is_q_connected(s, 4, 16)
+    assert not q_connected(s, 4, 16)
 
 
 def test_q_connected_validates_window():
-    s = StaticSchedule(build_metropolis(complete_graph(2)))
+    mats = StaticSchedule(build_metropolis(complete_graph(2))).distinct_matrices(4)
     with pytest.raises(ConfigError):
-        is_q_connected(s, 0, 4)
+        windows_connected(mats, 0, 4)
     with pytest.raises(ConfigError):
-        is_q_connected(s, 5, 4)
+        windows_connected(mats, 5, 4)
+
+
+def test_windows_connected_reads_each_distinct_window_once():
+    split, joined = (build_metropolis(graph(3, e)) for e in ([(0, 1)], [(0, 1), (1, 2)]))
+    # a cycle of n matrices has n distinct windows however long the horizon
+    cycle = CyclicSchedule((joined, split, split)).distinct_matrices(50)
+    assert windows_connected(cycle, 1, 50).tolist() == [True, False, False]
+    assert windows_connected(cycle, 2, 50).tolist() == [True, False, True]
+    assert windows_connected(cycle, 2, 2).tolist() == [True]
+    # a random stack holds one matrix per round: one entry per window of the horizon
+    mats = RandomSchedule(4, 0.5, seed=3).distinct_matrices(20)
+    assert windows_connected(mats, 1, 20).tolist() == [True] * 20
+    assert windows_connected(mats, 3, 20).shape == (18,)
 
 
 def test_random_schedule_reproducible_bitwise():

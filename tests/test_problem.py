@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -447,6 +448,25 @@ def test_analytic_bounds_match_grid_for_quartic():
     l_a, n_a = c.grad_bound, c.lipschitz
     assert l_a == pytest.approx(20.0, rel=1e-9)
     assert n_a == pytest.approx(42.0, rel=1e-9)
+
+
+def test_analytic_gradient_bound_above_twelve_dimensions_covers_every_corner():
+    # past 12 dimensions no corner is enumerated: the bound is ||A|| max||x|| + ||b||
+    dim = 13
+    rng = np.random.default_rng(13)
+    fs = Box(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim))
+    m = rng.standard_normal((dim, dim))
+    a, b = m + m.T, rng.standard_normal(dim)
+    c = quadratic("f0", a, b, bounds_for=fs)
+    corners = np.array(list(itertools.product(*zip(fs.lo, fs.hi))))
+    assert len(corners) == 8192
+    exact = float(np.max(np.linalg.norm(corners @ a + b, axis=1)))
+    radius = np.linalg.norm(np.maximum(-fs.lo, fs.hi))
+    assert c.grad_bound == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(a))) * radius + np.linalg.norm(b), rel=1e-12)
+    assert c.grad_bound >= exact
+    est = estimate_bounds(c, fs, 500, seed=13)
+    assert not est.l_violated and not est.n_violated
 
 
 # ---------------------------------------------------------------------------

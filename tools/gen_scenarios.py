@@ -109,8 +109,8 @@ def base(name: str, problem: Problem, schedule: dict, n_iterations: int, **extra
     return doc
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def scenario_texts() -> dict[str, str]:
+    """Each shipped scenario's name and the text of its JSON file."""
     tri = triangle_problem()
     tri_sched = {"variant": "static", "matrix": metropolis_entries(complete_graph(3))}
     tri_graph = {"n_agents": 3, "edges": TRIANGLE_EDGES}
@@ -164,11 +164,14 @@ def main() -> None:
             "sharing_scale1", tri, tri_sched, 60000, graph=tri_graph,
             transform={"kind": "random_sharing", "scale": 1.0, "seed": 7}),
     }
-    for name, doc in docs.items():
+    return {name: json.dumps(doc, indent=2) + "\n" for name, doc in docs.items()}
+
+
+def main() -> None:
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, text in scenario_texts().items():
         path = OUT / f"{name}.json"
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        path.write_text(text, newline="\n")
         print(f"wrote {path}")
 
 

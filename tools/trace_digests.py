@@ -42,7 +42,6 @@ import hashlib
 import io
 import json
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,10 +115,7 @@ def digests():
             for suffix, overrides in SETTINGS:
                 label = name + suffix
                 run_dir = Path(tmp) / label
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    execute_run(load_scenario(shipped_scenario_path(name), **overrides), 0,
-                                run_dir)
+                execute_run(load_scenario(shipped_scenario_path(name), **overrides), 0, run_dir)
                 export_dir = Path(tmp) / f"{label}-export"
                 with contextlib.redirect_stdout(io.StringIO()):
                     cmd_export(run_dir, export_dir)
