@@ -215,10 +215,11 @@ class VerdictReport:
     trend_pass: bool
     trend_detail: dict
     n_records: int
+    bound: str  # "pass", "fail" or "not applicable"
 
     @property
     def overall_pass(self) -> bool:
-        return self.consensus_pass and self.gap_pass and self.trend_pass
+        return self.consensus_pass and self.gap_pass and self.trend_pass and self.bound != "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -226,20 +227,25 @@ class VerdictReport:
                           "pass": self.consensus_pass},
             "gap": {"final": self.gap_final, "tol": self.gap_tol, "pass": self.gap_pass},
             "trend": {"pass": self.trend_pass, **self.trend_detail},
+            "bound": self.bound,
             "n_records": self.n_records,
             "overall_pass": self.overall_pass,
         }
 
 
 def verdict(trace: RunTrace, oracle: OracleSolution, tol_consensus: float = 1e-3,
-            tol_gap: float = 1e-3) -> VerdictReport:
-    """Judge consensus and convergence of a completed trace.
+            tol_gap: float = 1e-3, bound: BoundCheckReport | None = None) -> VerdictReport:
+    """Judge consensus, convergence and the disagreement cap of a completed trace.
 
     Checks the final pairwise disagreement against ``tol_consensus``, the
-    final objective gap against the oracle value, and that the last-decile
+    final objective gap against the oracle value, that the last-decile
     mean of each metric does not exceed the first-decile mean (the run moved
-    in the right direction).  Verdicts can be negative; nothing raises.
+    in the right direction), and that no record exceeds its cap: ``bound``
+    is the trace's :func:`check_disagreement_bound` report, taken here when
+    not given.  Verdicts can be negative; nothing raises.
     """
+    if bound is None:
+        bound = check_disagreement_bound(trace)
     n = trace.n_records
     gaps = trace.f_bar - oracle.f_star
     cons_final = float(trace.max_disagreement[-1])
@@ -260,4 +266,5 @@ def verdict(trace: RunTrace, oracle: OracleSolution, tol_consensus: float = 1e-3
         consensus_pass=cons_final <= tol_consensus,
         gap_final=gap_final, gap_tol=tol_gap, gap_pass=gap_final <= tol_gap,
         trend_pass=trend_ok, trend_detail=trend, n_records=n,
+        bound=("pass" if bound.passed else "fail") if bound.applicable else "not applicable",
     )

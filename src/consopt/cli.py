@@ -93,8 +93,8 @@ def run_scenario(sc: Scenario, seeds,
         if isinstance(trace, engine.EngineError):
             results.append(SeedRun(seed, run_dir, error=trace))
             continue
-        vd = analysis.verdict(trace, oracle, sc.tol_consensus, sc.tol_gap)
         report = analysis.check_disagreement_bound(trace)
+        vd = analysis.verdict(trace, oracle, sc.tol_consensus, sc.tol_gap, report)
         if run_dir is not None:
             _write_artifacts(sc, run_dir, trace, oracle, vd, report)
         results.append(SeedRun(seed, run_dir, trace, vd, report))
@@ -282,11 +282,15 @@ def cmd_compare(config_path, *, out_dir=None, force=False, **overrides) -> int:
 
 
 def cmd_export(run_dir, out_dir=None) -> int:
+    """Rewrite a run's ``trace.csv`` and ``plotdata.csv`` from its ``trace.jsonl`` and
+    ``oracle.json``, copying each number's text as the run wrote it.  The files are
+    streamed block by block into ``.part`` files, which replace the CSVs only once
+    the whole trace has been read, so a rejected trace leaves no partial CSV."""
     src = Path(run_dir)
     trace_path = src / "trace.jsonl"
     if not trace_path.exists():
         raise ConfigError(f"no trace.jsonl under {src}")
-    trace = engine.read_trace_jsonl(trace_path)
+    trace = engine.read_trace_blocks(trace_path)
     oracle_path = src / "oracle.json"
     f_star = None
     if oracle_path.exists():
@@ -295,8 +299,16 @@ def cmd_export(run_dir, out_dir=None) -> int:
             f_star = None if f_star is None else float(f_star)
     dest = Path(out_dir) if out_dir else src
     dest.mkdir(parents=True, exist_ok=True)
-    engine.write_trace_csv(trace, dest / "trace.csv", dest / "plotdata.csv", f_star)
-    print(f"exported {trace.n_records} records to {dest}")
+    parts = [dest / "trace.csv.part", dest / "plotdata.csv.part"]
+    try:
+        n = engine.write_trace_csv(trace, *parts, f_star)
+    except BaseException:
+        for p in parts:
+            p.unlink(missing_ok=True)
+        raise
+    for p in parts:
+        p.replace(p.with_suffix(""))
+    print(f"exported {n} records to {dest}")
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -378,6 +378,19 @@ def run(cfg: RunConfig) -> RunTrace:
 TRACE_FIELDS = ("k", "alpha", "x", "x_bar", "f_bar", "max_delta", "max_disagreement", "bound")
 _BLOCK = 256  # records formatted or parsed at a time, writing or reading
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # of float repr
+_REPR_SPELLING = {v: k for k, v in _JSON_SPELLING.items()}
+
+
+class TraceBlocks(NamedTuple):
+    """A trace as blocks of at most ``_BLOCK`` records, each a list of its ``k``s and
+    a list of the text of its other numbers, as ``repr`` spells them.  A record's
+    numbers are its step, ``f_bar``, both disagreement metrics, its bound (only if
+    ``bounded``), its states and their average: F = 4 + bounded + S*D + D of them."""
+
+    n_agents: int
+    dimension: int
+    bounded: bool
+    blocks: Iterable[tuple[list, list]]
 
 
 def _reprs(values: list) -> list[str]:
@@ -385,16 +398,24 @@ def _reprs(values: list) -> list[str]:
     return repr(values)[1:-1].split(", ")
 
 
-def _trace_lines(trace: RunTrace, f_star: float | None, jsonl: bool):
-    """Yield the lines of ``trace.csv``, ``plotdata.csv`` and (if ``jsonl``) ``trace.jsonl``:
-    the headers, then each ``_BLOCK`` records' lines, from floats formatted once for all."""
+def _formatted(trace: RunTrace) -> TraceBlocks:
+    """A run's trace as blocks: each block's floats are one table, formatted once."""
     R, S, D = trace.states.shape
     bounded = trace.bound is not None
     cols = [trace.alphas, trace.f_bar, trace.max_disagreement, trace.max_delta,
-            *([trace.bound] if bounded else []), trace.states.reshape(R, S * D),
-            *([trace.x_bar] if jsonl else [])]
+            *([trace.bound] if bounded else []), trace.states.reshape(R, S * D), trace.x_bar]
+    return TraceBlocks(S, D, bounded, (
+        (trace.ks[lo:lo + _BLOCK].tolist(),
+         _reprs(np.column_stack([c[lo:lo + _BLOCK] for c in cols]).ravel().tolist()))
+        for lo in range(0, R, _BLOCK)))
+
+
+def _trace_lines(trace: TraceBlocks, f_star: float | None, jsonl: bool):
+    """Yield the lines of ``trace.csv``, ``plotdata.csv`` and (if ``jsonl``) ``trace.jsonl``:
+    the headers, then each block's lines, joined from the block's number text."""
+    S, D, bounded = trace.n_agents, trace.dimension, trace.bounded
     q = 4 + bounded  # a row's first x column; x_bar, which only the JSONL holds, follows x
-    F = q + S * D + D * jsonl
+    F = q + S * D + D
     # a row's strings in the JSONL template's order, which is that of TRACE_FIELDS
     pick = operator.itemgetter(0, *range(q, F), 1, 3, 2, *([4] if bounded else []))
     xs = ", ".join(["%s"] * D)
@@ -404,69 +425,155 @@ def _trace_lines(trace: RunTrace, f_star: float | None, jsonl: bool):
     names = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(S, D))
     yield [f"k,alpha,f_bar,max_disagreement,max_delta,bound,{names}\n"], \
         ["k,f_gap,max_disagreement,bound\n"]
-    for lo in range(0, R, _BLOCK):
-        ks = trace.ks[lo:lo + _BLOCK].tolist()
-        block = np.column_stack([c[lo:lo + _BLOCK] for c in cols])
-        s = _reprs(block.ravel().tolist())
+    for ks, s in trace.blocks:
         rows = range(0, len(ks) * F, F)
         bounds = s[4::F] if bounded else [""] * len(ks)
         gaps = ([""] * len(ks) if f_star is None
-                else _reprs([f - f_star for f in trace.f_bar[lo:lo + _BLOCK].tolist()]))
+                else _reprs([float(f) - f_star for f in s[1::F]]))
         lines = ([f"{k},{','.join(s[o:o + 4])},{'' if b in _JSON_SPELLING else b},"
                   f"{','.join(s[o + q:o + q + S * D])}\n" for k, o, b in zip(ks, rows, bounds)],
                  [f"{k},{g},{m},{b}\n" for k, g, m, b in zip(ks, gaps, s[2::F], bounds)])
         if jsonl:
-            if not np.isfinite(block).all():
+            if not _JSON_SPELLING.keys().isdisjoint(s):
                 s = [_JSON_SPELLING.get(c, c) for c in s]
             lines += ([template % ((k,) + pick(s[o:o + F])) for k, o in zip(ks, rows)],)
         yield lines
 
 
-def write_trace_csv(trace: RunTrace, path, plotdata, f_star: float | None, jsonl=None) -> None:
+def write_trace_csv(trace: RunTrace | TraceBlocks, path, plotdata, f_star: float | None,
+                    jsonl=None) -> int:
     """Write ``trace.csv`` at ``path``, ``plotdata.csv`` at ``plotdata`` and, if given,
-    ``trace.jsonl`` at ``jsonl`` in one pass.  trace.csv: k, alpha, f_bar,
-    max_disagreement, max_delta, bound (empty when absent or non-finite), x_J_d;
-    plotdata.csv: k, f_gap (empty without an oracle), max_disagreement, bound;
-    trace.jsonl: one ``json.dumps`` object per record, keyed by ``TRACE_FIELDS``."""
+    ``trace.jsonl`` at ``jsonl`` in one pass, and return the number of records.
+    trace.csv: k, alpha, f_bar, max_disagreement, max_delta, bound (empty when absent
+    or non-finite), x_J_d; plotdata.csv: k, f_gap (empty without an oracle),
+    max_disagreement, bound; trace.jsonl: one ``json.dumps`` object per record, keyed
+    by ``TRACE_FIELDS``.  A run's trace is formatted here; the blocks of
+    :func:`read_trace_blocks` are copied as they were read."""
+    if isinstance(trace, RunTrace):
+        trace = _formatted(trace)
+    n = -1  # the header
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="\n"))
                  for p in (path, plotdata, jsonl) if p is not None]
         for lines in _trace_lines(trace, f_star, jsonl is not None):
             for fh, block in zip(files, lines):
                 fh.writelines(block)
+            n += len(lines[1])
+    return n
 
 
-def _columns(lines, shapes) -> list[np.ndarray]:
-    """One array per field of ``TRACE_FIELDS`` from JSONL lines; raises on a bad
-    record, including one whose fields are not shaped as ``shapes`` (if given)."""
-    recs = [json.loads(line) for line in lines]
-    cols = [np.array([r[f] for r in recs], dtype=int if f == "k" else float)
-            for f in TRACE_FIELDS]
-    if shapes is not None and [c.shape[1:] for c in cols] != shapes:
-        raise ValueError("a field is shaped unlike in the first record")
-    return cols
+def _records(lines) -> list:
+    """The records on ``lines``, one per line, with each number kept as its text and
+    ``NaN``/``Infinity`` respelled as ``repr`` spells them.  Each line is wrapped in
+    a list of its own, so a record split over lines, or two on one line, is rejected."""
+    wrapped = json.loads("[[" + "],[".join(lines) + "]]", parse_float=str,
+                         parse_constant=_REPR_SPELLING.__getitem__)
+    return [r for (r,) in wrapped]
+
+
+def _trace_shape(line: str) -> tuple[int, int, bool]:
+    """S, D and whether the trace has a bound column, from its first record."""
+    (r,) = _records([line])
+    x = r["x"]
+    if not (isinstance(x, list) and x and isinstance(x[0], list) and x[0]):
+        raise ValueError("field 'x' is not a non-empty list of lists")
+    return len(x), len(x[0]), r["bound"] is not None
+
+
+def _number(token, field: str) -> str:
+    """The text of a value that is not a float literal: an integer literal is
+    written as the float it is, a null bound as ``nan``; anything else raises."""
+    if type(token) is int:
+        return repr(float(token))
+    if token is None and field == "bound":
+        return "nan"
+    kind = "null" if token is None else f"a {type(token).__name__}"
+    raise TypeError(f"field {field!r} is {kind}, not a number")
+
+
+def _parse_block(lines, S: int, D: int, bounded: bool) -> tuple[list, list]:
+    """The ``k``s and number text of the records on ``lines``, in ``TraceBlocks``
+    order; raises on a record that is not typed or shaped as the first one."""
+    recs = _records(lines)
+    ks = [r["k"] for r in recs]
+    tokens, shape = [], [D] * S
+    for r in recs:
+        x, x_bar = r["x"], r["x_bar"]
+        if list(map(len, x)) != shape or len(x_bar) != D:
+            raise ValueError(f"'x' is not {S}x{D} or 'x_bar' not of length {D}, as in line 1")
+        tokens += (r["alpha"], r["f_bar"], r["max_disagreement"], r["max_delta"])
+        if bounded:
+            tokens.append(r["bound"])
+        for row in x:
+            tokens += row
+        tokens += x_bar
+    # every record has the 8 fields, so any further quote is a string or another field
+    if sum(map(str.count, lines, itertools.repeat('"'))) != 2 * len(TRACE_FIELDS) * len(recs):
+        raise ValueError("a value is a string, or a field is not one of TRACE_FIELDS")
+    if set(map(type, ks)) != {int}:
+        raise TypeError("field 'k' is not an integer")
+    if not bounded and not {type(r["bound"]) for r in recs} <= {str, int, type(None)}:
+        raise TypeError("field 'bound' is not a number or null")
+    if set(map(type, tokens)) != {str}:
+        fields = ["alpha", "f_bar", "max_disagreement", "max_delta", *["bound"] * bounded,
+                  *["x"] * (S * D), *["x_bar"] * D]
+        tokens = [t if type(t) is str else _number(t, fields[i % len(fields)])
+                  for i, t in enumerate(tokens)]
+    return ks, tokens
+
+
+def read_trace_blocks(path) -> TraceBlocks:
+    """A ``trace.jsonl`` as blocks of ``_BLOCK`` lines, one ``json.loads`` each, its
+    numbers kept as written; a null bound reads ``nan``, and the column is absent
+    when the first record has none.  The first record is read here and gives the
+    shape; the blocks are parsed as they are iterated, once.  A record that is not one
+    line, whose ``k`` is not a JSON integer, whose other values are not numbers
+    (or, for the bound, null), or whose ``x`` is not S x D as in the first record
+    is a ``ConfigError`` naming the file and line."""
+    with open(path) as fh:
+        first = fh.readline()
+    if not first:
+        raise ConfigError(f"trace file {path} has no records")
+    with reading(f"trace file {path} line 1"):
+        shape = _trace_shape(first)
+
+    def blocks():
+        with open(path) as fh:
+            for n0 in itertools.count(1, _BLOCK):
+                lines = list(itertools.islice(fh, _BLOCK))
+                if not lines:
+                    return
+                try:
+                    block = _parse_block(lines, *shape)
+                except (KeyError, TypeError, ValueError, OverflowError):
+                    for n, line in enumerate(lines, n0):  # name the first bad record
+                        with reading(f"trace file {path} line {n}"):
+                            json.loads(line)  # its own parse error, if any
+                            _parse_block([line], *shape)
+                    raise
+                yield block
+
+    return TraceBlocks(*shape, blocks())
 
 
 def read_trace_jsonl(path) -> RunTrace:
-    """Read a ``trace.jsonl`` back ``_BLOCK`` lines at a time; null bounds become
-    NaN, and the column is absent when the first record has none."""
-    blocks, shapes = [], None
-    with open(path) as fh:
-        for n0 in itertools.count(1, _BLOCK):
-            lines = list(itertools.islice(fh, _BLOCK))
-            if not lines:
-                break
-            try:
-                if shapes is None:
-                    shapes = [c.shape[1:] for c in _columns(lines[:1], None)]
-                    bounded = json.loads(lines[0])["bound"] is not None
-                blocks.append(_columns(lines, shapes))
-            except (ValueError, KeyError, TypeError):
-                for n, line in enumerate(lines, n0):  # name the first bad record
-                    with reading(f"trace file {path} line {n}"):
-                        _columns([line], shapes)
-                raise
-    if not blocks:
-        raise ConfigError(f"trace file {path} has no records")
-    cols = [np.concatenate(c) for c in zip(*blocks)]
-    return RunTrace(*cols[:-1], bound=cols[-1] if bounded else None, summary=None)
+    """Read a ``trace.jsonl`` back: the floats of :func:`read_trace_blocks`' text."""
+    trace = read_trace_blocks(path)
+    S, D, bounded = trace.n_agents, trace.dimension, trace.bounded
+    ks, tables = [], []
+    for k, s in trace.blocks:
+        ks += k
+        tables.append(np.array(s, dtype=float).reshape(len(k), -1))
+    t = np.concatenate(tables)
+    q = 4 + bounded
+    return RunTrace(
+        ks=np.array(ks, dtype=int),
+        alphas=t[:, 0],
+        states=t[:, q:q + S * D].reshape(-1, S, D),
+        x_bar=t[:, q + S * D:],
+        f_bar=t[:, 1],
+        max_delta=t[:, 3],
+        max_disagreement=t[:, 2],
+        bound=t[:, 4] if bounded else None,
+        summary=None,
+    )

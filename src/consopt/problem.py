@@ -52,7 +52,7 @@ def reading(what: str):
         raise
     except KeyError as e:
         raise ConfigError(f"{what}: missing field {e.args[0]!r}") from e
-    except (IndexError, TypeError, ValueError, AttributeError) as e:
+    except (IndexError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise ConfigError(f"{what}: malformed ({type(e).__name__}: {e})") from e
 
 

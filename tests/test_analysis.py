@@ -292,3 +292,18 @@ def test_verdict_single_agent_consensus_trivial():
     v = verdict(tr, centralized_solve(prob))
     assert v.consensus_final == 0.0 and v.consensus_pass
     assert v.gap_pass and v.overall_pass
+
+
+def test_verdict_judges_the_disagreement_cap():
+    prob = triangle_problem()
+    cfg = RunConfig(prob, uniform_schedule(3), ALPHA, 4000, seed=3, record_every=10)
+    tr, sol = run(cfg), centralized_solve(prob)
+    assert verdict(tr, sol).bound == "pass"
+    assert verdict(tr, sol, bound=check_disagreement_bound(tr)).to_dict()["bound"] == "pass"
+    tr.bound = tr.max_delta - 1e-6  # every record exceeds its cap
+    v = verdict(tr, sol)
+    assert v.consensus_pass and v.gap_pass and v.trend_pass
+    assert v.bound == "fail" and not v.overall_pass
+    tr.bound = None  # a non-scrambling schedule's trace
+    v = verdict(tr, sol)
+    assert v.bound == "not applicable" and v.overall_pass

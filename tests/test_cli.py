@@ -410,19 +410,27 @@ def test_run_writes_all_artifacts(tmp_path):
     assert bc["passed"] is True
 
 
+def probe_config(tmp_path, grad_bound, n_iterations, consensus):
+    """Two agents, f0 = x and f1 = -x on [-10, 10], declared with ``grad_bound``,
+    from x0 = 0 on the lazy matrix [[0.75, 0.25], [0.25, 0.75]], every round recorded."""
+    fs = Box(np.array([-10.0]), np.array([10.0]))
+    prob = Problem(1, tuple(quadratic(f"f{i}", [[0.0]], [b], grad_bound=grad_bound,
+                                      lipschitz=1e-12)
+                            for i, b in enumerate((1.0, -1.0))), fs)
+    return write_config(tmp_path, scenario_doc(
+        name="probe", problem=problem_to_dict(prob), graph={"n_agents": 2, "edges": [[0, 1]]},
+        schedule={"variant": "static", "matrix": [[0.75, 0.25], [0.25, 0.75]]},
+        n_iterations=n_iterations, decimate=1, seeds=0,
+        init={"kind": "explicit", "points": [[0], [0]]},
+        tolerances={"consensus": consensus, "gap": 1e-3},
+    ))
+
+
 def test_disagreement_cap_bounds_the_tight_two_agent_probe(tmp_path):
     # f0 = x and f1 = -x push two agents apart at the full declared gradient
     # bound, and the lazy matrix halves their distance D exactly, so from x0 = 0
     # D_{k+1} = D_k / 2 + 2 alpha_k: round k's step must enter the cap after it
-    fs = Box(np.array([-10.0]), np.array([10.0]))
-    prob = Problem(1, tuple(quadratic(f"f{i}", [[0.0]], [b], grad_bound=1.0, lipschitz=1e-12)
-                            for i, b in enumerate((1.0, -1.0))), fs)
-    cfg = write_config(tmp_path, scenario_doc(
-        name="probe", problem=problem_to_dict(prob), graph={"n_agents": 2, "edges": [[0, 1]]},
-        schedule={"variant": "static", "matrix": [[0.75, 0.25], [0.25, 0.75]]},
-        n_iterations=2000, decimate=1, seeds=0, init={"kind": "explicit", "points": [[0], [0]]},
-        tolerances={"consensus": 1e-2, "gap": 1e-3},
-    ))
+    cfg = probe_config(tmp_path, grad_bound=1.0, n_iterations=2000, consensus=1e-2)
     assert main(["validate", "--config", str(cfg)]) == 0
     # D_2000 is about 4 alpha_2000, which a consensus tolerance of 1e-2 accepts
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
@@ -430,8 +438,26 @@ def test_disagreement_cap_bounds_the_tight_two_agent_probe(tmp_path):
     bc = json.loads((run_dir / "bound_check.json").read_text())
     assert (bc["n_checked"], bc["n_violations"]) == (2001, 0)
     assert abs(bc["worst_margin"]) <= 1e-12  # the cap is reached, not just respected
+    assert json.loads((run_dir / "verdict.json").read_text())["bound"] == "pass"
     trace = engine.read_trace_jsonl(run_dir / "trace.jsonl")
     assert trace.max_delta[1] == 1.0 and trace.bound[1] == 1.0  # after one step of 1
+
+
+def test_a_violated_disagreement_cap_fails_the_verdict(tmp_path, capsys):
+    # declared grad_bound 0.1 against a true gradient of 1: the cap is ten times
+    # too small, while consensus, gap and trend all pass
+    cfg = probe_config(tmp_path, grad_bound=0.1, n_iterations=200, consensus=5e-2)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run"), "--force"]) == 1
+    assert "verdict FAIL" in capsys.readouterr().out
+    run_dir = tmp_path / "run" / "probe" / "seed0000"
+    bc = json.loads((run_dir / "bound_check.json").read_text())
+    assert (bc["n_checked"], bc["n_violations"], bc["passed"]) == (201, 200, False)
+    vd = json.loads((run_dir / "verdict.json").read_text())
+    assert vd["consensus"]["pass"] and vd["gap"]["pass"] and vd["trend"]["pass"]
+    assert (vd["bound"], vd["overall_pass"]) == ("fail", False)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"), "--force"]) == 1
+    (row,) = json.loads((tmp_path / "sweep" / "probe" / "aggregate.json").read_text())["results"]
+    assert (row["seed"], row["overall_pass"]) == (0, False)
 
 
 def test_run_zero_iterations_single_record(tmp_path):
@@ -673,40 +699,106 @@ def test_problem_file_reference(tmp_path):
 
 def test_export_regenerates_identical_csv(tmp_path):
     cfg = write_config(tmp_path, scenario_doc(n_iterations=1500))
-    # the shipped decimation, then every one of 2500 iterations (ten read blocks)
-    for name, extra in (("shipped", []), ("dense", ["--decimate", "1", "--iterations", "2500"])):
+    dense = ["--decimate", "1", "--iterations", "2500"]
+    # the shipped decimation, then every one of 2500 iterations (ten read blocks); two
+    # shipped scenarios at every iteration: six agents without a bound column, and a bound
+    for name, config, extra in (
+            ("shipped", cfg, []), ("dense", cfg, dense),
+            ("partition", shipped_scenario_path("partition_virtual6_scale0p1"), dense),
+            ("triangle", shipped_scenario_path("triangle_quadratic"), dense)):
         out = tmp_path / name
-        assert main(["run", "--config", str(cfg), "--out", str(out / "run"), *extra]) == 0
-        run_dir = out / "run" / "tiny_triangle" / "seed0000"
+        assert main(["run", "--config", str(config), "--out", str(out / "run"), *extra]) == 0
+        (run_dir,) = (out / "run").glob("*/seed0000")
         rc = main(["export", "--run-dir", str(run_dir), "--out", str(out / "exported")])
         assert rc == 0
+        assert sorted(p.name for p in (out / "exported").iterdir()) == ["plotdata.csv",
+                                                                         "trace.csv"]
         for fname in ("trace.csv", "plotdata.csv"):
             assert (out / "exported" / fname).read_bytes() == (run_dir / fname).read_bytes()
 
 
-def test_export_missing_trace_is_config_error(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def trace_lines(tmp_path_factory):
+    """The lines of a 401-record trace.jsonl with a bound column (two read blocks)."""
+    tmp = tmp_path_factory.mktemp("trace")
+    cfg = write_config(tmp, scenario_doc(n_iterations=400, decimate=1))
+    main(["run", "--config", str(cfg), "--out", str(tmp / "out")])  # verdict may fail
+    return (tmp / "out" / "tiny_triangle" / "seed0000" / "trace.jsonl").read_text().splitlines(
+        keepends=True)
+
+
+def edited(line: str, drop=(), **fields) -> str:
+    """A trace line with ``fields`` set and the fields named in ``drop`` removed."""
+    rec = {k: v for k, v in json.loads(line).items() if k not in drop}
+    return json.dumps({**rec, **fields}) + "\n"
+
+
+# (case, line edited, its new text from the old): every record must be one line,
+# k a JSON integer, x an S x D list of lists as in line 1, x_bar of length D, every
+# other value a number (the bound also null), and no field but TRACE_FIELDS
+BAD_TRACE_LINES = [
+    ("truncated", 2, lambda t: t[: len(t) // 2] + "\n"),
+    ("split", 2, lambda t: t.replace(', "x_bar"', '\n, "x_bar"')),
+    ("two-records", 2, lambda t: t.rstrip("\n") + ", " + t),
+    ("missing-x", 2, lambda t: edited(t, drop=["x"])),
+    ("ragged", 2, lambda t: edited(t, x=[[0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0]])),
+    ("x-rows", 2, lambda t: edited(t, x=[[0.0, 0.0], [0.0, 0.0]])),
+    ("x-nested", 2, lambda t: edited(t, x=[[0.0, [0.0]], [0.0, 0.0], [0.0, 0.0]])),
+    ("x_bar-length", 2, lambda t: edited(t, x_bar=[0.0])),
+    ("k-float", 2, lambda t: edited(t, k=1.5)),
+    ("k-float-integral", 2, lambda t: edited(t, k=1.0)),
+    ("k-string", 2, lambda t: edited(t, k="1")),
+    ("k-bool", 2, lambda t: edited(t, k=True)),
+    ("alpha-bool", 2, lambda t: edited(t, alpha=True)),
+    ("alpha-string", 2, lambda t: edited(t, alpha="0.5")),
+    ("alpha-null", 2, lambda t: edited(t, alpha=None)),
+    ("alpha-huge-integer", 2, lambda t: edited(t, alpha=10**400)),
+    ("bound-string", 2, lambda t: edited(t, bound="0.5")),
+    ("extra-field", 2, lambda t: edited(t, note=1)),
+    ("first-x-empty", 1, lambda t: edited(t, x=[])),
+    ("first-x-empty-row", 1, lambda t: edited(t, x=[[]])),
+    ("first-alpha-string", 1, lambda t: edited(t, alpha="1.0")),
+    ("second-block", 300, lambda t: edited(t, alpha="0.5")),
+    ("second-block-truncated", 300, lambda t: t[: len(t) // 2] + "\n"),
+    ("last", 401, lambda t: edited(t, f_bar=[0.5])),
+]
+
+
+def test_export_missing_trace_is_config_error(tmp_path):
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
-    cfg = write_config(tmp_path, scenario_doc(n_iterations=20))
-    main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])  # verdict may fail
-    good = (tmp_path / "out" / "tiny_triangle" / "seed0000" / "trace.jsonl").read_text()
-    first, second, *rest = good.splitlines(keepends=True)
-    no_x = json.loads(second)
-    del no_x["x"]
-    ragged = json.loads(second)
-    ragged["x"][1].append(0.0)
-    corrupt = {
-        "truncated": second[: len(second) // 2] + "\n",
-        "missing_x": json.dumps(no_x) + "\n",
-        "ragged": json.dumps(ragged) + "\n",
-    }
-    for name, line in corrupt.items():
-        run_dir = tmp_path / name
-        run_dir.mkdir()
-        (run_dir / "trace.jsonl").write_text("".join([first, line, *rest]))
-        capsys.readouterr()
-        assert main(["export", "--run-dir", str(run_dir)]) == 3, name
-        err = capsys.readouterr().err
-        assert f"{run_dir / 'trace.jsonl'} line 2:" in err, (name, err)
+    (tmp_path / "trace.jsonl").write_text("")
+    assert main(["export", "--run-dir", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("lineno,edit", [c[1:] for c in BAD_TRACE_LINES],
+                         ids=[c[0] for c in BAD_TRACE_LINES])
+def test_export_malformed_trace_names_the_line(tmp_path, capsys, trace_lines, lineno, edit):
+    lines = list(trace_lines)
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    (tmp_path / "trace.jsonl").write_text("".join(lines))
+    assert main(["export", "--run-dir", str(tmp_path)]) == 3
+    _assert_one_config_error(3, capsys.readouterr().err,
+                             f"{tmp_path / 'trace.jsonl'} line {lineno}:")
+    # the CSVs are replaced only once the whole trace has been read
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
+def test_export_copies_each_number_as_written(tmp_path, trace_lines):
+    # an integer literal in a float field is the float it is, a null bound reads
+    # nan, and any other float literal is copied as written
+    lines = list(trace_lines)
+    lines[1] = edited(lines[1], alpha=1, bound=None)
+    lines[299] = edited(lines[299], f_bar=0)
+    lines[2] = lines[2].replace('"alpha": 0.3333333333333333', '"alpha": 3.3333333333333333E-1')
+    (tmp_path / "trace.jsonl").write_text("".join(lines))
+    (tmp_path / "oracle.json").write_text('{"f_star": 0.25}')
+    assert main(["export", "--run-dir", str(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    csv = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    plot = (tmp_path / "out" / "plotdata.csv").read_text().splitlines()
+    assert csv[2].split(",")[1:2] + csv[2].split(",")[5:6] == ["1.0", ""]
+    assert plot[2].split(",")[3] == "nan"
+    assert csv[3].split(",")[1] == "3.3333333333333333E-1"
+    assert csv[300].split(",")[2] == "0.0" and plot[300].split(",")[1] == "-0.25"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consopt import engine
+from consopt import cli, engine
 from consopt.engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
     read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
@@ -523,13 +525,26 @@ def test_trace_files_match_the_per_record_reference_writers(
         reference.write_plotdata(trace, ref / "plotdata.csv", f_star)
         expected = {f: (ref / f).read_bytes() for f in TRACE_FILES}
         assert trace_files(trace, Path(tmp) / "run", f_star) == expected
-        # export's pass, without the JSONL
+        # the pass without the JSONL
+        csv = Path(tmp) / "csv"
+        csv.mkdir()
+        write_trace_csv(trace, csv / "trace.csv", csv / "plotdata.csv", f_star)
+        assert sorted(p.name for p in csv.iterdir()) == ["plotdata.csv", "trace.csv"]
+        # export, which copies the reference JSONL's number text
+        (ref / "oracle.json").write_text(json.dumps({"f_star": f_star}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.cmd_export(ref, Path(tmp) / "export") == 0
         export = Path(tmp) / "export"
-        export.mkdir()
-        write_trace_csv(trace, export / "trace.csv", export / "plotdata.csv", f_star)
         assert sorted(p.name for p in export.iterdir()) == ["plotdata.csv", "trace.csv"]
         for f in ("trace.csv", "plotdata.csv"):
+            assert (csv / f).read_bytes() == expected[f], f
             assert (export / f).read_bytes() == expected[f], f
+        back = read_trace_jsonl(ref / "trace.jsonl")
+        for name in ("ks", "alphas", "states", "x_bar", "f_bar", "max_delta",
+                     "max_disagreement", "bound"):
+            a, b = getattr(back, name), getattr(trace, name)
+            assert (a is None and b is None) or (a.shape == b.shape
+                                                 and a.tobytes() == b.tobytes()), name
 
 
 def test_trace_jsonl_roundtrip(tmp_path):
