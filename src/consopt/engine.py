@@ -468,6 +468,8 @@ def _records(lines) -> list:
     a list of its own, so a record split over lines, or two on one line, is rejected."""
     wrapped = json.loads("[[" + "],[".join(lines) + "]]", parse_float=str,
                          parse_constant=_REPR_SPELLING.__getitem__)
+    if len(wrapped) != len(lines):  # a line that closed its list early: `{…}], [{…}`
+        raise ValueError("a line holds more than one record")
     return [r for (r,) in wrapped]
 
 
@@ -510,6 +512,9 @@ def _parse_block(lines, S: int, D: int, bounded: bool) -> tuple[list, list]:
     # every record has the 8 fields, so any further quote is a string or another field
     if sum(map(str.count, lines, itertools.repeat('"'))) != 2 * len(TRACE_FIELDS) * len(recs):
         raise ValueError("a value is a string, or a field is not one of TRACE_FIELDS")
+    # and S + 2 brackets (x, its rows, x_bar), so a missing one is a bare number
+    if sum(map(str.count, lines, itertools.repeat("["))) != (S + 2) * len(recs):
+        raise ValueError("a row of 'x', or 'x_bar', is not a list")
     if set(map(type, ks)) != {int}:
         raise TypeError("field 'k' is not an integer")
     if not bounded and not {type(r["bound"]) for r in recs} <= {str, int, type(None)}:

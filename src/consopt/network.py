@@ -17,7 +17,6 @@ import numpy as np
 from .problem import ConfigError, ConstructionError, reading
 
 DS_TOL = 1e-12
-DEFAULT_ETA = 1e-3
 _CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
 
 
@@ -99,11 +98,7 @@ def _entries(m) -> np.ndarray:
     return np.asarray(m.entries if isinstance(m, WeightMatrix) else m, dtype=float)
 
 
-def _min_positive(m: np.ndarray) -> float:
-    return float(np.min(m, where=m > 0, initial=np.inf))
-
-
-def _check_weights(m: np.ndarray, eta: float) -> None:
+def _check_weights(m: np.ndarray) -> None:
     """The ``WeightMatrix`` contract, on one matrix or on a stack of them."""
     if not np.all(np.isfinite(m)):
         raise ConfigError("weight matrix has non-finite entries")
@@ -111,33 +106,31 @@ def _check_weights(m: np.ndarray, eta: float) -> None:
         raise ConfigError("weight matrix has negative entries")
     if not is_doubly_stochastic(m, DS_TOL):
         raise ConfigError(f"matrix rows/columns do not sum to 1 within {DS_TOL}")
-    if not (0 < eta <= 1):
-        raise ConfigError("eta must lie in (0, 1]")
-    low = _min_positive(m)
-    if low < eta * (1 - 1e-9):
-        raise ConfigError(f"nonzero entry {low} below the declared floor {eta}")
 
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Doubly stochastic mixing matrix with a floor on its nonzero entries."""
+    """Doubly stochastic mixing matrix."""
 
     entries: np.ndarray
-    eta: float
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("weight matrix must be square")
-        _check_weights(m, self.eta)
+        _check_weights(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "eta", float(self.eta))
 
     @property
     def n_agents(self) -> int:
         return self.entries.shape[0]
+
+    @property
+    def eta(self) -> float:
+        """The floor under every positive weight: the smallest positive entry."""
+        return float(np.min(self.entries, where=self.entries > 0, initial=np.inf))
 
 
 def is_doubly_stochastic(m, tol: float = DS_TOL) -> bool:
@@ -189,30 +182,19 @@ def support_connected(mats: np.ndarray) -> np.ndarray:
 # builders
 
 
-def _check_eta_floor(eta_floor: float, n: int) -> None:
-    if not (0 < eta_floor <= 1.0 / n):
-        raise ConfigError(f"eta_floor must lie in (0, 1/{n}]")
-
-
-def _metropolis(adj: np.ndarray, eta_floor: float) -> np.ndarray:
+def _metropolis(adj: np.ndarray) -> np.ndarray:
     """Metropolis weights of one symmetric adjacency matrix without self-loops,
-    or of a stack of them; raises when an entry falls below ``eta_floor``."""
+    or of a stack of them; every positive entry is at least 1/S."""
     deg = adj.sum(axis=-1)
     m = np.where(adj, 1.0 / (1.0 + np.maximum(deg[..., :, None], deg[..., None, :])), 0.0)
     i = np.arange(adj.shape[-1])
     m[..., i, i] = 1.0 - m.sum(axis=-1)
-    low = _min_positive(m)
-    if low < eta_floor:
-        raise ConstructionError(
-            f"graph degrees force an entry {low:.3g} below the floor {eta_floor}"
-        )
     return m
 
 
-def build_metropolis(g: Graph, eta_floor: float = DEFAULT_ETA) -> WeightMatrix:
+def build_metropolis(g: Graph) -> WeightMatrix:
     """Metropolis-Hastings weights: m[i,j] = 1/(1+max(deg_i,deg_j)) on links."""
-    _check_eta_floor(eta_floor, g.n_agents)
-    return WeightMatrix(_metropolis(adjacency(g), eta_floor), eta_floor)
+    return WeightMatrix(_metropolis(adjacency(g)))
 
 
 def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> WeightMatrix:
@@ -237,7 +219,7 @@ def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> Wei
         m[i, links[1]] = kappa
     if not is_doubly_stochastic(m, DS_TOL):
         raise ConstructionError("pattern columns are unbalanced; matrix is not doubly stochastic")
-    return WeightMatrix(m, _min_positive(m))
+    return WeightMatrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +281,6 @@ class RandomSchedule(WeightSchedule):
     n_agents: int
     edge_probability: float
     seed: int
-    eta_floor: float = DEFAULT_ETA
 
     def __post_init__(self):
         if not (0.0 < self.edge_probability <= 1.0):
@@ -314,8 +295,7 @@ class RandomSchedule(WeightSchedule):
         every round draws once; the rounds still disconnected then redraw
         together, pass by pass, and only their generators stay alive.
         """
-        n, eta = self.n_agents, self.eta_floor
-        _check_eta_floor(eta, n)
+        n = self.n_agents
         iu = np.triu_indices(n, k=1)
         out = np.empty((len(ks), n, n))
         for lo in range(0, len(ks), _CHUNK):
@@ -337,8 +317,8 @@ class RandomSchedule(WeightSchedule):
             else:
                 raise ConstructionError(f"could not sample a connected graph at "
                                         f"k={int(chunk[pending[0]])}; raise edge_probability")
-            m = _metropolis(adj, eta)
-            _check_weights(m, eta)
+            m = _metropolis(adj)
+            _check_weights(m)
             out[lo:lo + len(chunk)] = m
         out.setflags(write=False)
         return out
@@ -367,23 +347,16 @@ def windows_connected(mats: np.ndarray, q: int, horizon: int) -> np.ndarray:
 # serialization
 
 
-def _matrix_from_entries(entries, eta=None) -> WeightMatrix:
-    m = np.asarray(entries, dtype=float)
-    return WeightMatrix(m, _min_positive(m) if eta is None else float(eta))
-
-
 def schedule_from_dict(d: dict) -> WeightSchedule:
     with reading("schedule"):
         variant = d["variant"]
         if variant == "static":
-            return StaticSchedule(_matrix_from_entries(d["matrix"], d.get("eta")))
+            return StaticSchedule(WeightMatrix(d["matrix"]))
         if variant == "cyclic":
-            return CyclicSchedule(tuple(_matrix_from_entries(m, d.get("eta")) for m in d["matrices"]))
+            return CyclicSchedule(tuple(WeightMatrix(m) for m in d["matrices"]))
         if variant == "kappa":
             return StaticSchedule(build_two_link_matrix(d["pattern"], float(d["kappa"])))
         if variant == "random":
             return RandomSchedule(
-                int(d["n_agents"]), float(d["edge_probability"]), int(d["seed"]),
-                float(d.get("eta", DEFAULT_ETA)),
-            )
+                int(d["n_agents"]), float(d["edge_probability"]), int(d["seed"]))
     raise ConfigError(f"unknown schedule variant {variant!r}")

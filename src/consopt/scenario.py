@@ -38,7 +38,6 @@ class Scenario:
     transformed: TransformedProblem | None
     run_config: RunConfig  # the executable problem's run at seeds[0]
     seeds: tuple[int, ...]
-    q_window: int  # every window of this many rounds must union connected
     tol_consensus: float
     tol_gap: float
     oracle_budget: int
@@ -100,13 +99,9 @@ def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
     seed = _read(raw, "transform.seed", int, 0)
     if kind == "partition":
         m = _read(raw, "transform.m_per_agent", int, None)
-        if m is None:
-            plan_spec = _read(raw, "transform.plan")
-            if isinstance(plan_spec, dict) and "m_per_agent" in plan_spec:
-                m = _read(raw, "transform.plan.m_per_agent", int)
-            elif plan_spec != "six-virtual":
-                raise ConfigError(
-                    "field 'transform.plan' must be 'six-virtual' or {m_per_agent}")
+        if m is None and _read(raw, "transform.plan") != "six-virtual":
+            raise ConfigError("field 'transform.plan' must be 'six-virtual' "
+                              "(or give 'transform.m_per_agent')")
         plan = privacy.six_virtual_plan() if m is None else privacy.default_plan(g, m)
         cap = _read(raw, "transform.max_grad_bound", lambda v: None if v is None else float(v),
                     None)
@@ -162,15 +157,6 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     steps = StepSchedule(_read(raw, "steps.a", float), _read(raw, "steps.b", float, 1.0),
                          _read(raw, "steps.p", float, 1.0))
 
-    mode = _read(raw, "connectivity.mode", default="per-k")
-    if mode not in ("per-k", "q-connected"):
-        raise ConfigError("field 'connectivity.mode' must be 'per-k' or 'q-connected'")
-    q_window = _read(raw, "connectivity.Q", int, _ABSENT if mode == "q-connected" else 1)
-    if q_window < 1:
-        raise ConfigError("field 'connectivity.Q' must be >= 1")
-    if mode == "per-k" and q_window != 1:
-        raise ConfigError("field 'connectivity.Q' must be 1 (or absent) in 'per-k' mode")
-
     init_kind = _read(raw, "init.kind", default=None)
     init_points = None
     if init_kind == "explicit":
@@ -200,8 +186,8 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     except ConfigError as e:  # RunConfig's messages start with the field they judge
         field, _, rule = str(e).partition(" ")
         raise ConfigError(f"{_CONFIG_NAMES.get(field, field)} {rule}") from None
-    return Scenario(name, prob, g, transformed, run_config, seeds, q_window,
-                    tol_consensus, tol_gap, oracle_budget)
+    return Scenario(name, prob, g, transformed, run_config, seeds, tol_consensus, tol_gap,
+                    oracle_budget)
 
 
 # the config field (or command-line option) that sets a RunConfig field of another name
@@ -239,10 +225,10 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     """Run every assumption check against the executable problem/schedule.
 
     Convexity of the sum, set validity, bound declarations, double
-    stochasticity and connectivity (the union of every window of
-    ``q_window`` rounds; one round in ``per-k`` mode) are hard checks; a
-    non-scrambling schedule only degrades to a warning since runs remain
-    well-defined, merely without the closed-form disagreement bound.
+    stochasticity and connectivity (for some window length Q, the union of
+    every window of Q rounds) are hard checks; a non-scrambling schedule only
+    degrades to a warning since runs remain well-defined, merely without the
+    closed-form disagreement bound.
     """
     checks: list[CheckResult] = []
     prob = sc.run_config.problem
@@ -277,9 +263,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
         "; ".join(bad_n) or "sampled difference quotients stay below declared moduli",
     ))
 
-    K, Q = sc.run_config.n_iterations, sc.q_window
-    # every check reads the rounds of one horizon, which holds at least one window
-    horizon = max(Q, min(K or _VALIDATE_HORIZON, _VALIDATE_HORIZON))
+    K = sc.run_config.n_iterations
+    horizon = min(K or _VALIDATE_HORIZON, _VALIDATE_HORIZON)
     mats = sc.run_config.schedule.distinct_matrices(horizon)
     # a schedule with one matrix per round is checked over these rounds only
     scope = f" (first {horizon} of {K} rounds)" if len(mats) == horizon < K else ""
@@ -297,7 +282,12 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             else f"matrix support stays within the declared links{scope}",
         ))
 
-    connected = windows_connected(mats, Q, horizon)
+    # Q is the shortest window whose unions all connect; past the number of
+    # distinct matrices a longer window adds none, so the search stops there
+    for Q in range(1, min(len(mats), horizon) + 1):
+        connected = windows_connected(mats, Q, horizon)
+        if connected.all():
+            break
     if Q == 1:  # each window is one round, named by its matrix index
         split = np.flatnonzero(~connected).tolist()
         detail = (f"support graph disconnected at matrix index {split}" if split

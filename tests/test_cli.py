@@ -148,28 +148,47 @@ def test_validate_disconnected_schedule_fails(tmp_path, capsys):
     assert "FAIL connectivity" in capsys.readouterr().out
 
 
-# (case, the edges of each matrix of a cyclic schedule on three agents, its
-# connectivity field, validate's exit code, the connectivity line it prints)
+# (case, the edges of each matrix of a cyclic schedule on three agents, validate's
+# exit code, the connectivity line it prints: Q is the shortest window whose unions
+# all connect, and a failure names the longest window tried, the cycle's length)
 CONNECTIVITY_LINES = [
-    ("per-k-split-matrix", ([(0, 1), (1, 2)], [(0, 1)]), {"mode": "per-k"}, 2,
-     "FAIL connectivity: support graph disconnected at matrix index [1]"),
-    ("q2-alternating-edges", ([(0, 1)], [(1, 2)]), {"mode": "q-connected", "Q": 2}, 0,
+    ("split-matrix", ([(0, 1), (1, 2)], [(0, 1)]), 0,
      "PASS connectivity: window union connected for Q=2 over horizon 50"),
-    ("q2-agent-never-reached", ([(0, 1)], [(0, 1)]), {"mode": "q-connected", "Q": 2}, 2,
+    ("q2-alternating-edges", ([(0, 1)], [(1, 2)]), 0,
+     "PASS connectivity: window union connected for Q=2 over horizon 50"),
+    ("q3-one-edge-a-round", ([(0, 1)], [(0, 1)], [(1, 2)]), 0,
+     "PASS connectivity: window union connected for Q=3 over horizon 50"),
+    ("one-split-matrix", ([(0, 1)],), 2,
+     "FAIL connectivity: support graph disconnected at matrix index [0]"),
+    ("q2-agent-never-reached", ([(0, 1)], [(0, 1)]), 2,
      "FAIL connectivity: window union DISCONNECTED for Q=2 over horizon 50"),
 ]
 
 
-@pytest.mark.parametrize("edges,connectivity,code,line", [c[1:] for c in CONNECTIVITY_LINES],
+@pytest.mark.parametrize("edges,code,line", [c[1:] for c in CONNECTIVITY_LINES],
                          ids=[c[0] for c in CONNECTIVITY_LINES])
-def test_validate_prints_the_connectivity_of_each_window(tmp_path, capsys, edges,
-                                                         connectivity, code, line):
+def test_validate_prints_the_connectivity_of_each_window(tmp_path, capsys, edges, code, line):
     matrices = [build_metropolis(graph(3, e)).entries.tolist() for e in edges]
-    doc = scenario_doc(schedule={"variant": "cyclic", "matrices": matrices},
-                       connectivity=connectivity, n_iterations=50)
+    doc = scenario_doc(schedule={"variant": "cyclic", "matrices": matrices}, n_iterations=50)
     rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
     assert rc == code
     assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("schedule", [
+    None,  # scenario_doc's static Metropolis matrix, whose weights are all 1/3
+    {"variant": "random", "n_agents": 3, "edge_probability": 0.6, "seed": 1},
+], ids=["static", "random"])
+def test_declared_eta_and_connectivity_are_ignored(tmp_path, capsys, schedule):
+    plain = scenario_doc(n_iterations=50, **({"schedule": schedule} if schedule else {}))
+    # a floor above every weight, and a window the schedule does not need
+    declared = {**plain, "schedule": {**plain["schedule"], "eta": 0.5},
+                "connectivity": {"mode": "q-connected", "Q": 3}}
+    results = []
+    for i, doc in enumerate((plain, declared)):
+        rc = main(["validate", "--config", str(write_config(tmp_path, doc, f"c{i}.json"))])
+        results.append((rc, capsys.readouterr()))
+    assert results[0][0] == 0 and results[0] == results[1]
 
 
 def test_validate_fails_checks_on_nonfinite_samples(tmp_path, capsys):
@@ -232,8 +251,6 @@ MALFORMED_CONFIGS = [
     ("seeds", "seeds", {"start": "a", "stop": 3}, "seeds"),
     ("tolerances-int", "tolerances", 3, "tolerances"),
     ("tolerances-gap", "tolerances.gap", "x", "tolerances.gap"),
-    ("Q", "connectivity", {"mode": "q-connected", "Q": "x"}, "connectivity.Q"),
-    ("Q-per-k", "connectivity", {"mode": "per-k", "Q": 2}, "connectivity.Q"),
     ("points", "init", {"kind": "explicit", "points": "x"}, "init.points"),
     ("points-ragged", "init", {"kind": "explicit", "points": [[0, 0], [0], [0, 0]]},
      "init.points"),
@@ -666,23 +683,24 @@ def test_compare_partition_changes_agent_count(tmp_path):
     assert rep["passed"] is True
 
 
-def test_partition_m_per_agent_shorthand(tmp_path):
-    from consopt.privacy import transformed_to_dict
+def test_partition_m_per_agent_shorthand(tmp_path, capsys):
     from consopt.scenario import load_scenario
-    loaded = []
-    for spelling in ({"m_per_agent": 2}, {"plan": {"m_per_agent": 2}}):
-        doc = scenario_doc(
+
+    def doc(**spelling):
+        return scenario_doc(
             name="autopart",
             transform={"kind": "partition", **spelling, "perturbation_scale": 0.1, "seed": 3},
             schedule={"variant": "random", "n_agents": 6,
                       "edge_probability": 0.6, "seed": 1},
             n_iterations=100,
         )
-        loaded.append(load_scenario(write_config(tmp_path, doc)))
-    sc, planned = loaded
+    sc = load_scenario(write_config(tmp_path, doc(m_per_agent=2)))
     assert sc.run_config.problem.n_agents == 6
     assert sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
-    assert transformed_to_dict(planned.transformed) == transformed_to_dict(sc.transformed)
+    # the plan is only "six-virtual"; pieces per agent have one spelling
+    rc = main(["validate", "--config",
+               str(write_config(tmp_path, doc(plan={"m_per_agent": 2})))])
+    _assert_one_config_error(rc, capsys.readouterr().err, "transform.plan")
 
 
 def test_problem_file_reference(tmp_path):
@@ -733,6 +751,12 @@ def edited(line: str, drop=(), **fields) -> str:
     return json.dumps({**rec, **fields}) + "\n"
 
 
+def widened(line: str) -> str:
+    """A trace line one dimension up: every row of x, and x_bar, end in 0.25."""
+    rec = json.loads(line)
+    return edited(line, x=[row + [0.25] for row in rec["x"]], x_bar=rec["x_bar"] + [0.25])
+
+
 # (case, line edited, its new text from the old): every record must be one line,
 # k a JSON integer, x an S x D list of lists as in line 1, x_bar of length D, every
 # other value a number (the bound also null), and no field but TRACE_FIELDS
@@ -740,6 +764,7 @@ BAD_TRACE_LINES = [
     ("truncated", 2, lambda t: t[: len(t) // 2] + "\n"),
     ("split", 2, lambda t: t.replace(', "x_bar"', '\n, "x_bar"')),
     ("two-records", 2, lambda t: t.rstrip("\n") + ", " + t),
+    ("two-records-closing-the-line", 2, lambda t: t.rstrip("\n") + "], [" + t),
     ("missing-x", 2, lambda t: edited(t, drop=["x"])),
     ("ragged", 2, lambda t: edited(t, x=[[0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0]])),
     ("x-rows", 2, lambda t: edited(t, x=[[0.0, 0.0], [0.0, 0.0]])),
@@ -762,6 +787,12 @@ BAD_TRACE_LINES = [
     ("second-block-truncated", 300, lambda t: t[: len(t) // 2] + "\n"),
     ("last", 401, lambda t: edited(t, f_bar=[0.5])),
 ]
+# the same, in the trace widened to dimension 3, where a float's text ("1.5") is as
+# long as a row: a bare number in place of a row of x or of x_bar
+BAD_WIDE_TRACE_LINES = [
+    ("x-row-bare-number", 3, lambda t: edited(t, x=[[0.25, 0.25, 0.25], 1.5, [0.0, 0.0, 0.0]])),
+    ("x_bar-bare-number", 2, lambda t: edited(t, x_bar=1.5)),
+]
 
 
 def test_export_missing_trace_is_config_error(tmp_path):
@@ -770,10 +801,13 @@ def test_export_missing_trace_is_config_error(tmp_path):
     assert main(["export", "--run-dir", str(tmp_path)]) == 3
 
 
-@pytest.mark.parametrize("lineno,edit", [c[1:] for c in BAD_TRACE_LINES],
-                         ids=[c[0] for c in BAD_TRACE_LINES])
-def test_export_malformed_trace_names_the_line(tmp_path, capsys, trace_lines, lineno, edit):
-    lines = list(trace_lines)
+@pytest.mark.parametrize("wide,lineno,edit",
+                         [(False, *c[1:]) for c in BAD_TRACE_LINES]
+                         + [(True, *c[1:]) for c in BAD_WIDE_TRACE_LINES],
+                         ids=[c[0] for c in BAD_TRACE_LINES + BAD_WIDE_TRACE_LINES])
+def test_export_malformed_trace_names_the_line(tmp_path, capsys, trace_lines, wide, lineno,
+                                               edit):
+    lines = list(map(widened, trace_lines)) if wide else list(trace_lines)
     lines[lineno - 1] = edit(lines[lineno - 1])
     (tmp_path / "trace.jsonl").write_text("".join(lines))
     assert main(["export", "--run-dir", str(tmp_path)]) == 3

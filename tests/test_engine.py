@@ -38,7 +38,7 @@ def single_agent_problem(fs=BOX1):
 
 
 def uniform_schedule(n):
-    return StaticSchedule(WeightMatrix(np.full((n, n), 1.0 / n), 1.0 / (n + 1)))
+    return StaticSchedule(WeightMatrix(np.full((n, n), 1.0 / n)))
 
 
 def triangle_indefinite_problem():
@@ -412,7 +412,7 @@ def overflowing_problem():
 def test_run_batch_drops_a_failing_run_and_keeps_the_others():
     prob = overflowing_problem()
     # agent 1 fuses 0.25 x_0 + 0.75 x_1
-    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0.25))
+    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])))
     starts = {
         10: [[0.6], [-0.4]],   # stays where agent 1's gradient is small
         11: [[2.8], [2.8]],    # fuses to 2.8: overflows at iteration 0
@@ -655,7 +655,7 @@ def test_summary_does_not_depend_on_the_check_block(monkeypatch, tmp_path, round
 @pytest.mark.parametrize("rounds", [1, 2, 3, 7])
 def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypatch, rounds):
     prob = overflowing_problem()
-    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]), 0.25))
+    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])))
     # the starts of test_run_batch_drops_a_failing_run_and_keeps_the_others
     starts = {10: [[0.6], [-0.4]], 11: [[2.8], [2.8]], 12: [[0.0], [2.0]], 13: [[-0.9], [0.7]]}
     cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 40, seed=s, record_every=3,

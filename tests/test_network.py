@@ -66,7 +66,7 @@ def reference_random_matrix(s, k):
     for i, j in g.edges:
         m[i, j] = m[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    np.testing.assert_array_equal(m, build_metropolis(g, s.eta_floor).entries)
+    np.testing.assert_array_equal(m, build_metropolis(g).entries)
     return m
 
 
@@ -98,13 +98,6 @@ def test_metropolis_support_matches_graph():
     g = random_connected_graph(np.random.default_rng(2), 8, 0.3)
     m = build_metropolis(g)
     assert support_graph(m.entries).edges == g.edges
-
-
-def test_metropolis_eta_floor_validation():
-    with pytest.raises(ConfigError):
-        build_metropolis(complete_graph(3), eta_floor=0.5)  # above 1/S
-    with pytest.raises(ConfigError):
-        build_metropolis(complete_graph(3), eta_floor=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +143,6 @@ def test_schedule_from_dict_without_eta_takes_the_smallest_positive_entry():
     assert s.matrices[0].eta == 0.25
     s = schedule_from_dict({"variant": "cyclic", "matrices": [matrix, np.eye(3).tolist()]})
     assert [m.eta for m in s.matrices] == [0.25, 1.0]
-    s = schedule_from_dict({"variant": "static", "matrix": matrix, "eta": 0.1})
-    assert s.matrices[0].eta == 0.1
 
 
 def test_two_link_matrix_kappa_range():
@@ -348,7 +339,7 @@ def test_random_stack_equals_per_round_reference(n, p, seed):
     assert mats.shape == (150, n, n) and not mats.flags.writeable
     ref = [reference_random_matrix(s, k) for k in range(150)]
     np.testing.assert_array_equal(mats, np.stack(ref))
-    assert np.min(mats, where=mats > 0, initial=1.0) >= s.eta_floor
+    assert np.min(mats, where=mats > 0, initial=1.0) >= (1 - 1e-12) / n
     assert max_contraction(mats) == max(nu(m) for m in ref)
 
 
@@ -381,12 +372,6 @@ def test_stacked_contraction_equals_per_matrix_max(n):
         assert max_contraction(np.roll(stack[1:], shift, axis=0)) == max(per_matrix[1:])
 
 
-def test_random_schedule_floor_above_one_over_n_is_config_error():
-    s = RandomSchedule(4, 0.5, seed=0, eta_floor=0.3)  # above 1/4
-    with pytest.raises(ConfigError, match="eta_floor"):
-        s.distinct_matrices(3)
-
-
 def test_random_schedule_that_never_connects_names_the_round():
     s = RandomSchedule(8, 1e-9, seed=0)
     with pytest.raises(ConstructionError, match="k=0;"):
@@ -405,7 +390,7 @@ def test_random_stack_properties(n, p, seed):
         assert np.all(np.abs(m.sum(axis=0) - 1.0) <= 1e-12)
         assert np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12)
         assert np.all(m >= 0) and bfs_connected(support_graph(m))
-        assert np.min(m[m > 0]) >= s.eta_floor
+        assert np.min(m[m > 0]) >= (1 - 1e-12) / n
         np.testing.assert_array_equal(m, reference_random_matrix(s, k))
 
 
@@ -447,11 +432,9 @@ def test_schedule_from_dict_variants():
 
 def test_weight_matrix_rejects_bad_input():
     with pytest.raises(ConfigError):
-        WeightMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]), 0.1)  # sums 1.1
+        WeightMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]))  # sums 1.1
     with pytest.raises(ConfigError):
-        WeightMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]), 0.1)  # negative
-    with pytest.raises(ConfigError):
-        WeightMatrix(np.array([[0.999, 0.001], [0.001, 0.999]]), 0.5)  # below floor
+        WeightMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))  # negative
 
 
 def test_builders_emit_valid_matrices_at_tight_tolerance():
@@ -461,4 +444,4 @@ def test_builders_emit_valid_matrices_at_tight_tolerance():
         g = random_connected_graph(rng, n, 0.5)
         m = build_metropolis(g)
         assert is_doubly_stochastic(m.entries, 1e-12)
-        assert np.all(m.entries[m.entries > 0] >= m.eta * (1 - 1e-9))
+        assert np.all(m.entries[m.entries > 0] >= (1 - 1e-12) / n)

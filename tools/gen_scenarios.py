@@ -100,7 +100,6 @@ def base(name: str, problem: Problem, schedule: dict, n_iterations: int, **extra
         "n_iterations": n_iterations,
         "seeds": {"start": 0, "stop": 20},
         "decimate": max(1, n_iterations // 500),
-        "connectivity": {"mode": "per-k"},
         "tolerances": {"consensus": 1e-3, "gap": 1e-3},
         "init": {"kind": "seeded-uniform"},
         "oracle_budget": 200000,
@@ -144,7 +143,7 @@ def scenario_texts() -> dict[str, str]:
                     metropolis_entries(graph(3, [(0, 1)])),
                     metropolis_entries(graph(3, [(1, 2)])),
                 ]},
-            40000, graph=tri_graph, connectivity={"mode": "q-connected", "Q": 2}),
+            40000, graph=tri_graph),
         "random_nonconvex_d2": base(
             "random_nonconvex_d2", nonconvex_d2(), {
                 "variant": "random", "n_agents": 3, "edge_probability": 0.6, "seed": 1608},
