@@ -9,6 +9,7 @@ identical matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,6 +19,7 @@ from .problem import ConfigError, ConstructionError, reading
 
 DS_TOL = 1e-12
 _CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
+_SEED_BLOCK = 512  # random-schedule rounds whose generator seeds are hashed at a time
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +152,18 @@ def max_contraction(mats: np.ndarray) -> float:
     """The schedule's nu: the largest contraction coefficient over an
     (n, S, S) stack, evaluated ``_CHUNK`` matrices at a time.  A matrix's
     coefficient, one minus its smallest row overlap sum_k min(m[i,k], m[j,k])
-    (its largest half-l1 row distance), is < 1 exactly when it is scrambling.
+    over the row pairs i < j (its largest half-l1 row distance), is < 1
+    exactly when it is scrambling.
     """
     mats = np.asarray(mats, dtype=float)
     S = mats.shape[-1]
     if S == 1:
         return 0.0
-    iu = np.triu_indices(S, k=1)
+    i, j = np.triu_indices(S, k=1)
     low = np.inf
     for lo in range(0, len(mats), _CHUNK):
         m = mats[lo:lo + _CHUNK]
-        overlap = np.minimum(m[:, :, None, :], m[:, None, :, :]).sum(axis=-1)
-        low = min(low, float(np.min(overlap[:, iu[0], iu[1]])))
+        low = min(low, float(np.min(np.minimum(m[:, i], m[:, j]).sum(axis=-1))))
     return min(max(1.0 - low, 0.0), 1.0)
 
 
@@ -269,13 +271,86 @@ class StaticSchedule(CyclicSchedule):
         super().__init__((matrix,))
 
 
+# NumPy's published seeding constants: SeedSequence's hashmix and mix over a
+# pool of four 32-bit words, and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_sequence_state(seed: int, ks: np.ndarray) -> np.ndarray:
+    """``SeedSequence([seed, k]).generate_state(4, np.uint64)`` of every round
+    k of ``ks`` (each below 2**32, so k is one entropy word), as a
+    (len(ks), 4) array: NumPy's algorithm in uint32 arithmetic, vectorised
+    over the rounds."""
+    words = [seed & _MASK32]  # the seed's 32-bit words, least significant first
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    entropy = [np.full(len(ks), w, dtype=np.uint32) for w in words]
+    entropy.append(ks.astype(np.uint32))
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h
+        return v ^ v >> 16
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ r >> 16
+
+    zero = np.zeros(len(ks), dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    h, out = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _MASK32
+        v = v * h
+        out.append((v ^ v >> 16).astype(np.uint64))
+    return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_starts(seed: int, ks: np.ndarray):
+    """Yield per round k of ``ks`` the (state, inc) of ``PCG64(SeedSequence([seed, k]))``,
+    hashing ``_SEED_BLOCK`` rounds' seed sequences at a time."""
+    for lo in range(0, len(ks), _SEED_BLOCK):
+        for s0, s1, i0, i1 in _seed_sequence_state(seed, ks[lo:lo + _SEED_BLOCK]).tolist():
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            yield ((s0 << 64 | s1) + inc) * _PCG64_MULT + inc & _MASK128, inc
+
+
+def _draw(gen: np.random.Generator, start: tuple[int, int], skip: int, out: np.ndarray) -> None:
+    """Fill ``out`` with ``gen.random`` from the PCG64 stream that begins at
+    ``start`` = (state, inc), past its first ``skip`` outputs."""
+    state, inc = start
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    if skip:
+        gen.bit_generator.advance(skip)
+    gen.random(out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class RandomSchedule(WeightSchedule):
     """Per-iteration connected random graph with Metropolis weights.
 
     Bitwise reproducible: the matrix at index k depends only on (seed, k).
-    Round k draws edge masks from its own ``default_rng([seed, k])`` until
-    the graph is connected, at most 1000 times.
+    Round k draws edge masks from the stream of ``default_rng([seed, k])``
+    until the graph is connected, at most 1000 times.  The streams are
+    ``default_rng``'s, bit for bit, but seeded in batch: the seed sequences
+    of many rounds are hashed at once and every round draws through one
+    ``PCG64``, so no generator is constructed per round.
     """
 
     n_agents: int
@@ -287,32 +362,40 @@ class RandomSchedule(WeightSchedule):
             raise ConfigError("edge_probability must lie in (0, 1]")
         if self.n_agents < 2:
             raise ConfigError("random schedule needs at least two agents")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ConfigError(f"random schedule seed must be a non-negative integer, "
+                              f"got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def _build(self, ks: np.ndarray) -> np.ndarray:
-        """The read-only stack of the matrices of rounds ``ks``.
+        """The read-only stack of the matrices of rounds ``ks`` (each below 2**32).
 
         Rounds are built and checked ``_CHUNK`` at a time.  Within a chunk
         every round draws once; the rounds still disconnected then redraw
-        together, pass by pass, and only their generators stay alive.
+        together, pass by pass, pass p continuing each round's stream past
+        its p earlier draws.
         """
         n = self.n_agents
         iu = np.triu_indices(n, k=1)
+        gen = np.random.Generator(np.random.PCG64(0))  # its state is set per draw
+        starts = _pcg64_starts(self.seed, ks)
         out = np.empty((len(ks), n, n))
         for lo in range(0, len(ks), _CHUNK):
             chunk = ks[lo:lo + _CHUNK]
+            chunk_starts = list(itertools.islice(starts, len(chunk)))
+            u = np.empty((len(chunk), iu[0].size))
             adj = np.zeros((len(chunk), n, n), dtype=bool)
             pending = np.arange(len(chunk))
-            rngs = [np.random.default_rng([int(self.seed), int(k)]) for k in chunk]
-            for _ in range(1000):
+            for p in range(1000):
+                for r in pending.tolist():
+                    _draw(gen, chunk_starts[r], p * iu[0].size, u[r])
                 drawn = np.zeros((len(pending), n, n), dtype=bool)
-                drawn[:, iu[0], iu[1]] = np.array(
-                    [r.random(iu[0].size) for r in rngs]) < self.edge_probability
+                drawn[:, iu[0], iu[1]] = u[pending] < self.edge_probability
                 drawn = drawn | np.swapaxes(drawn, 1, 2)
                 adj[pending] = drawn
-                bad = ~support_connected(drawn)
-                pending = pending[bad]
-                rngs = [r for r, b in zip(rngs, bad) if b]
-                if not rngs:
+                pending = pending[~support_connected(drawn)]
+                if not len(pending):
                     break
             else:
                 raise ConstructionError(f"could not sample a connected graph at "
@@ -358,5 +441,5 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
             return StaticSchedule(build_two_link_matrix(d["pattern"], float(d["kappa"])))
         if variant == "random":
             return RandomSchedule(
-                int(d["n_agents"]), float(d["edge_probability"]), int(d["seed"]))
+                int(d["n_agents"]), float(d["edge_probability"]), d["seed"])
     raise ConfigError(f"unknown schedule variant {variant!r}")

@@ -332,7 +332,18 @@ def test_bad_seed_range_is_one_config_error(tmp_path, capsys, argv, seeds, names
     assert not out.exists()  # nothing ran
 
 
-@pytest.mark.parametrize("name", [5, ["a"], "", "..", "../escaped", "a/b"],
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("seed", [-5, 1.5], ids=["negative", "fractional"])
+def test_bad_random_schedule_seed_is_one_config_error(tmp_path, capsys, command, seed):
+    doc = scenario_doc(n_iterations=20, schedule={
+        "variant": "random", "n_agents": 3, "edge_probability": 0.6, "seed": seed})
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    _assert_one_config_error(rc, capsys.readouterr().err, "random schedule seed")
+    assert not out.exists()  # nothing ran
+
+
+@pytest.mark.parametrize("name",[5, ["a"], "", "..", "../escaped", "a/b"],
                          ids=["int", "list", "empty", "parent", "escaped", "nested"])
 def test_scenario_name_must_be_one_path_component(tmp_path, capsys, name):
     out = tmp_path / "out"

@@ -3,19 +3,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consopt.network import (
-    ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix,
-    adjacency, build_metropolis, build_two_link_matrix, complete_graph, graph, is_connected,
-    is_doubly_stochastic, max_contraction, path_graph, reachability, ring_graph,
-    schedule_from_dict, support_graph, windows_connected,
+    _SEED_BLOCK, ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
+    WeightMatrix, _draw, _pcg64_starts, _seed_sequence_state, adjacency, build_metropolis,
+    build_two_link_matrix, complete_graph, graph, is_connected, is_doubly_stochastic,
+    max_contraction, path_graph, reachability, ring_graph, schedule_from_dict, support_graph,
+    windows_connected,
 )
 from consopt.problem import ConfigError
 from consopt.privacy import SIX_VIRTUAL_PATTERN
+from consopt.scenario import load_scenario, shipped_scenario_names, shipped_scenario_path
 from reference import is_scrambling
 
 
 def nu(m) -> float:
     """The contraction coefficient of one matrix: ``max_contraction`` of a stack of one."""
     return max_contraction(np.asarray(m)[None])
+
+
+def cube_contraction(mats) -> float:
+    """Reference nu of a stack: the row overlaps of every ordered row pair, the
+    (n, S, S, S) cube of minima summed over its last axis."""
+    mats = np.asarray(mats, dtype=float)
+    S = mats.shape[-1]
+    if S == 1:
+        return 0.0
+    overlap = np.minimum(mats[:, :, None, :], mats[:, None, :, :]).sum(axis=-1)
+    iu = np.triu_indices(S, k=1)
+    return min(max(1.0 - float(np.min(overlap[:, iu[0], iu[1]])), 0.0), 1.0)
 
 
 def random_connected_graph(rng, n, p):
@@ -340,7 +354,7 @@ def test_random_stack_equals_per_round_reference(n, p, seed):
     ref = [reference_random_matrix(s, k) for k in range(150)]
     np.testing.assert_array_equal(mats, np.stack(ref))
     assert np.min(mats, where=mats > 0, initial=1.0) >= (1 - 1e-12) / n
-    assert max_contraction(mats) == max(nu(m) for m in ref)
+    assert max_contraction(mats) == max(nu(m) for m in ref) == cube_contraction(mats)
 
 
 def test_schedules_give_read_only_stacks():
@@ -366,7 +380,7 @@ def test_stacked_contraction_equals_per_matrix_max(n):
         mats.append(t * np.eye(n) + (1 - t) * (0.5 * m + 0.5 / n))
     per_matrix = [nu(m) for m in mats]
     stack = np.stack(mats)
-    assert max_contraction(stack) == max(per_matrix)
+    assert max_contraction(stack) == max(per_matrix) == cube_contraction(stack)
     # without the identity (nu = 1) the largest nu moves through every chunk position
     for shift in range(149):
         assert max_contraction(np.roll(stack[1:], shift, axis=0)) == max(per_matrix[1:])
@@ -378,6 +392,75 @@ def test_random_schedule_that_never_connects_names_the_round():
         s.distinct_matrices(2)
     with pytest.raises(ConstructionError, match="k=70;"):
         s._build(np.array([70]))
+
+
+# seeds of one 32-bit word, of two, three and five (past SeedSequence's pool of four)
+STREAM_SEEDS = [0, 2**31 - 1, 2**32 + 9, 2**64 + 3, 2**140 + 2**70 + 11]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_batched_seed_sequences_equal_numpy(seed):
+    # pinned against NumPy itself, so a change of its seeding algorithm fails here
+    ks = np.array([0, 1, 2, 77, _SEED_BLOCK - 1, _SEED_BLOCK, 4095, 2**31, 2**32 - 1])
+    want = [np.random.SeedSequence([seed, int(k)]).generate_state(4, np.uint64) for k in ks]
+    got = _seed_sequence_state(seed, ks)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_batched_streams_equal_default_rng_bit_for_bit(seed):
+    ks = np.arange(2 * _SEED_BLOCK + 3)  # three seeding blocks, the last one partial
+    starts = list(_pcg64_starts(seed, ks))
+    assert len(starts) == len(ks)
+    gen = np.random.Generator(np.random.PCG64(0))
+    pairs, out = 28, np.empty(28)  # the draw of one round at S = 8
+    for k in (0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, len(ks) - 1):
+        state = np.random.PCG64(np.random.SeedSequence([seed, k])).state["state"]
+        assert starts[k] == (state["state"], state["inc"])
+        want = np.random.default_rng([seed, k]).random(3 * pairs)
+        for p in range(3):  # the first draw, then two redraws continuing the stream
+            _draw(gen, starts[k], p * pairs, out)
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          want[p * pairs:(p + 1) * pairs].view(np.uint64))
+
+
+def test_heavy_redraw_schedule_equals_per_round_reference():
+    s = RandomSchedule(8, 0.12, seed=2**64 + 5)
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+
+    def first_draw_connected(k):
+        keep = np.random.default_rng([s.seed, k]).random(len(pairs)) < s.edge_probability
+        return bfs_connected(graph(8, [e for e, kept in zip(pairs, keep) if kept]))
+
+    assert sum(not first_draw_connected(k) for k in range(130)) > 100  # most rounds redraw
+    mats = s.distinct_matrices(130)
+    np.testing.assert_array_equal(mats, np.stack([reference_random_matrix(s, k)
+                                                  for k in range(130)]))
+    assert max_contraction(mats) == cube_contraction(mats)
+
+
+@pytest.mark.parametrize("seed", [-5, 1.5, True, "3", None])
+def test_random_schedule_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        RandomSchedule(4, 0.5, seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        schedule_from_dict({"variant": "random", "n_agents": 4, "edge_probability": 0.5,
+                            "seed": seed})
+
+
+def test_random_schedule_takes_a_numpy_integer_seed_as_its_int():
+    s = RandomSchedule(4, 0.5, seed=np.uint64(2**63 + 1))
+    assert type(s.seed) is int and s.seed == 2**63 + 1
+    np.testing.assert_array_equal(s.distinct_matrices(3),
+                                  RandomSchedule(4, 0.5, seed=2**63 + 1).distinct_matrices(3))
+
+
+@pytest.mark.parametrize("name", shipped_scenario_names())
+def test_pairwise_contraction_equals_the_overlap_cube_on_shipped_schedules(name):
+    rc = load_scenario(shipped_scenario_path(name)).run_config
+    mats = rc.schedule.distinct_matrices(max(rc.n_iterations, 1))
+    assert max_contraction(mats) == cube_contraction(mats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,6 +475,7 @@ def test_random_stack_properties(n, p, seed):
         assert np.all(m >= 0) and bfs_connected(support_graph(m))
         assert np.min(m[m > 0]) >= (1 - 1e-12) / n
         np.testing.assert_array_equal(m, reference_random_matrix(s, k))
+    assert max_contraction(mats) == cube_contraction(mats)
 
 
 @settings(max_examples=60, deadline=None)

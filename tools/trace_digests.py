@@ -21,7 +21,11 @@ lines), so that loading and validation are compared too.  Last come the
 on the triangle, the sha256 of ``json.dumps(transformed_to_dict(t))`` for the
 partition transform at 1, 2 and 3 pieces per agent (``default_plan``) and for
 random function sharing, so the transforms are compared for every family,
-also those no shipped scenario uses.  Comparing the output
+also those no shipped scenario uses.  Then come the ``random/`` lines: the
+sha256 of ``RandomSchedule(S, p, seed).distinct_matrices(H).tobytes()`` for a
+few schedules, among them a seed of several 32-bit words and an edge
+probability at which most rounds redraw, so the random builder is compared
+beyond the one schedule a shipped scenario uses.  Comparing the output
 of two checkouts checks that a change kept every trace and report
 byte-identical: save one checkout's digests, then check the other against them,
 which prints the lines that differ and exits 1 on any difference:
@@ -47,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from consopt.cli import cmd_export, cmd_validate, execute_run
-from consopt.network import complete_graph
+from consopt.network import RandomSchedule, complete_graph
 from consopt.privacy import (
     default_plan, partition_problem, random_function_sharing, transformed_to_dict,
 )
@@ -60,6 +64,10 @@ EXPORTED = ("trace.csv", "plotdata.csv")
 # (label suffix, load_scenario overrides): the shipped settings, then every iteration
 SETTINGS = (("", {}), ("@dense", {"n_iterations": 2000, "decimate": 1}))
 TRANSFORM_SEED = 1608
+# (n_agents, edge_probability, seed, horizon) of the random/ lines: perfbench's
+# schedule size, seeds of one, three and four 32-bit words, and a heavy redraw
+RANDOM_SCHEDULES = ((8, 0.4, 0, 4000), (3, 0.6, 1608, 1000), (8, 0.12, 2**64 + 5, 300),
+                    (12, 0.3, 2**100 + 1, 300), (2, 0.3, 2**31 - 1, 1000))
 
 
 def _sha256(path: Path) -> str:
@@ -101,6 +109,14 @@ def transform_digests():
             yield f"transform/{family} {label} {hashlib.sha256(text.encode()).hexdigest()}"
 
 
+def random_digests():
+    """Yield one line per random schedule of ``RANDOM_SCHEDULES``."""
+    for n, p, seed, horizon in RANDOM_SCHEDULES:
+        mats = RandomSchedule(n, p, seed).distinct_matrices(horizon)
+        yield (f"random/S{n} p={p} seed={seed} H={horizon} "
+               f"{hashlib.sha256(mats.tobytes()).hexdigest()}")
+
+
 def digests():
     """Yield the digest lines, scenario by scenario."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -126,6 +142,7 @@ def digests():
                     yield f"{label} export/{fname} {_sha256(export_dir / fname)}"
                 yield f"{label} f_star {f_star!r}"
     yield from transform_digests()
+    yield from random_digests()
 
 
 def main(argv=None) -> int:
