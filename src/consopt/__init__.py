@@ -15,13 +15,13 @@ from .problem import (
 )
 from .network import (
     ConstructionError, CyclicSchedule, Graph, RandomSchedule, StaticSchedule,
-    WeightMatrix, WeightSchedule, build_metropolis, build_two_link_matrix,
-    complete_graph, graph, is_connected, is_doubly_stochastic, max_contraction,
-    path_graph, ring_graph, schedule_from_dict, support_graph, windows_connected,
+    WeightSchedule, build_metropolis, build_two_link_matrix, complete_graph,
+    graph, is_connected, is_doubly_stochastic, max_contraction, path_graph,
+    ring_graph, schedule_from_dict, support_graph, windows_connected,
 )
 from .engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse,
-    read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
+    read_trace_jsonl, run, run_batch, write_trace_csv,
 )
 from .analysis import (
     OracleSolution, VerdictReport, centralized_solve, check_disagreement_bound,

@@ -17,7 +17,6 @@ import statistics
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import analysis, engine
@@ -191,6 +190,8 @@ def cmd_sweep(config_path, *, parallel=1, out_dir=None, force=False, **overrides
     walls, results = [], []
     with contextlib.ExitStack() as stack:
         if n > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays for it
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=n))
             calls = [pool.submit(_sweep_batch, sc, b, out_dir).result for b in batches]
         else:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import disagreement_caps, max_delta, max_disagreement
 from .problem import ConfigError, FeasibleSet, Problem, reading, sum_value
-from .network import WeightMatrix, WeightSchedule, max_contraction
+from .network import WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
 _STREAM_YSET = 12
@@ -73,12 +73,6 @@ class StepSchedule:
         which can differ from the vectorised kernel by an ulp when p != 1.
         """
         return self.a / np.power(np.asarray(k, dtype=float) + self.b, self.p)
-
-
-def step_size(s: StepSchedule, k: int) -> float:
-    if k < 0:
-        raise ConfigError("iteration index must be >= 0")
-    return float(s.at(k))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +170,7 @@ def fuse(states, matrix) -> np.ndarray:
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
-    m = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix, float)
+    m = np.asarray(matrix, dtype=float)
     if m.shape[0] != m.shape[1] or m.shape[0] != x.shape[0]:
         raise ConfigError(f"matrix shape {m.shape} does not match {x.shape[0]} states")
     out = m @ x
@@ -197,8 +191,10 @@ def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     shape = (cfg.problem.n_agents, cfg.problem.dimension)
     if v.shape != shape:
         raise ConfigError(f"fused states have shape {v.shape}, expected {shape}")
+    if k < 0:
+        raise ConfigError("iteration index must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        x, g = _step(v, step_size(cfg.steps, k), cfg.problem)
+        x, g = _step(v, float(cfg.steps.at(k)), cfg.problem)
     if not np.isfinite(g).all():
         raise _nonfinite(g, k, cfg.seed)
     return x

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problem import ConfigError, ConstructionError, reading
+from .problem import ConfigError, ConstructionError, as_int, reading
 
 DS_TOL = 1e-12
 _CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
@@ -96,12 +96,8 @@ def is_connected(g: Graph) -> bool:
 # weight matrices
 
 
-def _entries(m) -> np.ndarray:
-    return np.asarray(m.entries if isinstance(m, WeightMatrix) else m, dtype=float)
-
-
 def _check_weights(m: np.ndarray) -> None:
-    """The ``WeightMatrix`` contract, on one matrix or on a stack of them."""
+    """The mixing-matrix contract, on one matrix or on a stack of them."""
     if not np.all(np.isfinite(m)):
         raise ConfigError("weight matrix has non-finite entries")
     if np.any(m < 0):
@@ -110,35 +106,20 @@ def _check_weights(m: np.ndarray) -> None:
         raise ConfigError(f"matrix rows/columns do not sum to 1 within {DS_TOL}")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Doubly stochastic mixing matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError("weight matrix must be square")
-        _check_weights(m)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def n_agents(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def eta(self) -> float:
-        """The floor under every positive weight: the smallest positive entry."""
-        return float(np.min(self.entries, where=self.entries > 0, initial=np.inf))
+def _weight_matrix(m) -> np.ndarray:
+    """A read-only float copy of one doubly stochastic mixing matrix (S, S)."""
+    m = np.array(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigError("weight matrix must be square")
+    _check_weights(m)
+    m.setflags(write=False)
+    return m
 
 
 def is_doubly_stochastic(m, tol: float = DS_TOL) -> bool:
     """True iff the matrix, or every matrix of a stack (..., S, S), is
     nonnegative with all row/column sums within tol of 1."""
-    m = _entries(m)
+    m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ConfigError("expected a square matrix")
     if np.any(m < 0):
@@ -169,7 +150,7 @@ def max_contraction(mats: np.ndarray) -> float:
 
 def support_graph(m) -> Graph:
     """Undirected graph of off-diagonal positive entries (either direction)."""
-    pos = _entries(m) > 0
+    pos = np.asarray(m) > 0
     return graph(len(pos), zip(*np.nonzero(np.triu(pos | pos.T, 1))))
 
 
@@ -194,12 +175,12 @@ def _metropolis(adj: np.ndarray) -> np.ndarray:
     return m
 
 
-def build_metropolis(g: Graph) -> WeightMatrix:
+def build_metropolis(g: Graph) -> np.ndarray:
     """Metropolis-Hastings weights: m[i,j] = 1/(1+max(deg_i,deg_j)) on links."""
-    return WeightMatrix(_metropolis(adjacency(g)))
+    return _weight_matrix(_metropolis(adjacency(g)))
 
 
-def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> WeightMatrix:
+def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> np.ndarray:
     """Matrix with diagonal 1-2k and weight k on each row's two listed links.
 
     ``pattern[i]`` names the two columns receiving weight ``kappa`` in row i.
@@ -221,7 +202,7 @@ def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> Wei
         m[i, links[1]] = kappa
     if not is_doubly_stochastic(m, DS_TOL):
         raise ConstructionError("pattern columns are unbalanced; matrix is not doubly stochastic")
-    return WeightMatrix(m)
+    return _weight_matrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +226,29 @@ class WeightSchedule:
 
 @dataclass(frozen=True, eq=False)
 class CyclicSchedule(WeightSchedule):
-    matrices: tuple[WeightMatrix, ...]
+    """The rounds cycle through ``matrices``, kept as one read-only (n, S, S) stack."""
+
+    matrices: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(self.matrices)
+        mats = [_weight_matrix(m) for m in self.matrices]
         if not mats:
             raise ConfigError("cyclic schedule needs at least one matrix")
-        n = mats[0].n_agents
-        if any(m.n_agents != n for m in mats):
+        if any(m.shape != mats[0].shape for m in mats):
             raise ConfigError("cyclic schedule matrices must share one size")
-        stack = np.stack([m.entries for m in mats])
+        stack = np.stack(mats)
         stack.setflags(write=False)
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "n_agents", n)
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "matrices", stack)
+        object.__setattr__(self, "n_agents", stack.shape[1])
 
     def distinct_matrices(self, horizon):
-        return self._stack
+        return self.matrices
 
 
 class StaticSchedule(CyclicSchedule):
     """A cycle of one: every round uses the one matrix."""
 
-    def __init__(self, matrix: WeightMatrix):
+    def __init__(self, matrix):
         super().__init__((matrix,))
 
 
@@ -434,12 +415,12 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
     with reading("schedule"):
         variant = d["variant"]
         if variant == "static":
-            return StaticSchedule(WeightMatrix(d["matrix"]))
+            return StaticSchedule(d["matrix"])
         if variant == "cyclic":
-            return CyclicSchedule(tuple(WeightMatrix(m) for m in d["matrices"]))
+            return CyclicSchedule(d["matrices"])
         if variant == "kappa":
             return StaticSchedule(build_two_link_matrix(d["pattern"], float(d["kappa"])))
         if variant == "random":
-            return RandomSchedule(
-                int(d["n_agents"]), float(d["edge_probability"]), d["seed"])
+            return RandomSchedule(as_int(d["n_agents"], "schedule.n_agents"),
+                                  float(d["edge_probability"]), d["seed"])
     raise ConfigError(f"unknown schedule variant {variant!r}")

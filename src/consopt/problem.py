@@ -56,6 +56,14 @@ def reading(what: str):
         raise ConfigError(f"{what}: malformed ({type(e).__name__}: {e})") from e
 
 
+def as_int(value, field: str) -> int:
+    """A config's integer ``field``: only a JSON integer, so a bool, a fraction
+    or a string is a ``ConfigError`` naming the field."""
+    if type(value) is not int:
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float vector."""
     p = np.asarray(x, dtype=float)

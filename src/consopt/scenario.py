@@ -21,7 +21,8 @@ from .engine import RunConfig, StepSchedule
 from .network import Graph, graph, support_graph, windows_connected
 from .privacy import TransformedProblem
 from .problem import (
-    ConfigError, Problem, estimate_bounds, problem_from_dict, reading, verify_sum_convexity,
+    ConfigError, Problem, as_int, estimate_bounds, problem_from_dict, reading,
+    verify_sum_convexity,
 )
 
 SCHEMA_VERSION = 1
@@ -65,6 +66,11 @@ def _read(raw: dict, path: str, parse=None, default=_ABSENT):
         return value if parse is None else parse(value)
 
 
+def _read_int(raw: dict, path: str, default=_ABSENT):
+    """``_read`` of a field that must be a JSON integer."""
+    return _read(raw, path, lambda v: as_int(v, path), default)
+
+
 def _load_json(path: Path, what: str):
     try:
         return json.loads(path.read_text())
@@ -96,9 +102,9 @@ def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
         return None
     if g is None:
         raise ConfigError(f"transform {kind!r} requires a 'graph' field in the config")
-    seed = _read(raw, "transform.seed", int, 0)
+    seed = _read_int(raw, "transform.seed", 0)
     if kind == "partition":
-        m = _read(raw, "transform.m_per_agent", int, None)
+        m = _read_int(raw, "transform.m_per_agent", None)
         if m is None and _read(raw, "transform.plan") != "six-virtual":
             raise ConfigError("field 'transform.plan' must be 'six-virtual' "
                               "(or give 'transform.m_per_agent')")
@@ -124,7 +130,9 @@ def _path_component(name) -> str:
 
 
 def _parse_graph(spec) -> Graph | None:
-    return None if spec is None else graph(int(spec["n_agents"]), spec["edges"])
+    if spec is None:
+        return None
+    return graph(as_int(spec["n_agents"], "graph.n_agents"), spec["edges"])
 
 
 def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scenario:
@@ -138,7 +146,7 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     if not isinstance(raw, dict):
         raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
 
-    version = _read(raw, "schema_version", int, SCHEMA_VERSION)
+    version = _read_int(raw, "schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
 
@@ -164,13 +172,13 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     elif init_kind not in (None, "seeded-uniform"):
         raise ConfigError("field 'init.kind' must be 'seeded-uniform' or 'explicit'")
 
-    oracle_budget = _read(raw, "oracle_budget", int, 200_000)
+    oracle_budget = _read_int(raw, "oracle_budget", 200_000)
     if oracle_budget < 0:
         raise ConfigError("field 'oracle_budget' must be >= 0")
     name = _read(raw, "name", _path_component, path.stem)
-    n_iterations = _read(raw, "n_iterations", int) if n_iterations is None else n_iterations
+    n_iterations = _read_int(raw, "n_iterations") if n_iterations is None else n_iterations
     seeds = _read(raw, "seeds", parse_seeds, (0,)) if seeds is None else parse_seeds(list(seeds))
-    decimate = _read(raw, "decimate", int, 1) if decimate is None else decimate
+    decimate = _read_int(raw, "decimate", 1) if decimate is None else decimate
     tol_consensus = _read(raw, "tolerances.consensus", float, 1e-3)
     tol_gap = _read(raw, "tolerances.gap", float, 1e-3)
     try:

@@ -146,7 +146,7 @@ def test_criterion_5_privacy_transforms(suite, acceptance_report):
                   and sc.transformed.provenance.owners == (0, 0, 1, 1, 2, 2)
                   and np.array_equal(
                       sc.run_config.schedule.distinct_matrices(1)[0],
-                      build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries))
+                      build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)))
         ok &= six_ok
     acceptance_report("5-privacy-transforms", ok, "; ".join(details))
     assert ok
@@ -188,7 +188,7 @@ def test_criterion_6_oracle_grid_crosscheck(suite, acceptance_report):
 
 
 def test_criterion_7_matrix_validators(acceptance_report):
-    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)
     kappa_ok = (not is_scrambling(m)) and max_contraction(m[None]) == 1.0
     rng = np.random.default_rng(7_000)
     n_checked, all_ds = 0, True
@@ -199,7 +199,7 @@ def test_criterion_7_matrix_validators(acceptance_report):
         g = graph(n, [p for p, keep in zip(pairs, mask) if keep])
         if not is_connected(g):
             continue
-        all_ds &= is_doubly_stochastic(build_metropolis(g).entries, 1e-12)
+        all_ds &= is_doubly_stochastic(build_metropolis(g), 1e-12)
         n_checked += 1
     ok = kappa_ok and all_ds
     acceptance_report("7-matrix-validators", ok,

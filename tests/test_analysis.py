@@ -7,7 +7,7 @@ from consopt.analysis import (
     verdict,
 )
 from consopt.engine import RunConfig, StepSchedule, read_trace_jsonl, run, write_trace_csv
-from consopt.network import CyclicSchedule, StaticSchedule, WeightMatrix, build_metropolis, graph
+from consopt.network import CyclicSchedule, StaticSchedule, build_metropolis, graph
 from consopt.problem import Ball, Box, Problem, polynomial, quadratic
 from reference import BoundUnavailableError, disagreement_bound
 
@@ -15,7 +15,7 @@ ALPHA = StepSchedule(1.0, 1.0, 1.0)
 
 
 def uniform_schedule(n):
-    return StaticSchedule(WeightMatrix(np.full((n, n), 1.0 / n)))
+    return StaticSchedule(np.full((n, n), 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_check_bound_lazy_two_agent_scrambling():
         quadratic("f1", [[1.0]], [-0.3], bounds_for=fs),
     )
     prob = Problem(1, comps, fs)
-    lazy = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])))
+    lazy = StaticSchedule(np.array([[0.75, 0.25], [0.25, 0.75]]))
     cfg = RunConfig(prob, lazy, ALPHA, 500, seed=8)
     tr = run(cfg)
     p = summary_params(tr)

@@ -35,7 +35,7 @@ def scenario_doc(name="tiny_triangle", n_iterations=4000, **extra):
         "problem": small_problem_doc(),
         "graph": {"n_agents": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
         "schedule": {"variant": "static",
-                     "matrix": build_metropolis(complete_graph(3)).entries.tolist()},
+                     "matrix": build_metropolis(complete_graph(3)).tolist()},
         "steps": {"a": 1.0, "b": 1.0, "p": 1.0},
         "transform": {"kind": "none"},
         "n_iterations": n_iterations,
@@ -168,7 +168,7 @@ CONNECTIVITY_LINES = [
 @pytest.mark.parametrize("edges,code,line", [c[1:] for c in CONNECTIVITY_LINES],
                          ids=[c[0] for c in CONNECTIVITY_LINES])
 def test_validate_prints_the_connectivity_of_each_window(tmp_path, capsys, edges, code, line):
-    matrices = [build_metropolis(graph(3, e)).entries.tolist() for e in edges]
+    matrices = [build_metropolis(graph(3, e)).tolist() for e in edges]
     doc = scenario_doc(schedule={"variant": "cyclic", "matrices": matrices}, n_iterations=50)
     rc = main(["validate", "--config", str(write_config(tmp_path, doc))])
     assert rc == code
@@ -257,6 +257,37 @@ MALFORMED_CONFIGS = [
     ("transform-seed", "transform", {"kind": "random_sharing", "scale": 0.1, "seed": "x"},
      "transform.seed"),
     ("oracle_budget-negative", "oracle_budget", -1, "oracle_budget"),
+    # integer fields take only JSON integers: no fraction, bool or string
+    ("n_iterations-fraction", "n_iterations", 100.9,
+     "config error: n_iterations: expected an integer, got 100.9"),
+    ("n_iterations-bool", "n_iterations", True,
+     "config error: n_iterations: expected an integer, got True"),
+    ("decimate-fraction", "decimate", 2.5, "config error: decimate: expected an integer"),
+    ("oracle_budget-string", "oracle_budget", "7",
+     "config error: oracle_budget: expected an integer, got '7'"),
+    ("schema_version-fraction", "schema_version", 1.0,
+     "config error: schema_version: expected an integer"),
+    ("transform-seed-bool", "transform", {"kind": "random_sharing", "scale": 0.1, "seed": True},
+     "config error: transform.seed: expected an integer"),
+    ("m_per_agent-fraction", "transform", {"kind": "partition", "m_per_agent": 2.0},
+     "config error: transform.m_per_agent: expected an integer"),
+    ("graph-n_agents-string", "graph.n_agents", "3",
+     "config error: graph.n_agents: expected an integer"),
+    ("random-n_agents-fraction", "schedule",
+     {"variant": "random", "n_agents": 3.5, "edge_probability": 0.6, "seed": 0},
+     "config error: schedule.n_agents: expected an integer"),
+    # the mixing-matrix checks
+    ("matrix-not-doubly-stochastic", "schedule.matrix",
+     [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.5, 0.5]],
+     "config error: matrix rows/columns do not sum to 1 within 1e-12"),
+    ("matrix-not-square", "schedule.matrix", [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]],
+     "config error: weight matrix must be square"),
+    ("matrix-negative", "schedule.matrix", [[1.2, -0.2, 0.0], [-0.2, 1.2, 0.0], [0.0, 0.0, 1.0]],
+     "config error: weight matrix has negative entries"),
+    ("cyclic-sizes-differ", "schedule",
+     {"variant": "cyclic", "matrices": [build_metropolis(complete_graph(3)).tolist(),
+                                        build_metropolis(complete_graph(2)).tolist()]},
+     "config error: cyclic schedule matrices must share one size"),
     # configs that loaded and validated, and only the run rejected
     ("decimate-zero", "decimate", 0, "config error: decimate must be >= 1"),
     ("n_iterations-negative", "n_iterations", -5, "n_iterations"),
@@ -858,3 +889,14 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS sum-convexity" in proc.stdout
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only a parallel sweep imports the process pool and multiprocessing."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, consopt.cli; "
+         "print('concurrent.futures.process' in sys.modules, 'multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from consopt import cli, engine
 from consopt.engine import (
     EngineError, RunConfig, RunTrace, StepSchedule, descend, fuse, initial_states,
-    read_trace_jsonl, run, run_batch, step_size, write_trace_csv,
+    read_trace_jsonl, run, run_batch, write_trace_csv,
 )
 from consopt.analysis import max_delta, max_disagreement
 from consopt.network import (
-    CyclicSchedule, RandomSchedule, StaticSchedule, WeightMatrix, build_metropolis,
+    CyclicSchedule, RandomSchedule, StaticSchedule, build_metropolis,
     build_two_link_matrix, complete_graph, graph, path_graph, ring_graph,
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
@@ -38,7 +38,7 @@ def single_agent_problem(fs=BOX1):
 
 
 def uniform_schedule(n):
-    return StaticSchedule(WeightMatrix(np.full((n, n), 1.0 / n)))
+    return StaticSchedule(np.full((n, n), 1.0 / n))
 
 
 def triangle_indefinite_problem():
@@ -66,9 +66,9 @@ def mixed_family_problem(fs=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))):
 
 
 def test_step_size_values():
-    assert step_size(StepSchedule(1.0, 1.0, 1.0), 0) == 1.0
-    assert step_size(StepSchedule(1.0, 1.0, 1.0), 9) == 0.1
-    assert step_size(StepSchedule(2.0, 4.0, 0.75), 0) == pytest.approx(2 / 4 ** 0.75, rel=1e-15)
+    assert float(StepSchedule(1.0, 1.0, 1.0).at(0)) == 1.0
+    assert float(StepSchedule(1.0, 1.0, 1.0).at(9)) == 0.1
+    assert float(StepSchedule(2.0, 4.0, 0.75).at(0)) == pytest.approx(2 / 4 ** 0.75, rel=1e-15)
 
 
 def test_step_schedule_monotone_nonincreasing():
@@ -82,7 +82,7 @@ def test_step_schedule_monotone_nonincreasing():
 def test_step_sizes_agree_for_scalar_and_array_iterations(p):
     s = StepSchedule(0.7, 3.0, p)
     ks = np.arange(3000)
-    np.testing.assert_array_equal(s.at(ks), [step_size(s, int(k)) for k in ks])
+    np.testing.assert_array_equal(s.at(ks), [float(s.at(int(k))) for k in ks])
 
 
 def test_run_records_the_step_each_round_took():
@@ -92,7 +92,7 @@ def test_run_records_the_step_each_round_took():
     tr = run(cfg)
     (m,) = cfg.schedule.distinct_matrices(cfg.n_iterations)
     for k in range(cfg.n_iterations):
-        assert tr.alphas[k] == step_size(cfg.steps, k)
+        assert tr.alphas[k] == float(cfg.steps.at(k))
         expected = descend(fuse(tr.states[k], m), k, cfg)
         np.testing.assert_array_equal(expected, tr.states[k + 1])
 
@@ -121,7 +121,7 @@ def test_fuse_uniform_two_agents():
 def test_fuse_basis_states_reproduce_matrix_rows():
     m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)
     out = fuse(np.eye(6), m)
-    np.testing.assert_array_equal(out, m.entries)
+    np.testing.assert_array_equal(out, m)
 
 
 def test_fuse_preserves_average():
@@ -164,6 +164,12 @@ def test_descend_nonconvex_component():
     cfg = RunConfig(prob, uniform_schedule(1), StepSchedule(0.1, 1.0, 1.0), 1)
     out = descend(np.array([[1.0]]), 0, cfg)  # gradient at 1 is -2
     np.testing.assert_allclose(out, [[1.2]], rtol=1e-15)
+
+
+def test_descend_rejects_a_negative_iteration():
+    cfg = RunConfig(single_agent_problem(), uniform_schedule(1), StepSchedule(0.5), 1)
+    with pytest.raises(ConfigError, match="iteration index must be >= 0"):
+        descend(np.array([[1.0]]), -1, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +226,7 @@ def test_run_descent_displacement_bounded():
     x0 = initial_states(cfg)
     v = fuse(x0, sched.matrices[0])
     x1 = descend(v, 0, cfg)
-    alpha = step_size(cfg.steps, 0)
+    alpha = float(cfg.steps.at(0))
     for j, c in enumerate(prob.components):
         assert np.linalg.norm(x1[j] - v[j]) <= alpha * c.grad_bound + 1e-12
 
@@ -412,7 +418,7 @@ def overflowing_problem():
 def test_run_batch_drops_a_failing_run_and_keeps_the_others():
     prob = overflowing_problem()
     # agent 1 fuses 0.25 x_0 + 0.75 x_1
-    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])))
+    sched = StaticSchedule(np.array([[0.75, 0.25], [0.25, 0.75]]))
     starts = {
         10: [[0.6], [-0.4]],   # stays where agent 1's gradient is small
         11: [[2.8], [2.8]],    # fuses to 2.8: overflows at iteration 0
@@ -655,7 +661,7 @@ def test_summary_does_not_depend_on_the_check_block(monkeypatch, tmp_path, round
 @pytest.mark.parametrize("rounds", [1, 2, 3, 7])
 def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypatch, rounds):
     prob = overflowing_problem()
-    sched = StaticSchedule(WeightMatrix(np.array([[0.75, 0.25], [0.25, 0.75]])))
+    sched = StaticSchedule(np.array([[0.75, 0.25], [0.25, 0.75]]))
     # the starts of test_run_batch_drops_a_failing_run_and_keeps_the_others
     starts = {10: [[0.6], [-0.4]], 11: [[2.8], [2.8]], 12: [[0.0], [2.0]], 13: [[-0.9], [0.7]]}
     cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 40, seed=s, record_every=3,

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from consopt.network import (
     _SEED_BLOCK, ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
-    WeightMatrix, _draw, _pcg64_starts, _seed_sequence_state, adjacency, build_metropolis,
+    _draw, _pcg64_starts, _seed_sequence_state, adjacency, build_metropolis,
     build_two_link_matrix, complete_graph, graph, is_connected, is_doubly_stochastic,
     max_contraction, path_graph, reachability, ring_graph, schedule_from_dict, support_graph,
     windows_connected,
@@ -80,7 +80,7 @@ def reference_random_matrix(s, k):
     for i, j in g.edges:
         m[i, j] = m[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    np.testing.assert_array_equal(m, build_metropolis(g).entries)
+    np.testing.assert_array_equal(m, build_metropolis(g))
     return m
 
 
@@ -90,11 +90,11 @@ def reference_random_matrix(s, k):
 
 def test_metropolis_two_agents():
     m = build_metropolis(complete_graph(2))
-    np.testing.assert_array_equal(m.entries, [[0.5, 0.5], [0.5, 0.5]])
+    np.testing.assert_array_equal(m, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_metropolis_path_graph_hand_values():
-    m = build_metropolis(path_graph(3)).entries
+    m = build_metropolis(path_graph(3))
     third = 1.0 / 3.0
     assert m[0, 1] == third and m[1, 2] == third
     assert m[0, 0] == pytest.approx(2 * third, abs=1e-15)
@@ -105,13 +105,13 @@ def test_metropolis_path_graph_hand_values():
 
 def test_metropolis_edgeless_is_identity():
     m = build_metropolis(graph(3, []))
-    np.testing.assert_array_equal(m.entries, np.eye(3))
+    np.testing.assert_array_equal(m, np.eye(3))
 
 
 def test_metropolis_support_matches_graph():
     g = random_connected_graph(np.random.default_rng(2), 8, 0.3)
     m = build_metropolis(g)
-    assert support_graph(m.entries).edges == g.edges
+    assert support_graph(m).edges == g.edges
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_metropolis_support_matches_graph():
 
 def test_two_link_matrix_reproduces_six_agent_layout():
     k = 0.25
-    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, k).entries
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, k)
     d = 1 - 2 * k
     want = np.array([
         [d, 0, k, 0, 0, k],
@@ -135,11 +135,11 @@ def test_two_link_matrix_reproduces_six_agent_layout():
 
 def test_two_link_matrix_doubly_stochastic_at_generic_kappa():
     m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.3)
-    assert is_doubly_stochastic(m.entries, 1e-12)
+    assert is_doubly_stochastic(m, 1e-12)
 
 
 def test_two_link_matrix_half_kappa_zero_diagonal():
-    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.5).entries
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.5)
     assert np.all(np.diag(m) == 0.0)
     assert is_doubly_stochastic(m, 1e-12)
 
@@ -147,16 +147,16 @@ def test_two_link_matrix_half_kappa_zero_diagonal():
 @pytest.mark.parametrize("kappa,eta", [(0.25, 0.25), (0.4, 0.2), (0.5, 0.5)])
 def test_two_link_matrix_eta_is_its_smallest_positive_entry(kappa, eta):
     m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, kappa)
-    assert m.eta == np.min(m.entries[m.entries > 0])
-    assert m.eta == pytest.approx(eta, abs=1e-15)
+    assert np.min(m[m > 0]) == pytest.approx(eta, abs=1e-15)
 
 
 def test_schedule_from_dict_without_eta_takes_the_smallest_positive_entry():
     matrix = [[0.75, 0.25, 0.0], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]]
     s = schedule_from_dict({"variant": "static", "matrix": matrix})
-    assert s.matrices[0].eta == 0.25
+    m = s.matrices[0]
+    assert np.min(m[m > 0]) == 0.25
     s = schedule_from_dict({"variant": "cyclic", "matrices": [matrix, np.eye(3).tolist()]})
-    assert [m.eta for m in s.matrices] == [0.25, 1.0]
+    assert [np.min(m[m > 0]) for m in s.matrices] == [0.25, 1.0]
 
 
 def test_two_link_matrix_kappa_range():
@@ -184,13 +184,13 @@ def test_two_link_matrix_rejects_unbalanced_columns():
 def test_is_doubly_stochastic_examples():
     assert is_doubly_stochastic(np.eye(4))
     assert not is_doubly_stochastic(np.array([[0.6, 0.4], [0.3, 0.7]]))
-    assert is_doubly_stochastic(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries)
+    assert is_doubly_stochastic(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25))
 
 
 def test_is_scrambling_examples():
     assert is_scrambling(np.full((4, 4), 0.25))
     assert not is_scrambling(np.eye(3))
-    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries
+    m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)
     assert not is_scrambling(m)
     # rows 0 and 3 have disjoint supports, per the pairwise-support oracle
     assert not np.any((m[0] > 0) & (m[3] > 0))
@@ -201,14 +201,14 @@ def test_contraction_examples():
     assert nu(np.eye(3)) == 1.0
     lazy = np.array([[0.75, 0.25], [0.25, 0.75]])
     assert nu(lazy) == 0.5
-    assert nu(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries) == 1.0
+    assert nu(build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)) == 1.0
 
 
 def test_contraction_equals_half_l1_distance():
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        m = build_metropolis(random_connected_graph(rng, n, 0.4)).entries
+        m = build_metropolis(random_connected_graph(rng, n, 0.4))
         half_l1 = max(
             0.5 * float(np.abs(m[i] - m[j]).sum())
             for i in range(n) for j in range(i + 1, n)
@@ -219,10 +219,10 @@ def test_contraction_equals_half_l1_distance():
 def test_contraction_below_one_iff_scrambling():
     rng = np.random.default_rng(8)
     mats = [np.eye(4), np.full((5, 5), 0.2),
-            build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25).entries]
+            build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)]
     for _ in range(40):
         n = int(rng.integers(2, 10))
-        mats.append(build_metropolis(random_connected_graph(rng, n, 0.35)).entries)
+        mats.append(build_metropolis(random_connected_graph(rng, n, 0.35)))
     for m in mats:
         assert (nu(m) < 1.0) == is_scrambling(m)
 
@@ -260,7 +260,7 @@ def test_fusion_sum_nonexpansive_for_any_doubly_stochastic_matrix():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n, d = int(rng.integers(2, 8)), int(rng.integers(1, 5))
-        m = build_metropolis(random_connected_graph(rng, n, 0.4)).entries
+        m = build_metropolis(random_connected_graph(rng, n, 0.4))
         x = rng.normal(0, 3, (n, d))
         y = rng.normal(0, 3, d)
         v = m @ x
@@ -337,9 +337,10 @@ def test_cyclic_schedule_indexing():
     m2 = build_metropolis(graph(3, [(1, 2)]))
     s = CyclicSchedule((m1, m2))
     mats = s.distinct_matrices(5)
-    assert s.matrices == (m1, m2) and len(mats) == 2
+    np.testing.assert_array_equal(s.matrices, [m1, m2])
+    assert len(mats) == 2
     for k, m in ((0, m1), (1, m2), (4, m1)):
-        np.testing.assert_array_equal(mats[k % len(mats)], m.entries)
+        np.testing.assert_array_equal(mats[k % len(mats)], m)
     assert max_contraction(mats) == 1.0  # both matrices are non-scrambling
 
 
@@ -364,8 +365,7 @@ def test_schedules_give_read_only_stacks():
                     (RandomSchedule(3, 0.6, seed=5), None)):
         mats = s.distinct_matrices(4)
         assert mats.ndim == 3 and not mats.flags.writeable
-        want = [m.entries for m in want] if want else [s._build(np.array([k]))[0]
-                                                        for k in range(4)]
+        want = want or [s._build(np.array([k]))[0] for k in range(4)]
         np.testing.assert_array_equal(mats, np.stack(want))
 
 
@@ -376,7 +376,7 @@ def test_stacked_contraction_equals_per_matrix_max(n):
     while len(mats) < 150:
         # lazy mixes of Metropolis and uniform weights: scrambling, nu spread over (0, 1)
         t = rng.uniform(0.0, 0.9)
-        m = build_metropolis(random_connected_graph(rng, n, 0.4)).entries
+        m = build_metropolis(random_connected_graph(rng, n, 0.4))
         mats.append(t * np.eye(n) + (1 - t) * (0.5 * m + 0.5 / n))
     per_matrix = [nu(m) for m in mats]
     stack = np.stack(mats)
@@ -486,7 +486,7 @@ def test_metropolis_doubly_stochastic_on_random_connected_graphs(data, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     extra = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = graph(n, tree + [e for e, keep in zip(pairs, extra) if keep])
-    m = build_metropolis(g).entries
+    m = build_metropolis(g)
     assert is_doubly_stochastic(m, 1e-12)
     np.testing.assert_array_equal(m, m.T)
     assert support_graph(m).edges == g.edges
@@ -516,9 +516,19 @@ def test_schedule_from_dict_variants():
 
 def test_weight_matrix_rejects_bad_input():
     with pytest.raises(ConfigError):
-        WeightMatrix(np.array([[0.9, 0.2], [0.2, 0.9]]))  # sums 1.1
+        StaticSchedule(np.array([[0.9, 0.2], [0.2, 0.9]]))  # sums 1.1
     with pytest.raises(ConfigError):
-        WeightMatrix(np.array([[1.2, -0.2], [-0.2, 1.2]]))  # negative
+        StaticSchedule(np.array([[1.2, -0.2], [-0.2, 1.2]]))  # negative
+
+
+def test_schedules_and_builders_freeze_a_copy():
+    caller = np.full((2, 2), 0.5)
+    s = StaticSchedule(caller)
+    assert caller.flags.writeable and not s.matrices.flags.writeable
+    caller[0, 0] = 0.0  # the schedule's matrix is its own
+    np.testing.assert_array_equal(s.matrices, [np.full((2, 2), 0.5)])
+    for m in (build_metropolis(path_graph(3)), build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)):
+        assert isinstance(m, np.ndarray) and not m.flags.writeable
 
 
 def test_builders_emit_valid_matrices_at_tight_tolerance():
@@ -527,5 +537,5 @@ def test_builders_emit_valid_matrices_at_tight_tolerance():
         n = int(rng.integers(2, 12))
         g = random_connected_graph(rng, n, 0.5)
         m = build_metropolis(g)
-        assert is_doubly_stochastic(m.entries, 1e-12)
-        assert np.all(m.entries[m.entries > 0] >= (1 - 1e-12) / n)
+        assert is_doubly_stochastic(m, 1e-12)
+        assert np.all(m[m > 0] >= (1 - 1e-12) / n)

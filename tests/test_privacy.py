@@ -40,7 +40,7 @@ def test_six_virtual_plan_matches_two_link_support():
     vg = virtual_topology(TRIANGLE, plan)
     assert vg.n_agents == 6 and is_connected(vg)
     m = build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25)
-    assert support_graph(m.entries).edges == vg.edges
+    assert support_graph(m).edges == vg.edges
 
 
 def test_six_virtual_plan_owner_mapping_respects_real_links():

@@ -85,8 +85,8 @@ def quartic_problem() -> Problem:
     return Problem(1, comps, fs)
 
 
-def metropolis_entries(g) -> list:
-    return build_metropolis(g).entries.tolist()
+def metropolis_rows(g) -> list:
+    return build_metropolis(g).tolist()
 
 
 def base(name: str, problem: Problem, schedule: dict, n_iterations: int, **extra) -> dict:
@@ -111,7 +111,7 @@ def base(name: str, problem: Problem, schedule: dict, n_iterations: int, **extra
 def scenario_texts() -> dict[str, str]:
     """Each shipped scenario's name and the text of its JSON file."""
     tri = triangle_problem()
-    tri_sched = {"variant": "static", "matrix": metropolis_entries(complete_graph(3))}
+    tri_sched = {"variant": "static", "matrix": metropolis_rows(complete_graph(3))}
     tri_graph = {"n_agents": 3, "edges": TRIANGLE_EDGES}
     kappa_sched = {
         "variant": "kappa",
@@ -124,24 +124,24 @@ def scenario_texts() -> dict[str, str]:
             "triangle_quadratic", tri, tri_sched, 30000, graph=tri_graph),
         "nonconvex_sum_d1": base(
             "nonconvex_sum_d1", nonconvex_d1(), {
-                "variant": "static", "matrix": metropolis_entries(complete_graph(2))},
+                "variant": "static", "matrix": metropolis_rows(complete_graph(2))},
             20000, graph={"n_agents": 2, "edges": [[0, 1]]}),
         "nonconvex_sum_d2": base(
             "nonconvex_sum_d2", nonconvex_d2(), tri_sched, 30000, graph=tri_graph),
         "nonconvex_sum_d5": base(
             "nonconvex_sum_d5", nonconvex_d5(), {
-                "variant": "static", "matrix": metropolis_entries(ring_graph(4))},
+                "variant": "static", "matrix": metropolis_rows(ring_graph(4))},
             40000, graph={"n_agents": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}),
         "quartic_d1": base(
             "quartic_d1", quartic_problem(), {
-                "variant": "static", "matrix": metropolis_entries(complete_graph(2))},
+                "variant": "static", "matrix": metropolis_rows(complete_graph(2))},
             40000, graph={"n_agents": 2, "edges": [[0, 1]]}),
         "cyclic_q2": base(
             "cyclic_q2", tri, {
                 "variant": "cyclic",
                 "matrices": [
-                    metropolis_entries(graph(3, [(0, 1)])),
-                    metropolis_entries(graph(3, [(1, 2)])),
+                    metropolis_rows(graph(3, [(0, 1)])),
+                    metropolis_rows(graph(3, [(1, 2)])),
                 ]},
             40000, graph=tri_graph),
         "random_nonconvex_d2": base(
