@@ -7,7 +7,9 @@ The run is deterministic given its configuration and produces a trace of per
 iteration records plus a terminal summary of the fusion invariants
 (average preservation and sum non-expansiveness) tracked at every round.
 Runs that differ only in seed and initial states step together as one
-batch, each with the trace it would have alone.
+batch, each with the trace it would have alone.  A round only fuses, steps
+and records, writing into preallocated buffers; the checks of every round
+(finite gradients, the fusion invariants) run once per block of rounds.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .network import WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
 _STREAM_YSET = 12
-# floats per buffer of rounds awaiting the invariant check: every temporary
-# of one check is at most 64 KB
-_CHECK_FLOATS = 2**13
+# floats of one state per round of a block awaiting one check: a check's
+# temporaries, two states per round, are at most 64 KB
+_CHECK_FLOATS = 2**12
 
 
 class EngineError(RuntimeError):
@@ -156,12 +158,25 @@ class RunTrace:
 
 
 def _nonfinite(g: np.ndarray, k: int, seed: int) -> EngineError:
-    """The error for one run's (S, D) gradients, naming its first bad agent."""
-    bad = int(np.flatnonzero(~np.isfinite(g).all(axis=1))[0])
+    """The error for one run's gradients of rounds k, k + 1, ... as (n, S, D),
+    naming the first round and agent whose gradient is not finite."""
+    t, bad = np.argwhere(~np.isfinite(g).all(axis=-1))[0].tolist()
     return EngineError(
-        f"non-finite gradient for agent {bad} at iteration {k} (seed {seed}); aborting run",
-        agent=bad, iteration=k, seed=seed,
+        f"non-finite gradient for agent {bad} at iteration {k + t} (seed {seed}); aborting run",
+        agent=bad, iteration=k + t, seed=seed,
     )
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, bitwise, in fewer calls when the last axis is short:
+    numpy adds fewer than 8 terms one after the other onto 0.0, so those are
+    column adds; from 8 terms on it adds pairwise, and that stays ``sum``."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + 0.0
+    for i in range(1, a.shape[-1]):
+        total += a[..., i]
+    return total
 
 
 def fuse(states, matrix) -> np.ndarray:
@@ -177,12 +192,15 @@ def fuse(states, matrix) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _step(v: np.ndarray, alpha, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+def _step(v: np.ndarray, alpha: float, prob: Problem, g: np.ndarray | None = None,
+          x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The projected gradient step on fused states (..., S, D): each agent
     steps along its own component gradient.  Returns the new states and the
-    gradients, which the caller checks; every operation is row-wise."""
-    g = prob.evaluator.grads(v)
-    return prob.feasible_set.project_many(v - alpha * g), g
+    gradients, written into ``x`` and ``g`` if given; the caller checks the
+    gradients.  Every operation is row-wise."""
+    g = prob.evaluator.grads(v, g)
+    x = np.subtract(v, np.multiply(g, alpha, out=x), out=x)
+    return prob.feasible_set.project_many(x, out=x), g
 
 
 def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
@@ -196,7 +214,7 @@ def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         x, g = _step(v, float(cfg.steps.at(k)), cfg.problem)
     if not np.isfinite(g).all():
-        raise _nonfinite(g, k, cfg.seed)
+        raise _nonfinite(g[None], k, cfg.seed)
     return x
 
 
@@ -225,16 +243,20 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     their runs step together as one (B, S, D) stack, and each run's trace is
     bitwise the one it has in a batch of its own.  Records the initial state
     (iteration 0) and every ``record_every``-th iteration, always including
-    the terminal one.  The fusion invariants are checked at every round
-    regardless of decimation, and folded into their maxima once per block of
-    rounds.  When the schedule is scrambling the closed-form disagreement
-    bound is recorded alongside each iterate; otherwise the bound column is
-    absent and the summary's ``bound_enabled`` is false (validation's
-    ``scrambling`` check reports it).
+    the terminal one.  When the schedule is scrambling the closed-form
+    disagreement bound is recorded alongside each iterate; otherwise the
+    bound column is absent and the summary's ``bound_enabled`` is false
+    (validation's ``scrambling`` check reports it).
 
-    A run whose gradient goes non-finite leaves the stack, and its entry in
-    the returned list is the ``EngineError`` naming its seed, agent and
-    iteration; the other runs go on.
+    A round is a handful of in-place numpy calls that write the fused
+    states, the gradients and the next states into block buffers.  The checks
+    of every round run once per block of C rounds: the gradients' finiteness,
+    then the fusion invariants (regardless of decimation), folded into their
+    maxima with a per-round check's arithmetic, so no result depends on C.
+    A run whose gradient goes non-finite steps on to the end of its block,
+    then leaves the stack, and its entry in the returned list is the
+    ``EngineError`` naming its seed and its first non-finite agent and
+    iteration; the other runs go on, bitwise as they would alone.
     """
     if not cfgs:
         raise ConfigError("a batch needs at least one run config")
@@ -264,66 +286,65 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     ks = np.r_[0:K:first.record_every, K]
     states = np.empty((ks.shape[0], B, S, D))
     states[0] = x
-    r = 1
     rows = np.arange(B)  # the batch row of each run still stepping
     errors: dict[int, EngineError] = {}
     max_drift = np.zeros(B)
     max_slack = np.full(B, -np.inf)
 
-    # the fused states v of up to C rounds and the states x each round fused
-    # (plus the one after) wait in these buffers for one invariant check
+    # a block of up to C rounds waits in these buffers for one check: the fused
+    # states v of each round and the states x it fused (plus the one after) as one
+    # stack, w[0] and w[1], and each round's gradients
     C = max(1, _CHECK_FLOATS // (B * S * D))
-    vs, xs = np.empty((C, B, S, D)), np.empty((C + 1, B, S, D))
-    xs[0] = x
+    w, gs = np.empty((2, C + 1, B, S, D)), np.empty((C, B, S, D))
+    w[1, 0] = x
 
     def flush(n: int) -> None:
         """Fold the n buffered rounds into the per-run drift and slack maxima;
         each round's arithmetic is the same whatever n and C are."""
-        v, u = vs[:n].reshape(-1, S, D), xs[:n].reshape(-1, S, D)
+        vx = w[:, :n]  # (2, n, B, S, D)
         # sum / S is np.mean's arithmetic without its call overhead, and a
         # (1, D) @ (D, 1) matmul takes the dot product np.linalg.norm takes
-        dm = v.sum(axis=1) / S - u.sum(axis=1) / S
+        sums = _row_sums(np.moveaxis(vx, 3, -1)) / S
+        dm = (sums[0] - sums[1]).reshape(-1, D)
         drift = np.sqrt(dm[:, None, :] @ dm[:, :, None]).reshape(n, -1)
         np.maximum(max_drift, drift.max(axis=0), out=max_drift)
         for y in ys:
-            slack = (((vs[:n] - y) ** 2).sum(axis=(2, 3))
-                     - ((xs[:n] - y) ** 2).sum(axis=(2, 3)))
-            np.maximum(max_slack, slack.max(axis=0), out=max_slack)
-        xs[0] = xs[n]
+            norms = _row_sums(np.square(vx - y).reshape(2, n, -1, S * D))
+            np.maximum(max_slack, (norms[0] - norms[1]).max(axis=0), out=max_slack)
+        w[1, 0] = w[1, n]
 
-    j = 0  # rounds buffered
-    with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked below
+    steps_k, record_at = alpha.tolist(), ks.tolist()
+    r, j = 1, 0  # the next record; rounds buffered
+    with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked per block
         for k in range(K):
-            v = mats[k % n_mats] @ x
-            x, g = _step(v, alpha[k], prob)
-            vs[j] = v
+            v = w[0, j]
+            np.matmul(mats[k % n_mats], w[1, j], out=v)
+            x = _step(v, steps_k[k], prob, gs[j], w[1, j + 1])[0]
             j += 1
-            xs[j] = x
-            if not np.isfinite(g).all():
-                ok = np.isfinite(g).all(axis=(1, 2))
+            if k + 1 == record_at[r]:
+                states[r] = x
+                r += 1
+            if j < C and k + 1 < K:
+                continue
+            ok = np.isfinite(gs[:j]).all(axis=(0, 2, 3))
+            if not ok.all():
                 for i in np.flatnonzero(~ok):
-                    errors[int(rows[i])] = _nonfinite(g[i], k, cfgs[rows[i]].seed)
-                # the survivors keep their buffered rounds, round k included
-                rows, x, max_drift, max_slack = (a[ok] for a in (rows, x, max_drift, max_slack))
-                vs, xs, ys = vs[:, ok], xs[:, ok], ys[:, ok]
+                    errors[int(rows[i])] = _nonfinite(gs[:j, i], k + 1 - j, cfgs[rows[i]].seed)
+                # the survivors keep their buffered rounds, which are bitwise those
+                # they take alone; the failed runs stepped on to the block's end
+                rows, max_drift, max_slack = (a[ok] for a in (rows, max_drift, max_slack))
+                states, w, gs, ys = states[:, ok], w[:, :, ok], gs[:, ok], ys[:, ok]
                 if not rows.size:
                     break
-            if j == C:
-                flush(j)
-                j = 0
-            if k + 1 == ks[r]:
-                states[r, rows] = x
-                r += 1
-        if j:
             flush(j)
+            j = 0
 
     out: list[RunTrace | EngineError] = [errors.get(b) for b in range(B)]
     if not rows.size:
         return out
-    kept = states if rows.size == B else states[:, rows]
-    x_bar = kept.mean(axis=2)
+    x_bar = states.mean(axis=2)
     f_bar = sum_value(prob, x_bar.reshape(-1, D)).reshape(x_bar.shape[:2])
-    deltas, disagreements = max_delta(kept), max_disagreement(kept)
+    deltas, disagreements = max_delta(states), max_disagreement(states)
     for i, b in enumerate(rows.tolist()):
         bound = None
         if bound_on:
@@ -331,7 +352,7 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
         trace = RunTrace(
             ks=ks,
             alphas=alpha[ks],
-            states=kept[:, i],
+            states=states[:, i],
             x_bar=x_bar[:, i],
             f_bar=f_bar[:, i],
             max_delta=deltas[:, i],

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problem import ConfigError, ConstructionError, as_int, reading
+from .problem import ConfigError, ConstructionError, as_float, as_int, reading
 
 DS_TOL = 1e-12
 _CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
@@ -38,7 +38,7 @@ class Graph:
             raise ConfigError("graph needs at least one agent")
         norm = set()
         for e in self.edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = as_int(e[0], "graph.edges"), as_int(e[1], "graph.edges")
             if i == j:
                 raise ConfigError(f"self-loop ({i},{j}) not allowed in the edge set")
             if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
@@ -151,7 +151,7 @@ def max_contraction(mats: np.ndarray) -> float:
 def support_graph(m) -> Graph:
     """Undirected graph of off-diagonal positive entries (either direction)."""
     pos = np.asarray(m) > 0
-    return graph(len(pos), zip(*np.nonzero(np.triu(pos | pos.T, 1))))
+    return graph(len(pos), zip(*(a.tolist() for a in np.nonzero(np.triu(pos | pos.T, 1)))))
 
 
 def support_connected(mats: np.ndarray) -> np.ndarray:
@@ -192,7 +192,7 @@ def build_two_link_matrix(pattern: Sequence[Sequence[int]], kappa: float) -> np.
     n = len(pattern)
     m = np.zeros((n, n))
     for i, links in enumerate(pattern):
-        links = tuple(int(x) for x in links)
+        links = tuple(as_int(x, "schedule.pattern") for x in links)
         if len(links) != 2 or links[0] == links[1]:
             raise ConfigError(f"row {i} must list exactly two distinct links")
         if i in links or not all(0 <= x < n for x in links):
@@ -419,8 +419,10 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
         if variant == "cyclic":
             return CyclicSchedule(d["matrices"])
         if variant == "kappa":
-            return StaticSchedule(build_two_link_matrix(d["pattern"], float(d["kappa"])))
+            return StaticSchedule(build_two_link_matrix(
+                d["pattern"], as_float(d["kappa"], "schedule.kappa")))
         if variant == "random":
             return RandomSchedule(as_int(d["n_agents"], "schedule.n_agents"),
-                                  float(d["edge_probability"]), d["seed"])
+                                  as_float(d["edge_probability"], "schedule.edge_probability"),
+                                  d["seed"])
     raise ConfigError(f"unknown schedule variant {variant!r}")

@@ -64,6 +64,14 @@ def as_int(value, field: str) -> int:
     return value
 
 
+def as_float(value, field: str) -> float:
+    """A config's number ``field``, as a float: only a JSON number, so a bool or a
+    string is a ``ConfigError`` naming the field."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float vector."""
     p = np.asarray(x, dtype=float)
@@ -90,7 +98,8 @@ class FeasibleSet:
 
     dimension: int
 
-    def project_many(self, pts: np.ndarray) -> np.ndarray:
+    def project_many(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The projections of points (..., D), into ``out`` if given (it may be ``pts``)."""
         raise NotImplementedError
 
     def distance_many(self, pts: np.ndarray) -> np.ndarray:
@@ -126,8 +135,8 @@ class Box(FeasibleSet):
         object.__setattr__(self, "hi", _freeze(hi))
         object.__setattr__(self, "dimension", lo.shape[0])
 
-    def project_many(self, pts):
-        return np.clip(pts, self.lo, self.hi)
+    def project_many(self, pts, out=None):
+        return pts.clip(self.lo, self.hi, out=out)
 
     def distance_many(self, pts):
         return np.linalg.norm(pts - np.clip(pts, self.lo, self.hi), axis=-1)
@@ -164,10 +173,11 @@ class Ball(FeasibleSet):
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dimension", c.shape[0])
 
-    def project_many(self, pts):
+    def project_many(self, pts, out=None):
         diff = pts - self.center
         dist = np.linalg.norm(diff, axis=-1)
-        out = np.array(pts, dtype=float, copy=True)
+        out = np.empty(diff.shape) if out is None else out
+        out[...] = pts
         outside = dist > self.radius * (1.0 + _BALL_SLACK)
         if np.any(outside):
             scale = self.radius / dist[outside]
@@ -319,8 +329,8 @@ def _quadratic_values(a, b, c, x):
     return v
 
 
-def _quadratic_grads(a, b, c, x):
-    return np.einsum("...ij,...j->...i", a, x) + b
+def _quadratic_grads(a, b, c, x, out=None):
+    return np.add(np.einsum("...ij,...j->...i", a, x, out=out), b, out=out)
 
 
 def _sine_quadratic_values(a, b, c, amp, freq, x):
@@ -329,17 +339,17 @@ def _sine_quadratic_values(a, b, c, amp, freq, x):
     return v
 
 
-def _sine_quadratic_grads(a, b, c, amp, freq, x):
-    g = _quadratic_grads(a, b, c, x)
+def _sine_quadratic_grads(a, b, c, amp, freq, x, out=None):
+    g = _quadratic_grads(a, b, c, x, out)
     g += amp * freq * np.cos(freq * x)
     return g
 
 
-def _horner(coefs, x):
-    acc = np.empty(np.broadcast_shapes(coefs.shape[:-1], x.shape))
+def _horner(coefs, x, out=None):
+    acc = np.empty(np.broadcast_shapes(coefs.shape[:-1], x.shape)) if out is None else out
     acc[...] = coefs[..., -1]
     for t in range(coefs.shape[-1] - 2, -1, -1):
-        acc = acc * x + coefs[..., t]
+        acc = np.add(np.multiply(acc, x, out=out), coefs[..., t], out=out)
     return acc
 
 
@@ -347,8 +357,8 @@ def _polynomial_values(coefs, dcoefs, x):
     return _horner(coefs, x).sum(axis=-1)
 
 
-def _polynomial_grads(coefs, dcoefs, x):
-    return _horner(dcoefs, x)
+def _polynomial_grads(coefs, dcoefs, x, out=None):
+    return _horner(dcoefs, x, out)
 
 
 # family -> (builder, parameter names in the order the builder takes them and
@@ -418,10 +428,14 @@ class _Evaluator:
             out[..., sel] = value_fn(*params, self._select(x, sel))
         return out
 
-    def grads(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(x.shape[:-2] + (self.n, x.shape[-1]))
+    def grads(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradients at x, into ``out`` if given."""
+        out = np.empty(x.shape[:-2] + (self.n, x.shape[-1])) if out is None else out
         for sel, params, (_, grad_fn) in self.groups:
-            out[..., sel, :] = grad_fn(*params, self._select(x, sel))
+            if isinstance(sel, slice):  # one family: its kernel writes in place
+                grad_fn(*params, x, out)
+            else:
+                out[..., sel, :] = grad_fn(*params, self._select(x, sel))
         return out
 
 

@@ -276,6 +276,29 @@ MALFORMED_CONFIGS = [
     ("random-n_agents-fraction", "schedule",
      {"variant": "random", "n_agents": 3.5, "edge_probability": 0.6, "seed": 0},
      "config error: schedule.n_agents: expected an integer"),
+    ("edges-fraction", "graph.edges", [[0, 1.7], [0, 2], [1, 2]],
+     "config error: graph.edges: expected an integer, got 1.7"),
+    ("edges-bool", "graph.edges", [[0, 1], [0, 2], [True, 2]],
+     "config error: graph.edges: expected an integer, got True"),
+    ("pattern-fraction", "schedule",
+     {"variant": "kappa", "pattern": [[1.9, 2], [0, 2], [0, 1]], "kappa": 0.25},
+     "config error: schedule.pattern: expected an integer, got 1.9"),
+    ("pattern-string", "schedule",
+     {"variant": "kappa", "pattern": [[1, 2], [0, "2"], [0, 1]], "kappa": 0.25},
+     "config error: schedule.pattern: expected an integer, got '2'"),
+    # number fields take only JSON numbers: no bool or string
+    ("kappa-string", "schedule",
+     {"variant": "kappa", "pattern": [[1, 2], [0, 2], [0, 1]], "kappa": "0.25"},
+     "config error: schedule.kappa: expected a number, got '0.25'"),
+    ("kappa-bool", "schedule",
+     {"variant": "kappa", "pattern": [[1, 2], [0, 2], [0, 1]], "kappa": True},
+     "config error: schedule.kappa: expected a number, got True"),
+    ("edge_probability-string", "schedule",
+     {"variant": "random", "n_agents": 3, "edge_probability": "0.6", "seed": 0},
+     "config error: schedule.edge_probability: expected a number, got '0.6'"),
+    ("edge_probability-bool", "schedule",
+     {"variant": "random", "n_agents": 3, "edge_probability": True, "seed": 0},
+     "config error: schedule.edge_probability: expected a number, got True"),
     # the mixing-matrix checks
     ("matrix-not-doubly-stochastic", "schedule.matrix",
      [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.5, 0.5]],

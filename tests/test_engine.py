@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -674,6 +675,69 @@ def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypat
     for cfg, trace in zip(cfgs, out):
         if cfg.seed in alone:  # the summary holds the drift and slack maxima
             assert_same_run(trace, alone[cfg.seed])
+
+
+def poison_gradients(monkeypatch, prob, iteration: int, row: int, agents, value) -> None:
+    """Make round ``iteration`` of the next runs of ``prob`` see ``value`` in the
+    first coordinate of the gradients of ``agents`` of batch row ``row``."""
+    grads, calls = prob.evaluator.grads, itertools.count()
+
+    def poisoned(x, out=None):
+        out = grads(x, out)
+        if next(calls) == iteration:
+            out[row, agents, 0] = value
+        return out
+
+    monkeypatch.setattr(prob.evaluator, "grads", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("batch,row", [(1, 0), (3, 1)])
+@pytest.mark.parametrize("iteration", [5, 7, 9], ids=["first", "middle", "last"])
+def test_the_blockwise_finite_check_names_what_a_per_round_check_names(
+        monkeypatch, iteration, batch, row, value):
+    sc = load_shipped("triangle_quadratic")
+    cfgs = [dataclasses.replace(sc.run_config, seed=s, n_iterations=23, record_every=3)
+            for s in range(batch)]
+    out = {}
+    for rounds in (1, 5):  # one round per check is a per-round check; 5 puts rounds 5-9 in one
+        with monkeypatch.context() as m:
+            force_check_block(m, rounds, cfgs)
+            poison_gradients(m, sc.run_config.problem, iteration, row, [2, 1], value)
+            out[rounds] = run_batch(cfgs)
+    per_round, blockwise = out[1][row], out[5][row]
+    assert isinstance(blockwise, EngineError)
+    assert (blockwise.agent, blockwise.iteration, blockwise.seed) == (1, iteration, row)
+    assert (blockwise.agent, blockwise.iteration, str(blockwise)) == (
+        per_round.agent, per_round.iteration, str(per_round))
+    kept = [c for i, c in enumerate(cfgs) if i != row]
+    for trace, alone in zip([t for i, t in enumerate(out[5]) if i != row],
+                            run_batch(kept) if kept else []):
+        assert_same_run(trace, alone)
+
+
+def test_row_sums_equal_numpy_sums_bitwise():
+    rng = np.random.default_rng(23)
+
+    def drawn(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        a[rng.random(shape) < 0.1] = -0.0
+        a[rng.random(shape) < 0.1] = 0.0
+        return a
+
+    for m in range(1, 21):
+        big = drawn((2, 9, 4, m))
+        for a in (drawn((m,)), drawn((5, m)), drawn((3, 2, m)), big,
+                  big[:, :6],  # the stacked (2, n, B, m) view of a partly filled block
+                  big[:, :6, 1:], big[:, :6, [0, 2, 3]],  # after a run left the stack
+                  np.full((2, 3, m), -0.0)):
+            assert engine._row_sums(a).tobytes() == a.sum(axis=-1).tobytes(), (m, a.shape)
+    # the drift's sum over the agents of a (2, n, B, S, D) block, where numpy
+    # makes S the inner axis when D = 1
+    for S, D in itertools.product(range(1, 11), (1, 2, 3)):
+        block = drawn((2, 7, 3, S, D))[:, :5]
+        assert (engine._row_sums(np.moveaxis(block, 3, -1)).tobytes()
+                == block.sum(axis=3).tobytes()), (S, D)
 
 
 # ---------------------------------------------------------------------------

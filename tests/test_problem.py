@@ -198,6 +198,42 @@ def test_stacked_grads_and_projections_equal_each_state_alone(family, in_ball, d
         assert projected[b].tobytes() == fs.project_many(v[b]).tobytes()
 
 
+def mixed_stack_problem(fs, seed):
+    """Two components of each family, interleaved, so no family is one slice."""
+    stacks = [stack_problem(f, fs, 2, seed + i).components for i, f in
+              enumerate(["quadratic", "polynomial-separable", "sine-perturbed-quadratic"])]
+    return Problem(fs.dimension, tuple(c for pair in zip(*stacks) for c in pair), fs)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "polynomial-separable",
+                                    "sine-perturbed-quadratic", "mixed"])
+@pytest.mark.parametrize("in_ball", [False, True], ids=["box", "ball"])
+def test_out_forms_equal_the_allocating_forms_bitwise(family, in_ball):
+    # the engine's round writes gradients and projections into its block buffers
+    dim = 2
+    fs = Ball(np.full(dim, 0.25), 1.5) if in_ball else Box(np.array([0.0, -1.0]),
+                                                           np.array([1.0, 0.0]))
+    prob = (mixed_stack_problem(fs, 5) if family == "mixed"
+            else stack_problem(family, fs, 6, 5))
+    rng = np.random.default_rng(41)
+    v = rng.normal(0.0, 2.0, size=(4, 6, dim))
+    v[0] *= 0.1  # points inside the ball as well as outside it
+    v[1, :, 0], v[2, :, 1] = -0.0, -0.0  # on the box's bounds at exactly 0
+    grads = prob.evaluator.grads(v)
+    out = np.full_like(v, np.nan)
+    assert prob.evaluator.grads(v, out) is out and out.tobytes() == grads.tobytes()
+    shared = v[:, :1]  # one point for every component
+    out = np.full_like(v, np.nan)
+    assert prob.evaluator.grads(shared, out).tobytes() == prob.evaluator.grads(shared).tobytes()
+    projected = fs.project_many(v)
+    if not in_ball:  # the signed zero np.clip leaves at a bound of 0
+        assert projected.tobytes() == np.clip(v, fs.lo, fs.hi).tobytes()
+    out = np.full_like(v, np.nan)
+    assert fs.project_many(v, out) is out and out.tobytes() == projected.tobytes()
+    in_place = v.copy()
+    assert fs.project_many(in_place, in_place).tobytes() == projected.tobytes()
+
+
 def test_project_dimension_mismatch():
     with pytest.raises(ConfigError):
         project(BOX2, [1.0, 2.0, 3.0])

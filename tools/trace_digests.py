@@ -13,7 +13,10 @@ lines), so the read path is compared too.
 Each scenario runs twice: with its own iterations and decimation, and
 loaded with ``load_scenario(path, n_iterations=2000, decimate=1)``
 (``<name>@dense`` lines), so that the record path is compared at every
-iteration.  Before its runs, each scenario
+iteration.  Then seeds 0-2 run as one ``run_scenario`` batch at the shipped
+settings, and the sha256 of each seed's ``trace.jsonl`` and ``summary.json``
+is printed (``<name>@batch`` lines), so that the layout of a batch of several
+runs is compared too.  Before its runs, each scenario
 goes through ``cmd_validate`` with an output root, and the sha256 of what it
 printed and of the ``validation.json`` it wrote are printed (``validate/``
 lines), so that loading and validation are compared too.  Last come the
@@ -50,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from consopt.cli import cmd_export, cmd_validate, execute_run
+from consopt.cli import cmd_export, cmd_validate, execute_run, run_scenario
 from consopt.network import RandomSchedule, complete_graph
 from consopt.privacy import (
     default_plan, partition_problem, random_function_sharing, transformed_to_dict,
@@ -63,6 +66,8 @@ FILES = ("trace.jsonl", "trace.csv", "plotdata.csv", "summary.json", "oracle.jso
 EXPORTED = ("trace.csv", "plotdata.csv")
 # (label suffix, load_scenario overrides): the shipped settings, then every iteration
 SETTINGS = (("", {}), ("@dense", {"n_iterations": 2000, "decimate": 1}))
+BATCH_SEEDS = (0, 1, 2)  # the seeds of the @batch lines, run as one batch
+BATCH_FILES = ("trace.jsonl", "summary.json")
 TRANSFORM_SEED = 1608
 # (n_agents, edge_probability, seed, horizon) of the random/ lines: perfbench's
 # schedule size, seeds of one, three and four 32-bit words, and a heavy redraw
@@ -141,6 +146,11 @@ def digests():
                 for fname in EXPORTED:
                     yield f"{label} export/{fname} {_sha256(export_dir / fname)}"
                 yield f"{label} f_star {f_star!r}"
+            dirs = [Path(tmp) / f"{name}@batch" / f"seed{s}" for s in BATCH_SEEDS]
+            run_scenario(load_scenario(shipped_scenario_path(name)), BATCH_SEEDS, dirs)
+            for seed, run_dir in zip(BATCH_SEEDS, dirs):
+                for fname in BATCH_FILES:
+                    yield f"{name}@batch seed{seed} {fname} {_sha256(run_dir / fname)}"
     yield from transform_digests()
     yield from random_digests()
 
