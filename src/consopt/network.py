@@ -10,6 +10,7 @@ identical matrix.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,8 +19,8 @@ import numpy as np
 from .problem import ConfigError, ConstructionError, as_float, as_int, reading
 
 DS_TOL = 1e-12
-_CHUNK = 64  # matrices built, checked or compared at a time; bounds the temporaries
-_SEED_BLOCK = 512  # random-schedule rounds whose generator seeds are hashed at a time
+_CHUNK = 64  # matrices max_contraction compares at a time; bounds its temporaries
+_DRAW_WORDS = 2**13  # random-schedule uniforms drawn per block; bounds the temporaries
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +84,7 @@ def reachability(adj: np.ndarray) -> np.ndarray:
     S = adj.shape[-1]
     r = np.logical_or(adj, np.eye(S, dtype=bool)).astype(float)
     for _ in range(max(S - 2, 0).bit_length()):
-        r = np.minimum(r @ r, 1.0)
+        np.minimum(r @ r, 1.0, out=r)
     return r > 0
 
 
@@ -258,7 +259,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
 
 
 def _seed_sequence_state(seed: int, ks: np.ndarray) -> np.ndarray:
@@ -302,24 +303,71 @@ def _seed_sequence_state(seed: int, ks: np.ndarray) -> np.ndarray:
     return np.stack([out[i] | out[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
-def _pcg64_starts(seed: int, ks: np.ndarray):
-    """Yield per round k of ``ks`` the (state, inc) of ``PCG64(SeedSequence([seed, k]))``,
-    hashing ``_SEED_BLOCK`` rounds' seed sequences at a time."""
-    for lo in range(0, len(ks), _SEED_BLOCK):
-        for s0, s1, i0, i1 in _seed_sequence_state(seed, ks[lo:lo + _SEED_BLOCK]).tolist():
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            yield ((s0 << 64 | s1) + inc) * _PCG64_MULT + inc & _MASK128, inc
+def _add128(a, b):
+    """a + b mod 2**128 of (hi, lo) uint64 word pairs, broadcast."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
 
 
-def _draw(gen: np.random.Generator, start: tuple[int, int], skip: int, out: np.ndarray) -> None:
-    """Fill ``out`` with ``gen.random`` from the PCG64 stream that begins at
-    ``start`` = (state, inc), past its first ``skip`` outputs."""
-    state, inc = start
-    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    if skip:
-        gen.bit_generator.advance(skip)
-    gen.random(out=out)
+def _mul128(a, b):
+    """a * b mod 2**128 of (hi, lo) uint64 word pairs, broadcast: the low words'
+    full product from their 32-bit halves, plus the cross terms' low words."""
+    (ah, al), (bh, bl) = a, b
+    a0, a1, b0, b1 = al & _MASK32, al >> 32, bl & _MASK32, bl >> 32
+    hi = a1 * b1
+    hi += ah * bl
+    hi += al * bh
+    mid = a0 * b0
+    mid >>= 32
+    for x, y in ((a0, b1), (a1, b0)):
+        t = x * y
+        hi += t >> 32
+        t &= _MASK32
+        mid += t
+    mid >>= 32
+    hi += mid
+    return hi, al * bl
+
+
+def _words(xs: list[int]) -> np.ndarray:
+    """The (2, n) uint64 (hi, lo) words of n Python ints, mod 2**128."""
+    return np.array([[x >> 64 & _MASK64 for x in xs], [x & _MASK64 for x in xs]], dtype=np.uint64)
+
+
+def _pcg64_starts(seed: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, inc) of ``PCG64(SeedSequence([seed, k]))`` for every round k
+    of ``ks``, each as (2, len(ks)) (hi, lo) words: PCG64's seeding step,
+    inc = 2i + 1 and state = (s + inc) * M + inc, on the hashed (s, i)."""
+    s0, s1, i0, i1 = _seed_sequence_state(seed, ks).T
+    inc = (i0 << 1 | i1 >> 63, i1 << 1 | 1)
+    state = _add128(_mul128(_add128((s0, s1), inc), _words([_PCG64_MULT])), inc)
+    return np.stack(state), np.stack(inc)
+
+
+def _pcg64_jumps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, G), each (2, n) words: column t - 1 holds A_t = M**t and
+    G_t = sum_{i<t} M**i (mod 2**128), so t PCG64 steps take a state s to
+    A_t * s + G_t * inc."""
+    powers = [pow(_PCG64_MULT, t, 1 << 128) for t in range(n + 1)]
+    return _words(powers[1:]), _words(list(itertools.accumulate(powers[:-1])))
+
+
+def _pcg64_random(state: np.ndarray, inc: np.ndarray,
+                  jumps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The next n ``Generator.random`` doubles of each of R PCG64 streams, as
+    an (R, n) array, and the streams' states after them.  ``state`` and
+    ``inc`` are (2, R) words, ``jumps`` is ``_pcg64_jumps(n)``.  Output t is
+    the XSL-RR of the state t steps on, as (x >> 11) * 2**-53."""
+    hi, lo = _add128(_mul128(jumps[0][:, None], state[:, :, None]),
+                     _mul128(jumps[1][:, None], inc[:, :, None]))
+    end = np.stack([hi[:, -1], lo[:, -1]])
+    lo ^= hi  # XSL: x = hi ^ lo, rotated right by the state's top 6 bits
+    hi >>= 58
+    x = lo >> hi
+    lo <<= 64 - hi  # a shift by 64 gives 0
+    x |= lo
+    x >>= 11
+    return x * 2.0**-53, end
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,9 +377,10 @@ class RandomSchedule(WeightSchedule):
     Bitwise reproducible: the matrix at index k depends only on (seed, k).
     Round k draws edge masks from the stream of ``default_rng([seed, k])``
     until the graph is connected, at most 1000 times.  The streams are
-    ``default_rng``'s, bit for bit, but seeded in batch: the seed sequences
-    of many rounds are hashed at once and every round draws through one
-    ``PCG64``, so no generator is constructed per round.
+    ``default_rng``'s, bit for bit, but run in batch: the seed sequences of
+    a block of rounds are hashed at once, and every round's PCG64 stream is
+    stepped in numpy uint64 words, so no generator is constructed or set
+    per round.
     """
 
     n_agents: int
@@ -339,51 +388,61 @@ class RandomSchedule(WeightSchedule):
     seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.edge_probability <= 1.0):
-            raise ConfigError("edge_probability must lie in (0, 1]")
-        if self.n_agents < 2:
-            raise ConfigError("random schedule needs at least two agents")
+        n, p = self.n_agents, self.edge_probability
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ConfigError(f"schedule.n_agents: expected an integer, got {n!r}")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ConfigError(f"schedule.edge_probability: expected a number, got {p!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ConfigError(f"random schedule seed must be a non-negative integer, "
                               f"got {self.seed!r}")
+        if not (0.0 < p <= 1.0):
+            raise ConfigError("edge_probability must lie in (0, 1]")
+        if n < 2:
+            raise ConfigError("random schedule needs at least two agents")
+        object.__setattr__(self, "n_agents", int(n))
+        object.__setattr__(self, "edge_probability", float(p))
         object.__setattr__(self, "seed", int(self.seed))
 
     def _build(self, ks: np.ndarray) -> np.ndarray:
         """The read-only stack of the matrices of rounds ``ks`` (each below 2**32).
 
-        Rounds are built and checked ``_CHUNK`` at a time.  Within a chunk
-        every round draws once; the rounds still disconnected then redraw
-        together, pass by pass, pass p continuing each round's stream past
-        its p earlier draws.
+        Every round draws once; the rounds still disconnected then redraw
+        together, pass by pass, each continuing its stream from where its last
+        draw left it.  A pass draws its rounds in blocks of ``_DRAW_WORDS``
+        uniforms, so the temporaries stay bounded, and writes their links into
+        the output stack, where the Metropolis weights then replace them block
+        by block; between passes only the pending rounds' streams are kept.
         """
         n = self.n_agents
         iu = np.triu_indices(n, k=1)
-        gen = np.random.Generator(np.random.PCG64(0))  # its state is set per draw
-        starts = _pcg64_starts(self.seed, ks)
+        jumps = _pcg64_jumps(iu[0].size)
+        rows = max(1, _DRAW_WORDS // iu[0].size)
         out = np.empty((len(ks), n, n))
-        for lo in range(0, len(ks), _CHUNK):
-            chunk = ks[lo:lo + _CHUNK]
-            chunk_starts = list(itertools.islice(starts, len(chunk)))
-            u = np.empty((len(chunk), iu[0].size))
-            adj = np.zeros((len(chunk), n, n), dtype=bool)
-            pending = np.arange(len(chunk))
-            for p in range(1000):
-                for r in pending.tolist():
-                    _draw(gen, chunk_starts[r], p * iu[0].size, u[r])
-                drawn = np.zeros((len(pending), n, n), dtype=bool)
-                drawn[:, iu[0], iu[1]] = u[pending] < self.edge_probability
-                drawn = drawn | np.swapaxes(drawn, 1, 2)
-                adj[pending] = drawn
-                pending = pending[~support_connected(drawn)]
-                if not len(pending):
-                    break
-            else:
+        pending = np.arange(len(ks))
+        for p in range(1001):
+            if not len(pending):
+                break
+            if p == 1000:
                 raise ConstructionError(f"could not sample a connected graph at "
-                                        f"k={int(chunk[pending[0]])}; raise edge_probability")
-            m = _metropolis(adj)
+                                        f"k={int(ks[pending[0]])}; raise edge_probability")
+            left = []
+            for lo in range(0, len(pending), rows):
+                r = pending[lo:lo + rows]
+                s, i = (_pcg64_starts(self.seed, ks[r]) if p == 0
+                        else (state[:, lo:lo + rows], inc[:, lo:lo + rows]))
+                u, s = _pcg64_random(s, i, jumps)
+                adj = np.zeros((len(r), n, n), dtype=bool)
+                adj[:, iu[0], iu[1]] = adj[:, iu[1], iu[0]] = u < self.edge_probability
+                out[r] = adj
+                again = ~support_connected(adj)
+                left.append((r[again], s[:, again], i[:, again]))
+            pending, state, inc = (np.concatenate(x, axis=-1) for x in zip(*left))
+        for lo in range(0, len(ks), rows):
+            m = _metropolis(out[lo:lo + rows] > 0)
             _check_weights(m)
-            out[lo:lo + len(chunk)] = m
+            out[lo:lo + rows] = m
         out.setflags(write=False)
         return out
 
@@ -422,7 +481,5 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
             return StaticSchedule(build_two_link_matrix(
                 d["pattern"], as_float(d["kappa"], "schedule.kappa")))
         if variant == "random":
-            return RandomSchedule(as_int(d["n_agents"], "schedule.n_agents"),
-                                  as_float(d["edge_probability"], "schedule.edge_probability"),
-                                  d["seed"])
+            return RandomSchedule(d["n_agents"], d["edge_probability"], d["seed"])
     raise ConfigError(f"unknown schedule variant {variant!r}")

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consopt import network
 from consopt.network import (
-    _SEED_BLOCK, ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
-    _draw, _pcg64_starts, _seed_sequence_state, adjacency, build_metropolis,
+    _DRAW_WORDS, ConstructionError, CyclicSchedule, RandomSchedule, StaticSchedule,
+    _pcg64_jumps, _pcg64_random, _pcg64_starts, _seed_sequence_state, adjacency, build_metropolis,
     build_two_link_matrix, complete_graph, graph, is_connected, is_doubly_stochastic,
     max_contraction, path_graph, reachability, ring_graph, schedule_from_dict, support_graph,
     windows_connected,
@@ -350,7 +353,7 @@ def test_cyclic_schedule_indexing():
 ])
 def test_random_stack_equals_per_round_reference(n, p, seed):
     s = RandomSchedule(n, p, seed=seed)
-    mats = s.distinct_matrices(150)  # three chunks, the last one partial
+    mats = s.distinct_matrices(150)
     assert mats.shape == (150, n, n) and not mats.flags.writeable
     ref = [reference_random_matrix(s, k) for k in range(150)]
     np.testing.assert_array_equal(mats, np.stack(ref))
@@ -396,12 +399,14 @@ def test_random_schedule_that_never_connects_names_the_round():
 
 # seeds of one 32-bit word, of two, three and five (past SeedSequence's pool of four)
 STREAM_SEEDS = [0, 2**31 - 1, 2**32 + 9, 2**64 + 3, 2**140 + 2**70 + 11]
+PAIRS_S8 = 28  # the uniforms of one draw at S = 8
+ROWS_S8 = _DRAW_WORDS // PAIRS_S8  # the rounds of one draw block at S = 8
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_batched_seed_sequences_equal_numpy(seed):
     # pinned against NumPy itself, so a change of its seeding algorithm fails here
-    ks = np.array([0, 1, 2, 77, _SEED_BLOCK - 1, _SEED_BLOCK, 4095, 2**31, 2**32 - 1])
+    ks = np.array([0, 1, 2, 77, ROWS_S8 - 1, ROWS_S8, 4095, 2**31, 2**32 - 1])
     want = [np.random.SeedSequence([seed, int(k)]).generate_state(4, np.uint64) for k in ks]
     got = _seed_sequence_state(seed, ks)
     assert got.dtype == np.uint64
@@ -410,19 +415,56 @@ def test_batched_seed_sequences_equal_numpy(seed):
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_batched_streams_equal_default_rng_bit_for_bit(seed):
-    ks = np.arange(2 * _SEED_BLOCK + 3)  # three seeding blocks, the last one partial
-    starts = list(_pcg64_starts(seed, ks))
-    assert len(starts) == len(ks)
-    gen = np.random.Generator(np.random.PCG64(0))
-    pairs, out = 28, np.empty(28)  # the draw of one round at S = 8
-    for k in (0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, len(ks) - 1):
-        state = np.random.PCG64(np.random.SeedSequence([seed, k])).state["state"]
-        assert starts[k] == (state["state"], state["inc"])
-        want = np.random.default_rng([seed, k]).random(3 * pairs)
-        for p in range(3):  # the first draw, then two redraws continuing the stream
-            _draw(gen, starts[k], p * pairs, out)
-            np.testing.assert_array_equal(out.view(np.uint64),
-                                          want[p * pairs:(p + 1) * pairs].view(np.uint64))
+    ks = np.arange(2 * ROWS_S8 + 3)  # three draw blocks at S = 8, the last one partial
+    state, inc = _pcg64_starts(seed, ks)
+    assert state.dtype == inc.dtype == np.uint64 and state.shape == inc.shape == (2, len(ks))
+    jumps = _pcg64_jumps(PAIRS_S8)
+    draws, at = [], state
+    for _ in range(3):  # the first draw, then two redraws continuing the stream
+        u, at = _pcg64_random(at, inc, jumps)
+        assert u.shape == (len(ks), PAIRS_S8)
+        draws.append(u)
+    for k in (0, 1, ROWS_S8 - 1, ROWS_S8, 2 * ROWS_S8 - 1, 2 * ROWS_S8, len(ks) - 1):
+        want = np.random.PCG64(np.random.SeedSequence([seed, k])).state["state"]
+        assert ([int(state[0, k]) << 64 | int(state[1, k]), int(inc[0, k]) << 64 | int(inc[1, k])]
+                == [want["state"], want["inc"]])
+        want = np.random.default_rng([seed, k]).random(3 * PAIRS_S8)
+        for p, u in enumerate(draws):
+            np.testing.assert_array_equal(
+                u[k].view(np.uint64), want[p * PAIRS_S8:(p + 1) * PAIRS_S8].view(np.uint64))
+
+
+@pytest.mark.parametrize("n,p,seed,horizon", [
+    (8, 0.4, 0, 2 * ROWS_S8 + 40),  # three default blocks, the last one partial
+    (8, 0.12, 2**64 + 5, 130),  # most rounds redraw
+    (20, 0.15, 2**33 + 1, 200),  # 43 rounds per default block
+])
+def test_block_size_changes_no_bit(monkeypatch, n, p, seed, horizon):
+    s = RandomSchedule(n, p, seed=seed)
+    pairs = n * (n - 1) // 2
+    want = s.distinct_matrices(horizon)  # the default budget
+    rows = _DRAW_WORDS // pairs
+    edges = [k for k in range(horizon) if k % rows in (0, rows - 1)] + [horizon - 1]
+    np.testing.assert_array_equal(want[edges],
+                                  np.stack([reference_random_matrix(s, k) for k in edges]))
+    assert horizon % 7
+    # one round per block, and blocks of 7 rounds, which split the horizon unevenly
+    for words in (1, 7 * pairs):
+        monkeypatch.setattr(network, "_DRAW_WORDS", words)
+        np.testing.assert_array_equal(s.distinct_matrices(horizon), want)
+
+
+def test_random_build_temporaries_stay_bounded():
+    # blocks of _DRAW_WORDS uniforms bound what a build holds beside its output
+    s = RandomSchedule(40, 0.12, seed=7)
+    s.distinct_matrices(2)  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        mats = s.distinct_matrices(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - mats.nbytes < 2 * 2**20, f"{(peak - mats.nbytes) / 2**20:.2f} MiB"
 
 
 def test_heavy_redraw_schedule_equals_per_round_reference():
@@ -449,9 +491,23 @@ def test_random_schedule_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
                             "seed": seed})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_agents", 3.5), ("n_agents", "4"), ("n_agents", True), ("n_agents", None),
+    ("edge_probability", "0.5"), ("edge_probability", True), ("edge_probability", None),
+    ("edge_probability", [0.5]),
+])
+def test_random_schedule_rejects_a_mistyped_argument(field, value):
+    args = {"n_agents": 4, "edge_probability": 0.5, "seed": 0, field: value}
+    with pytest.raises(ConfigError, match=f"^schedule.{field}: expected a"):
+        RandomSchedule(**args)
+    with pytest.raises(ConfigError, match=f"^schedule.{field}: expected a"):
+        schedule_from_dict({"variant": "random", **args})
+
+
 def test_random_schedule_takes_a_numpy_integer_seed_as_its_int():
-    s = RandomSchedule(4, 0.5, seed=np.uint64(2**63 + 1))
+    s = RandomSchedule(np.int64(4), np.float32(0.5), seed=np.uint64(2**63 + 1))
     assert type(s.seed) is int and s.seed == 2**63 + 1
+    assert type(s.n_agents) is int and type(s.edge_probability) is float
     np.testing.assert_array_equal(s.distinct_matrices(3),
                                   RandomSchedule(4, 0.5, seed=2**63 + 1).distinct_matrices(3))
 

@@ -70,9 +70,11 @@ BATCH_SEEDS = (0, 1, 2)  # the seeds of the @batch lines, run as one batch
 BATCH_FILES = ("trace.jsonl", "summary.json")
 TRANSFORM_SEED = 1608
 # (n_agents, edge_probability, seed, horizon) of the random/ lines: perfbench's
-# schedule size, seeds of one, three and four 32-bit words, and a heavy redraw
+# schedule size, seeds of one, three and four 32-bit words, a heavy redraw, and
+# a mid-size schedule with redraws whose horizon spans many draw blocks
 RANDOM_SCHEDULES = ((8, 0.4, 0, 4000), (3, 0.6, 1608, 1000), (8, 0.12, 2**64 + 5, 300),
-                    (12, 0.3, 2**100 + 1, 300), (2, 0.3, 2**31 - 1, 1000))
+                    (12, 0.3, 2**100 + 1, 300), (2, 0.3, 2**31 - 1, 1000),
+                    (20, 0.15, 2**33 + 1, 1500))
 
 
 def _sha256(path: Path) -> str:
