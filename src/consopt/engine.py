@@ -7,9 +7,10 @@ The run is deterministic given its configuration and produces a trace of per
 iteration records plus a terminal summary of the fusion invariants
 (average preservation and sum non-expansiveness) tracked at every round.
 Runs that differ only in seed and initial states step together as one
-batch, each with the trace it would have alone.  A round only fuses, steps
-and records, writing into preallocated buffers; the checks of every round
-(finite gradients, the fusion invariants) run once per block of rounds.
+batch, each with the trace it would have alone.  A round only fuses and
+steps, writing into preallocated buffers; the records are gathered and the
+checks of every round (finite gradients, the fusion invariants) run once
+per block of rounds.
 """
 
 from __future__ import annotations
@@ -192,15 +193,22 @@ def fuse(states, matrix) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _step(v: np.ndarray, alpha: float, prob: Problem, g: np.ndarray | None = None,
-          x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The projected gradient step on fused states (..., S, D): each agent
-    steps along its own component gradient.  Returns the new states and the
-    gradients, written into ``x`` and ``g`` if given; the caller checks the
-    gradients.  Every operation is row-wise."""
-    g = prob.evaluator.grads(v, g)
-    x = np.subtract(v, np.multiply(g, alpha, out=x), out=x)
-    return prob.feasible_set.project_many(x, out=x), g
+def _stepper(prob: Problem, shape: tuple[int, ...] | None = None):
+    """The projected gradient step on fused states of ``shape`` (..., S, D), or
+    of any shape for None, with the problem's gradient kernel and projection
+    looked up once: ``step(v, alpha, g, x)`` moves each agent along its own
+    component gradient and returns the new states and the gradients, written
+    into ``x`` and ``g`` if given; the caller checks the gradients.  Every
+    operation is row-wise."""
+    grads, project = prob.evaluator.grads_for(shape), prob.feasible_set.project_many
+
+    def step(v: np.ndarray, alpha: float, g: np.ndarray | None = None,
+             x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        g = grads(v, g)
+        x = np.subtract(v, np.multiply(g, alpha, out=x), out=x)
+        return project(x, x), g
+
+    return step
 
 
 def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
@@ -212,7 +220,7 @@ def descend(fused, k: int, cfg: RunConfig) -> np.ndarray:
     if k < 0:
         raise ConfigError("iteration index must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        x, g = _step(v, float(cfg.steps.at(k)), cfg.problem)
+        x, g = _stepper(cfg.problem)(v, float(cfg.steps.at(k)))
     if not np.isfinite(g).all():
         raise _nonfinite(g[None], k, cfg.seed)
     return x
@@ -248,11 +256,15 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     bound column is absent and the summary's ``bound_enabled`` is false
     (validation's ``scrambling`` check reports it).
 
-    A round is a handful of in-place numpy calls that write the fused
-    states, the gradients and the next states into block buffers.  The checks
-    of every round run once per block of C rounds: the gradients' finiteness,
-    then the fusion invariants (regardless of decimation), folded into their
-    maxima with a per-round check's arithmetic, so no result depends on C.
+    A round is only the in-place numpy calls that write the fused states, the
+    gradients and the next states into block buffers: the step's gradient
+    kernel and projection are resolved once per run (again only when a run
+    leaves the stack), and the buffers' per-round views come from iterating
+    them.  The rest runs once per block of C rounds: the recorded states are
+    gathered from the block's buffer, and every round's checks run, the
+    gradients' finiteness, then the fusion invariants (regardless of
+    decimation), folded into their maxima with a per-round check's
+    arithmetic, so no result depends on C.
     A run whose gradient goes non-finite steps on to the end of its block,
     then leaves the stack, and its entry in the returned list is the
     ``EngineError`` naming its seed and its first non-finite agent and
@@ -313,31 +325,34 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
             np.maximum(max_slack, (norms[0] - norms[1]).max(axis=0), out=max_slack)
         w[1, 0] = w[1, n]
 
-    steps_k, record_at = alpha.tolist(), ks.tolist()
-    r, j = 1, 0  # the next record; rounds buffered
+    step, steps_k = _stepper(prob, (B, S, D)), alpha.tolist()
+    r = 1  # the next record
     with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked per block
-        for k in range(K):
-            v = w[0, j]
-            np.matmul(mats[k % n_mats], w[1, j], out=v)
-            x = _step(v, steps_k[k], prob, gs[j], w[1, j + 1])[0]
-            j += 1
-            if k + 1 == record_at[r]:
-                states[r] = x
-                r += 1
-            if j < C and k + 1 < K:
-                continue
-            ok = np.isfinite(gs[:j]).all(axis=(0, 2, 3))
+        for k0 in range(0, K, C):
+            n = min(C, K - k0)
+            # round k0 + j fuses w[1, j] into w[0, j], and steps it into w[1, j + 1]
+            # with its gradients in gs[j]: iterating the buffers makes those views
+            x = w[1, 0]
+            for k, v, g, x_next in zip(range(k0, k0 + n), w[0], gs, w[1, 1:]):
+                np.matmul(mats[k % n_mats], x, out=v)
+                step(v, steps_k[k], g, x_next)
+                x = x_next
+            ok = np.isfinite(gs[:n]).all(axis=(0, 2, 3))
             if not ok.all():
                 for i in np.flatnonzero(~ok):
-                    errors[int(rows[i])] = _nonfinite(gs[:j, i], k + 1 - j, cfgs[rows[i]].seed)
+                    errors[int(rows[i])] = _nonfinite(gs[:n, i], k0, cfgs[rows[i]].seed)
                 # the survivors keep their buffered rounds, which are bitwise those
                 # they take alone; the failed runs stepped on to the block's end
                 rows, max_drift, max_slack = (a[ok] for a in (rows, max_drift, max_slack))
                 states, w, gs, ys = states[:, ok], w[:, :, ok], gs[:, ok], ys[:, ok]
                 if not rows.size:
                     break
-            flush(j)
-            j = 0
+                step = _stepper(prob, w.shape[2:])
+            # the block's records, iterations k0 + 1 ... k0 + n, in one gather
+            r1 = int(np.searchsorted(ks, k0 + n, side="right"))
+            states[r:r1] = w[1, ks[r:r1] - k0]
+            r = r1
+            flush(n)
 
     out: list[RunTrace | EngineError] = [errors.get(b) for b in range(B)]
     if not rows.size:

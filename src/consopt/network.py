@@ -135,7 +135,8 @@ def max_contraction(mats: np.ndarray) -> float:
     (n, S, S) stack, evaluated ``_CHUNK`` matrices at a time.  A matrix's
     coefficient, one minus its smallest row overlap sum_k min(m[i,k], m[j,k])
     over the row pairs i < j (its largest half-l1 row distance), is < 1
-    exactly when it is scrambling.
+    exactly when it is scrambling.  The scan stops at the first chunk whose
+    smallest overlap is <= 0: nu is then 1 whatever the later matrices hold.
     """
     mats = np.asarray(mats, dtype=float)
     S = mats.shape[-1]
@@ -146,6 +147,8 @@ def max_contraction(mats: np.ndarray) -> float:
     for lo in range(0, len(mats), _CHUNK):
         m = mats[lo:lo + _CHUNK]
         low = min(low, float(np.min(np.minimum(m[:, i], m[:, j]).sum(axis=-1))))
+        if low <= 0.0:
+            break
     return min(max(1.0 - low, 0.0), 1.0)
 
 

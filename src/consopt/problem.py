@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -210,7 +210,7 @@ def set_from_dict(d: dict) -> FeasibleSet:
         if variant == "box":
             return Box(np.asarray(d["lo"], float), np.asarray(d["hi"], float))
         if variant == "ball":
-            return Ball(np.asarray(d["center"], float), float(d["radius"]))
+            return Ball(np.asarray(d["center"], float), as_float(d["radius"], "set.radius"))
     raise ConfigError(f"unknown feasible set variant {variant!r}")
 
 
@@ -404,7 +404,8 @@ class _Evaluator:
     Points carry a component axis second to last: ``x[..., j, :]`` is
     evaluated with component j, and a component axis of length 1 is shared
     by every component.  A round costs a handful of numpy calls whatever the
-    number of agents.
+    number of agents.  ``grads(x, out=None)`` gives the gradients at x, into
+    ``out`` if given; it is ``grads_for(None)``.
     """
 
     def __init__(self, comps: Sequence[ComponentFunction]):
@@ -417,6 +418,21 @@ class _Evaluator:
                 # a single family indexes by a view rather than a copy
                 sel = slice(None) if len(idx) == self.n else np.array(idx)
                 self.groups.append((sel, params, _FAMILY_TABLE[family][2]))
+        self.grads = self.grads_for(None)
+
+    def grads_for(self, shape: tuple[int, ...] | None):
+        """``grads`` for points of ``shape`` (..., S, D), or of any shape for None.
+        For one family it is the family's kernel with the stacked parameters
+        bound, one call that writes in place, and the (S, D) vectors among them
+        are broadcast to ``shape`` once; the matrices are not, since an einsum's
+        summation order can follow its operands' memory layout."""
+        if len(self.groups) > 1:
+            return self._grouped_grads
+        _, params, (_, grad_fn) = self.groups[0]
+        if shape is not None:
+            params = [np.broadcast_to(p, shape).copy() if p.shape == shape[-2:] else p
+                      for p in params]
+        return partial(grad_fn, *params)
 
     @staticmethod
     def _select(x: np.ndarray, sel) -> np.ndarray:
@@ -428,14 +444,11 @@ class _Evaluator:
             out[..., sel] = value_fn(*params, self._select(x, sel))
         return out
 
-    def grads(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The gradients at x, into ``out`` if given."""
+    def _grouped_grads(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A mixed stack's gradients: each family's kernel on its components."""
         out = np.empty(x.shape[:-2] + (self.n, x.shape[-1])) if out is None else out
         for sel, params, (_, grad_fn) in self.groups:
-            if isinstance(sel, slice):  # one family: its kernel writes in place
-                grad_fn(*params, x, out)
-            else:
-                out[..., sel, :] = grad_fn(*params, self._select(x, sel))
+            out[..., sel, :] = grad_fn(*params, self._select(x, sel))
         return out
 
 
@@ -673,11 +686,13 @@ def component_from_dict(d: dict) -> ComponentFunction:
         cid = d["id"]
     with reading(f"component {cid!r}"):
         family, params = d["family"], d["params"]
-        gb, nl = float(d["grad_bound"]), float(d["lipschitz"])
+        gb = as_float(d["grad_bound"], f"component {cid!r} grad_bound")
+        nl = as_float(d["lipschitz"], f"component {cid!r} lipschitz")
         if family not in FAMILIES:
             raise ConfigError(f"unknown component family {family!r}")
         builder, names, _ = _FAMILY_TABLE[family]
-        args = [float(params.get(k, 0.0)) if k == "c" else params[k] for k in names]
+        args = [as_float(params.get(k, 0.0), f"component {cid!r} params.c") if k == "c"
+                else params[k] for k in names]
         return builder(cid, *args, grad_bound=gb, lipschitz=nl)
 
 

@@ -21,7 +21,7 @@ from .engine import RunConfig, StepSchedule
 from .network import Graph, graph, support_graph, windows_connected
 from .privacy import TransformedProblem
 from .problem import (
-    ConfigError, Problem, as_int, estimate_bounds, problem_from_dict, reading,
+    ConfigError, Problem, as_float, as_int, estimate_bounds, problem_from_dict, reading,
     verify_sum_convexity,
 )
 
@@ -71,6 +71,11 @@ def _read_int(raw: dict, path: str, default=_ABSENT):
     return _read(raw, path, lambda v: as_int(v, path), default)
 
 
+def _read_float(raw: dict, path: str, default=_ABSENT):
+    """``_read`` of a field that must be a JSON number."""
+    return _read(raw, path, lambda v: as_float(v, path), default)
+
+
 def _load_json(path: Path, what: str):
     try:
         return json.loads(path.read_text())
@@ -109,16 +114,16 @@ def _parse_transform(raw: dict, prob: Problem, g: Graph | None):
             raise ConfigError("field 'transform.plan' must be 'six-virtual' "
                               "(or give 'transform.m_per_agent')")
         plan = privacy.six_virtual_plan() if m is None else privacy.default_plan(g, m)
-        cap = _read(raw, "transform.max_grad_bound", lambda v: None if v is None else float(v),
-                    None)
+        cap = _read(raw, "transform.max_grad_bound",
+                    lambda v: None if v is None else as_float(v, "transform.max_grad_bound"), None)
         return privacy.partition_problem(
             prob, g, plan, seed,
-            perturbation_scale=_read(raw, "transform.perturbation_scale", float, 1.0),
+            perturbation_scale=_read_float(raw, "transform.perturbation_scale", 1.0),
             max_grad_bound=cap,
         )
     if kind == "random_sharing":
         return privacy.random_function_sharing(
-            prob, g, _read(raw, "transform.scale", float), seed)
+            prob, g, _read_float(raw, "transform.scale"), seed)
     raise ConfigError(f"unknown transform kind {kind!r}")
 
 
@@ -162,8 +167,8 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     transformed = _parse_transform(raw, prob, g)
 
     schedule = _read(raw, "schedule", network.schedule_from_dict)
-    steps = StepSchedule(_read(raw, "steps.a", float), _read(raw, "steps.b", float, 1.0),
-                         _read(raw, "steps.p", float, 1.0))
+    steps = StepSchedule(_read_float(raw, "steps.a"), _read_float(raw, "steps.b", 1.0),
+                         _read_float(raw, "steps.p", 1.0))
 
     init_kind = _read(raw, "init.kind", default=None)
     init_points = None
@@ -179,8 +184,8 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     n_iterations = _read_int(raw, "n_iterations") if n_iterations is None else n_iterations
     seeds = _read(raw, "seeds", parse_seeds, (0,)) if seeds is None else parse_seeds(list(seeds))
     decimate = _read_int(raw, "decimate", 1) if decimate is None else decimate
-    tol_consensus = _read(raw, "tolerances.consensus", float, 1e-3)
-    tol_gap = _read(raw, "tolerances.gap", float, 1e-3)
+    tol_consensus = _read_float(raw, "tolerances.consensus", 1e-3)
+    tol_gap = _read_float(raw, "tolerances.gap", 1e-3)
     try:
         run_config = RunConfig(
             problem=transformed.problem if transformed else prob,

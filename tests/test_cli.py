@@ -227,8 +227,8 @@ def test_validate_component_field_of_the_wrong_type_is_a_config_error(tmp_path, 
 
 def _set_field(doc, path, value):
     *parents, key = path.split(".")
-    for p in parents:
-        doc = doc[p]
+    for p in parents:  # a number picks an item of a list
+        doc = doc[int(p)] if isinstance(doc, list) else doc[p]
     doc[key] = value
 
 
@@ -299,6 +299,29 @@ MALFORMED_CONFIGS = [
     ("edge_probability-bool", "schedule",
      {"variant": "random", "n_agents": 3, "edge_probability": True, "seed": 0},
      "config error: schedule.edge_probability: expected a number, got True"),
+    ("steps-a-bool", "steps.a", True, "config error: steps.a: expected a number, got True"),
+    ("steps-b-string", "steps.b", "1", "config error: steps.b: expected a number, got '1'"),
+    ("steps-p-null", "steps.p", None, "config error: steps.p: expected a number, got None"),
+    ("consensus-bool", "tolerances.consensus", False,
+     "config error: tolerances.consensus: expected a number, got False"),
+    ("gap-string", "tolerances.gap", "1e-3",
+     "config error: tolerances.gap: expected a number, got '1e-3'"),
+    ("perturbation_scale-string", "transform",
+     {"kind": "partition", "m_per_agent": 2, "perturbation_scale": "0.1"},
+     "config error: transform.perturbation_scale: expected a number, got '0.1'"),
+    ("max_grad_bound-bool", "transform",
+     {"kind": "partition", "m_per_agent": 2, "max_grad_bound": True},
+     "config error: transform.max_grad_bound: expected a number, got True"),
+    ("scale-string", "transform", {"kind": "random_sharing", "scale": "0.5"},
+     "config error: transform.scale: expected a number, got '0.5'"),
+    ("grad_bound-string", "problem.components.0.grad_bound", "9",
+     "config error: component 'f0' grad_bound: expected a number, got '9'"),
+    ("lipschitz-bool", "problem.components.1.lipschitz", True,
+     "config error: component 'f1' lipschitz: expected a number, got True"),
+    ("c-string", "problem.components.2.params.c", "0",
+     "config error: component 'f2' params.c: expected a number, got '0'"),
+    ("radius-string", "problem.set", {"variant": "ball", "center": [0.0, 0.0], "radius": "1"},
+     "config error: set.radius: expected a number, got '1'"),
     # the mixing-matrix checks
     ("matrix-not-doubly-stochastic", "schedule.matrix",
      [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.5, 0.5]],

@@ -32,6 +32,7 @@ import reference
 from reference import reference_run
 
 BOX1 = Box(np.array([-1.0]), np.array([1.0]))
+BALL2 = Ball(np.array([0.1, -0.1]), 0.8)
 
 
 def single_agent_problem(fs=BOX1):
@@ -42,8 +43,7 @@ def uniform_schedule(n):
     return StaticSchedule(np.full((n, n), 1.0 / n))
 
 
-def triangle_indefinite_problem():
-    fs = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+def triangle_indefinite_problem(fs=Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))):
     comps = (
         quadratic("f0", [[2.0, 0.0], [0.0, -0.5]], [0.2, 0.0], 0.0, bounds_for=fs),
         quadratic("f1", [[-0.5, 0.0], [0.0, 2.0]], [0.0, 0.2], 0.0, bounds_for=fs),
@@ -242,21 +242,29 @@ def cyclic_pair_schedule():
     pytest.param(cyclic_pair_schedule, id="cyclic"),
     pytest.param(lambda: RandomSchedule(3, 0.6, seed=5), id="random"),
 ])
-@pytest.mark.parametrize("make_problem", [triangle_indefinite_problem, mixed_family_problem])
-def test_run_round_is_public_fuse_then_descend(make_problem, make_schedule):
+@pytest.mark.parametrize("make_problem", [
+    triangle_indefinite_problem, mixed_family_problem,
+    pytest.param(lambda: triangle_indefinite_problem(BALL2), id="triangle_indefinite_ball"),
+    pytest.param(lambda: mixed_family_problem(BALL2), id="mixed_family_ball"),
+])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_run_round_is_public_fuse_then_descend(make_problem, make_schedule, batch):
+    # the loop's step is resolved once per run for the batch's shape, and
+    # descend's for one run's round; each round of each run agrees bitwise
     prob = make_problem()
     sched = make_schedule()
-    cfg = RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4, record_every=1)
-    tr = run(cfg)
-    np.testing.assert_array_equal(tr.states[0], initial_states(cfg))
-    mats = sched.distinct_matrices(cfg.n_iterations)
-    for k in range(cfg.n_iterations):
-        expected = descend(fuse(tr.states[k], mats[k % len(mats)]), k, cfg)
-        np.testing.assert_array_equal(expected, tr.states[k + 1])
-    for r in range(tr.n_records):
-        assert tr.f_bar[r] == sum_value(prob, tr.x_bar[r:r + 1])[0]
-        assert tr.max_disagreement[r] == max_disagreement(tr.states[r])
-        assert tr.max_delta[r] == max_delta(tr.states[r])
+    cfgs = [RunConfig(prob, sched, StepSchedule(1.0), 30, seed=4 + b, record_every=1)
+            for b in range(batch)]
+    mats = sched.distinct_matrices(30)
+    for cfg, tr in zip(cfgs, run_batch(cfgs)):
+        assert tr.states[0].tobytes() == initial_states(cfg).tobytes()
+        for k in range(cfg.n_iterations):
+            expected = descend(fuse(tr.states[k], mats[k % len(mats)]), k, cfg)
+            assert expected.tobytes() == tr.states[k + 1].tobytes(), (cfg.seed, k)
+        for r in range(tr.n_records):
+            assert tr.f_bar[r] == sum_value(prob, tr.x_bar[r:r + 1])[0]
+            assert tr.max_disagreement[r] == max_disagreement(tr.states[r])
+            assert tr.max_delta[r] == max_delta(tr.states[r])
 
 
 def test_run_builds_the_random_stack_once(monkeypatch):
@@ -679,16 +687,22 @@ def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypat
 
 def poison_gradients(monkeypatch, prob, iteration: int, row: int, agents, value) -> None:
     """Make round ``iteration`` of the next runs of ``prob`` see ``value`` in the
-    first coordinate of the gradients of ``agents`` of batch row ``row``."""
-    grads, calls = prob.evaluator.grads, itertools.count()
+    first coordinate of the gradients of ``agents`` of batch row ``row``.  A run
+    asks the evaluator for its gradient kernel with ``grads_for``."""
+    grads_for, calls = prob.evaluator.grads_for, itertools.count()
 
-    def poisoned(x, out=None):
-        out = grads(x, out)
-        if next(calls) == iteration:
-            out[row, agents, 0] = value
-        return out
+    def poisoned_for(shape):
+        grads = grads_for(shape)
 
-    monkeypatch.setattr(prob.evaluator, "grads", poisoned)
+        def poisoned(x, out=None):
+            out = grads(x, out)
+            if next(calls) == iteration:
+                out[row, agents, 0] = value
+            return out
+
+        return poisoned
+
+    monkeypatch.setattr(prob.evaluator, "grads_for", poisoned_for)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -389,6 +389,23 @@ def test_stacked_contraction_equals_per_matrix_max(n):
         assert max_contraction(np.roll(stack[1:], shift, axis=0)) == max(per_matrix[1:])
 
 
+@pytest.mark.parametrize("at", [0, 63, 64, 149, None], ids=lambda at: f"at-{at}")
+def test_contraction_scan_that_stops_at_a_non_scrambling_matrix_equals_the_cube(at):
+    # nu is 1 from the first non-scrambling matrix on, so the scan stops at its
+    # chunk; at 63 and 64 it is the last of the first chunk and the first of the next
+    rng = np.random.default_rng(7)
+    mats = []
+    while len(mats) < 150:
+        t = rng.uniform(0.0, 0.9)
+        m = build_metropolis(random_connected_graph(rng, 5, 0.4))
+        mats.append(t * np.eye(5) + (1 - t) * (0.5 * m + 0.5 / 5))
+    if at is not None:
+        mats[at] = build_metropolis(path_graph(5))  # its end rows share no agent
+    stack = np.stack(mats)
+    assert max_contraction(stack) == cube_contraction(stack)
+    assert (max_contraction(stack) == 1.0) == (at is not None)
+
+
 def test_random_schedule_that_never_connects_names_the_round():
     s = RandomSchedule(8, 1e-9, seed=0)
     with pytest.raises(ConstructionError, match="k=0;"):

@@ -192,6 +192,7 @@ def test_stacked_grads_and_projections_equal_each_state_alone(family, in_ball, d
     prob = stack_problem(family, fs, n_agents, seed)
     v = np.random.default_rng(seed).normal(0.0, 2.0, size=(batch, n_agents, dim))
     grads = prob.evaluator.grads(v)
+    assert prob.evaluator.grads_for(v.shape)(v, np.empty_like(v)).tobytes() == grads.tobytes()
     projected = fs.project_many(v)
     for b in range(batch):
         assert grads[b].tobytes() == prob.evaluator.grads(v[b]).tobytes()
@@ -225,6 +226,12 @@ def test_out_forms_equal_the_allocating_forms_bitwise(family, in_ball):
     shared = v[:, :1]  # one point for every component
     out = np.full_like(v, np.nan)
     assert prob.evaluator.grads(shared, out).tobytes() == prob.evaluator.grads(shared).tobytes()
+    # the kernel a run resolves for its batch's shape, vectors broadcast once
+    for shape, points in ((v.shape, v), (v.shape[1:], v[2])):
+        out = np.full(shape, np.nan)
+        grads_for = prob.evaluator.grads_for(shape)
+        assert grads_for(points, out).tobytes() == prob.evaluator.grads(points).tobytes()
+        assert grads_for(points).tobytes() == prob.evaluator.grads(points).tobytes()
     projected = fs.project_many(v)
     if not in_ball:  # the signed zero np.clip leaves at a bound of 0
         assert projected.tobytes() == np.clip(v, fs.lo, fs.hi).tobytes()
@@ -580,6 +587,34 @@ def test_missing_component_parameter_named_in_error(family, params, missing):
     d = {"id": "x", "family": family, "params": params, "grad_bound": 1.0, "lipschitz": 1.0}
     with pytest.raises(ConfigError, match=f"missing field '{missing}'"):
         component_from_dict(d)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grad_bound", "9"), ("grad_bound", True), ("lipschitz", "1"), ("lipschitz", None),
+    ("c", "0"), ("c", False),
+])
+def test_component_number_fields_take_only_json_numbers(field, value):
+    d = {"id": "q", "family": "quadratic", "grad_bound": 9, "lipschitz": 1,
+         "params": {"a": [[1.0]], "b": [0.0], "c": 0}}
+    assert component_from_dict(d).grad_bound == 9.0  # an integer is a number
+    if field == "c":
+        d["params"]["c"] = value
+    else:
+        d[field] = value
+    name = "params.c" if field == "c" else field
+    with pytest.raises(ConfigError, match=rf"^component 'q' {name}: expected a number, got "):
+        component_from_dict(d)
+
+
+@pytest.mark.parametrize("radius", ["1", True, None, [1.0]])
+def test_ball_radius_takes_only_a_json_number(radius):
+    doc = {"dimension": 1, "set": {"variant": "ball", "center": [0.0], "radius": 1},
+           "components": [{"id": "q", "family": "quadratic", "grad_bound": 1.0,
+                           "lipschitz": 1.0, "params": {"a": [[1.0]], "b": [0.0]}}]}
+    assert problem_from_dict(doc).feasible_set.radius == 1.0
+    doc["set"]["radius"] = radius
+    with pytest.raises(ConfigError, match=r"^set.radius: expected a number, got "):
+        problem_from_dict(doc)
 
 
 def test_component_constant_term_is_optional_and_family_is_checked():
