@@ -193,14 +193,13 @@ def fuse(states, matrix) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def _stepper(prob: Problem, shape: tuple[int, ...] | None = None):
-    """The projected gradient step on fused states of ``shape`` (..., S, D), or
-    of any shape for None, with the problem's gradient kernel and projection
-    looked up once: ``step(v, alpha, g, x)`` moves each agent along its own
-    component gradient and returns the new states and the gradients, written
-    into ``x`` and ``g`` if given; the caller checks the gradients.  Every
-    operation is row-wise."""
-    grads, project = prob.evaluator.grads_for(shape), prob.feasible_set.project_many
+def _stepper(prob: Problem):
+    """The projected gradient step on fused states (..., S, D), with the
+    problem's gradient kernel and projection looked up once: ``step(v, alpha,
+    g, x)`` moves each agent along its own component gradient and returns the
+    new states and the gradients, written into ``x`` and ``g`` if given; the
+    caller checks the gradients.  Every operation is row-wise."""
+    grads, project = prob.evaluator.grads, prob.feasible_set.project_many
 
     def step(v: np.ndarray, alpha: float, g: np.ndarray | None = None,
              x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +257,8 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
 
     A round is only the in-place numpy calls that write the fused states, the
     gradients and the next states into block buffers: the step's gradient
-    kernel and projection are resolved once per run (again only when a run
-    leaves the stack), and the buffers' per-round views come from iterating
-    them.  The rest runs once per block of C rounds: the recorded states are
+    kernel and projection are resolved once per run, and the buffers'
+    per-round views come from iterating them.  The rest runs once per block of C rounds: the recorded states are
     gathered from the block's buffer, and every round's checks run, the
     gradients' finiteness, then the fusion invariants (regardless of
     decimation), folded into their maxima with a per-round check's
@@ -325,7 +323,7 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
             np.maximum(max_slack, (norms[0] - norms[1]).max(axis=0), out=max_slack)
         w[1, 0] = w[1, n]
 
-    step, steps_k = _stepper(prob, (B, S, D)), alpha.tolist()
+    step, steps_k = _stepper(prob), alpha.tolist()
     r = 1  # the next record
     with np.errstate(over="ignore", invalid="ignore"):  # gradients are checked per block
         for k0 in range(0, K, C):
@@ -347,7 +345,6 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
                 states, w, gs, ys = states[:, ok], w[:, :, ok], gs[:, ok], ys[:, ok]
                 if not rows.size:
                     break
-                step = _stepper(prob, w.shape[2:])
             # the block's records, iterations k0 + 1 ... k0 + n, in one gather
             r1 = int(np.searchsorted(ks, k0 + n, side="right"))
             states[r:r1] = w[1, ks[r:r1] - k0]

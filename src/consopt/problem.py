@@ -405,7 +405,9 @@ class _Evaluator:
     evaluated with component j, and a component axis of length 1 is shared
     by every component.  A round costs a handful of numpy calls whatever the
     number of agents.  ``grads(x, out=None)`` gives the gradients at x, into
-    ``out`` if given; it is ``grads_for(None)``.
+    ``out`` if given: for one family it is the family's kernel with the
+    stacked parameters bound, one direct call that writes in place; a mixed
+    stack loops over its families.
     """
 
     def __init__(self, comps: Sequence[ComponentFunction]):
@@ -418,21 +420,11 @@ class _Evaluator:
                 # a single family indexes by a view rather than a copy
                 sel = slice(None) if len(idx) == self.n else np.array(idx)
                 self.groups.append((sel, params, _FAMILY_TABLE[family][2]))
-        self.grads = self.grads_for(None)
-
-    def grads_for(self, shape: tuple[int, ...] | None):
-        """``grads`` for points of ``shape`` (..., S, D), or of any shape for None.
-        For one family it is the family's kernel with the stacked parameters
-        bound, one call that writes in place, and the (S, D) vectors among them
-        are broadcast to ``shape`` once; the matrices are not, since an einsum's
-        summation order can follow its operands' memory layout."""
-        if len(self.groups) > 1:
-            return self._grouped_grads
-        _, params, (_, grad_fn) = self.groups[0]
-        if shape is not None:
-            params = [np.broadcast_to(p, shape).copy() if p.shape == shape[-2:] else p
-                      for p in params]
-        return partial(grad_fn, *params)
+        if len(self.groups) == 1:
+            _, params, (_, grad_fn) = self.groups[0]
+            self.grads = partial(grad_fn, *params)
+        else:
+            self.grads = self._grouped_grads
 
     @staticmethod
     def _select(x: np.ndarray, sel) -> np.ndarray:

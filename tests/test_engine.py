@@ -687,22 +687,16 @@ def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypat
 
 def poison_gradients(monkeypatch, prob, iteration: int, row: int, agents, value) -> None:
     """Make round ``iteration`` of the next runs of ``prob`` see ``value`` in the
-    first coordinate of the gradients of ``agents`` of batch row ``row``.  A run
-    asks the evaluator for its gradient kernel with ``grads_for``."""
-    grads_for, calls = prob.evaluator.grads_for, itertools.count()
+    first coordinate of the gradients of ``agents`` of batch row ``row``."""
+    grads, calls = prob.evaluator.grads, itertools.count()
 
-    def poisoned_for(shape):
-        grads = grads_for(shape)
+    def poisoned(x, out=None):
+        out = grads(x, out)
+        if next(calls) == iteration:
+            out[row, agents, 0] = value
+        return out
 
-        def poisoned(x, out=None):
-            out = grads(x, out)
-            if next(calls) == iteration:
-                out[row, agents, 0] = value
-            return out
-
-        return poisoned
-
-    monkeypatch.setattr(prob.evaluator, "grads_for", poisoned_for)
+    monkeypatch.setattr(prob.evaluator, "grads", poisoned)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])

@@ -192,7 +192,6 @@ def test_stacked_grads_and_projections_equal_each_state_alone(family, in_ball, d
     prob = stack_problem(family, fs, n_agents, seed)
     v = np.random.default_rng(seed).normal(0.0, 2.0, size=(batch, n_agents, dim))
     grads = prob.evaluator.grads(v)
-    assert prob.evaluator.grads_for(v.shape)(v, np.empty_like(v)).tobytes() == grads.tobytes()
     projected = fs.project_many(v)
     for b in range(batch):
         assert grads[b].tobytes() == prob.evaluator.grads(v[b]).tobytes()
@@ -226,12 +225,6 @@ def test_out_forms_equal_the_allocating_forms_bitwise(family, in_ball):
     shared = v[:, :1]  # one point for every component
     out = np.full_like(v, np.nan)
     assert prob.evaluator.grads(shared, out).tobytes() == prob.evaluator.grads(shared).tobytes()
-    # the kernel a run resolves for its batch's shape, vectors broadcast once
-    for shape, points in ((v.shape, v), (v.shape[1:], v[2])):
-        out = np.full(shape, np.nan)
-        grads_for = prob.evaluator.grads_for(shape)
-        assert grads_for(points, out).tobytes() == prob.evaluator.grads(points).tobytes()
-        assert grads_for(points).tobytes() == prob.evaluator.grads(points).tobytes()
     projected = fs.project_many(v)
     if not in_ball:  # the signed zero np.clip leaves at a bound of 0
         assert projected.tobytes() == np.clip(v, fs.lo, fs.hi).tobytes()

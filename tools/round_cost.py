@@ -53,9 +53,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=2000, help="rounds per timed run")
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per figure; the best counts")
     ap.add_argument("--batch", type=int, nargs="+", default=[1, 20], help="batch sizes")
-    ap.add_argument("--scenario", nargs="+", default=None, help="shipped scenarios (default: all)")
     args = ap.parse_args(argv)
-    names = args.scenario or shipped_scenario_names()
+    names = shipped_scenario_names()
     width = max(map(len, names))
     print(f"{'scenario':<{width}}  " + "  ".join(f"{f'B={b} µs':>9}" for b in args.batch))
     for name in names:
