@@ -258,11 +258,14 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     A round is only the in-place numpy calls that write the fused states, the
     gradients and the next states into block buffers: the step's gradient
     kernel and projection are resolved once per run, and the buffers'
-    per-round views come from iterating them.  The rest runs once per block of C rounds: the recorded states are
-    gathered from the block's buffer, and every round's checks run, the
-    gradients' finiteness, then the fusion invariants (regardless of
-    decimation), folded into their maxima with a per-round check's
-    arithmetic, so no result depends on C.
+    per-round views come from iterating them.  The rest runs once per block
+    of C rounds: the recorded states are gathered from the block's buffer,
+    and every round's checks run, the gradients' finiteness, then the fusion
+    invariants (regardless of decimation), folded into their maxima with a
+    per-round check's arithmetic, so no result depends on C.  The
+    non-expansiveness slack over a run's P probe points is folded through
+    the centred identity of ``flush``, so the check of a block costs
+    O(B*S*D + P*B*D) per round rather than O(P*B*S*D).
     A run whose gradient goes non-finite steps on to the end of its block,
     then leaves the stack, and its entry in the returned list is the
     ``EngineError`` naming its seed and its first non-finite agent and
@@ -286,11 +289,8 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     nu = max_contraction(mats)
     bound_on = nu < 1.0
 
-    # each run's fixed probe points for the sum non-expansiveness invariant, as
-    # (P, B, S, D): a point repeated for every agent, so that its differences
-    # with a block of states run over contiguous memory
-    probes = np.stack([_probe_points(fs, c.seed) for c in cfgs], axis=1)
-    ys = np.repeat(probes[:, :, None], S, axis=2)  # (P, B, S, D)
+    # each run's fixed probe points for the sum non-expansiveness invariant, (B, D, P)
+    probes = np.stack([_probe_points(fs, c.seed).T for c in cfgs])
 
     alpha = steps.at(np.arange(K + 1))
     ks = np.r_[0:K:first.record_every, K]
@@ -310,7 +310,15 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
 
     def flush(n: int) -> None:
         """Fold the n buffered rounds into the per-run drift and slack maxima;
-        each round's arithmetic is the same whatever n and C are."""
+        each round's arithmetic is the same whatever n and C are.
+
+        A round's slack is the largest over the probes y of
+        sum_j ||v_j - y||^2 - sum_j ||x_j - y||^2.  Centred on c, the average of
+        the x_j, that is A - 2 (y - c)'d, with A = sum_j ||v_j - c||^2 -
+        sum_j ||x_j - c||^2 and d = sum_j (v_j - x_j), so the probes enter only
+        through y'd.  Centring keeps the rounding at the scale of the agents'
+        spread, not of ||x||, and d adds the agents' own differences, because
+        sum_j v_j - sum_j x_j would carry the rounding of both sums at ||x||."""
         vx = w[:, :n]  # (2, n, B, S, D)
         # sum / S is np.mean's arithmetic without its call overhead, and a
         # (1, D) @ (D, 1) matmul takes the dot product np.linalg.norm takes
@@ -318,9 +326,15 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
         dm = (sums[0] - sums[1]).reshape(-1, D)
         drift = np.sqrt(dm[:, None, :] @ dm[:, :, None]).reshape(n, -1)
         np.maximum(max_drift, drift.max(axis=0), out=max_drift)
-        for y in ys:
-            norms = _row_sums(np.square(vx - y).reshape(2, n, -1, S * D))
-            np.maximum(max_slack, (norms[0] - norms[1]).max(axis=0), out=max_slack)
+        c = sums[1]  # (n, B, D)
+        # c repeated for each agent, so the centring runs over whole rows of S * D
+        centred = vx.reshape(2, n, -1, S * D) - np.tile(c, S)
+        norms = _row_sums(np.square(centred, out=centred))
+        d = _row_sums(np.moveaxis(np.subtract(vx[0], vx[1]), 2, -1))[:, :, None]  # (n, B, 1, D)
+        yd = (d @ probes)[:, :, 0].min(axis=-1)  # the smallest y'd over the probes
+        cd = (d @ c[..., None])[:, :, 0, 0]
+        slack = norms[0] - norms[1] - 2.0 * (yd - cd)
+        np.maximum(max_slack, slack.max(axis=0), out=max_slack)
         w[1, 0] = w[1, n]
 
     step, steps_k = _stepper(prob), alpha.tolist()
@@ -342,7 +356,7 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
                 # the survivors keep their buffered rounds, which are bitwise those
                 # they take alone; the failed runs stepped on to the block's end
                 rows, max_drift, max_slack = (a[ok] for a in (rows, max_drift, max_slack))
-                states, w, gs, ys = states[:, ok], w[:, :, ok], gs[:, ok], ys[:, ok]
+                states, w, gs, probes = states[:, ok], w[:, :, ok], gs[:, ok], probes[ok]
                 if not rows.size:
                     break
             # the block's records, iterations k0 + 1 ... k0 + n, in one gather

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .problem import ConfigError, ConstructionError, as_float, as_int, reading
+from .problem import ConfigError, ConstructionError, as_float, as_int, as_numbers, reading
 
 DS_TOL = 1e-12
 _CHUNK = 64  # matrices max_contraction compares at a time; bounds its temporaries
@@ -477,9 +477,9 @@ def schedule_from_dict(d: dict) -> WeightSchedule:
     with reading("schedule"):
         variant = d["variant"]
         if variant == "static":
-            return StaticSchedule(d["matrix"])
+            return StaticSchedule(as_numbers(d["matrix"], "schedule.matrix"))
         if variant == "cyclic":
-            return CyclicSchedule(d["matrices"])
+            return CyclicSchedule(as_numbers(d["matrices"], "schedule.matrices"))
         if variant == "kappa":
             return StaticSchedule(build_two_link_matrix(
                 d["pattern"], as_float(d["kappa"], "schedule.kappa")))

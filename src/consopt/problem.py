@@ -72,6 +72,19 @@ def as_float(value, field: str) -> float:
     return float(value)
 
 
+def as_numbers(value, field: str):
+    """A config's array ``field``, as given, once every entry of its nested lists
+    is a JSON number: a bool or a string entry is a ``ConfigError`` naming the
+    field, as :func:`as_float` makes of a scalar one.  The array's shape, and a
+    value that is not a list, are judged where the array is used."""
+    for v in value if type(value) is list else ():
+        if type(v) is list:
+            as_numbers(v, field)
+        else:
+            as_float(v, field)
+    return value
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float vector."""
     p = np.asarray(x, dtype=float)
@@ -208,9 +221,11 @@ def set_from_dict(d: dict) -> FeasibleSet:
     with reading("feasible set"):
         variant = d["variant"]
         if variant == "box":
-            return Box(np.asarray(d["lo"], float), np.asarray(d["hi"], float))
+            return Box(np.asarray(as_numbers(d["lo"], "set.lo"), float),
+                       np.asarray(as_numbers(d["hi"], "set.hi"), float))
         if variant == "ball":
-            return Ball(np.asarray(d["center"], float), as_float(d["radius"], "set.radius"))
+            return Ball(np.asarray(as_numbers(d["center"], "set.center"), float),
+                        as_float(d["radius"], "set.radius"))
     raise ConfigError(f"unknown feasible set variant {variant!r}")
 
 
@@ -322,15 +337,47 @@ def _check_pts(pts, dim) -> np.ndarray:
 # broadcasting, so that a stack of component parameters lines up with the
 # component axis of the points.
 
+# floats of the largest batch-laid copy of a stacked matrix parameter (32 KB, the
+# engine's budget for one state of each round of a check block); past it the
+# stack is broadcast
+_LAID_FLOATS = 2**12
+
+
+class _BatchLaid:
+    """A stack of matrices (S, D, D) with a copy laid out contiguous at a batch's
+    leading shape, (B, S, D, D).  ``at(x)`` is the operand to pair with points x
+    (B, S, D) in an einsum: the copy's first B rows, a view, so a batch that
+    shrinks when a run leaves it reads a prefix of the same copy.  Read with unit
+    strides rather than broadcast with stride 0, the einsum costs about half as
+    much at B = 20 and gives the same bits.  Points without one leading axis, or
+    a batch whose copy would pass ``_LAID_FLOATS``, get the stack itself."""
+
+    def __init__(self, stack: np.ndarray):
+        self.stack = stack
+        self._copy = self._rows = stack[None]  # the largest copy, and the last batch's rows
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        rows = self._rows
+        if x.ndim == rows.ndim - 1 and len(x) == len(rows):  # the last batch's shape
+            return rows
+        if x.ndim != self.stack.ndim:
+            return self.stack
+        if len(x) > len(self._copy):
+            if len(x) * self.stack.size > _LAID_FLOATS:
+                return self.stack
+            self._copy = _freeze(np.broadcast_to(self.stack, (len(x), *self.stack.shape)).copy())
+        self._rows = self._copy[:len(x)]
+        return self._rows
+
 
 def _quadratic_values(a, b, c, x):
-    v = 0.5 * np.einsum("...d,...d->...", x, np.einsum("...ij,...j->...i", a, x))
+    v = 0.5 * np.einsum("...d,...d->...", x, np.einsum("...ij,...j->...i", a.at(x), x))
     v += np.einsum("...d,...d->...", x, b) + c
     return v
 
 
 def _quadratic_grads(a, b, c, x, out=None):
-    return np.add(np.einsum("...ij,...j->...i", a, x, out=out), b, out=out)
+    return np.add(np.einsum("...ij,...j->...i", a.at(x), x, out=out), b, out=out)
 
 
 def _sine_quadratic_values(a, b, c, amp, freq, x):
@@ -380,7 +427,8 @@ def rebuild(comp: ComponentFunction, cid: str, fs: FeasibleSet, /, **params) -> 
 
 
 def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
-    """Stacked kernel parameters of components from one family."""
+    """Stacked kernel parameters of components from one family; the matrices of
+    the quadratic families are a :class:`_BatchLaid`."""
     if family == POLYNOMIAL:
         dim = comps[0].dimension
         kmax = max(max(cf.size for cf in c.params["coeffs"]) for c in comps)
@@ -395,7 +443,8 @@ def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
         # which the engine checks every round
         with np.errstate(over="ignore"):
             return coefs, coefs[..., 1:] * np.arange(1, kmax)
-    return tuple(np.array([c.params[k] for c in comps]) for k in _FAMILY_TABLE[family][1])
+    a, *rest = (np.array([c.params[k] for c in comps]) for k in _FAMILY_TABLE[family][1])
+    return _BatchLaid(a), *rest
 
 
 class _Evaluator:
@@ -684,7 +733,7 @@ def component_from_dict(d: dict) -> ComponentFunction:
             raise ConfigError(f"unknown component family {family!r}")
         builder, names, _ = _FAMILY_TABLE[family]
         args = [as_float(params.get(k, 0.0), f"component {cid!r} params.c") if k == "c"
-                else params[k] for k in names]
+                else as_numbers(params[k], f"component {cid!r} params.{k}") for k in names]
         return builder(cid, *args, grad_bound=gb, lipschitz=nl)
 
 

@@ -21,8 +21,8 @@ from .engine import RunConfig, StepSchedule
 from .network import Graph, graph, support_graph, windows_connected
 from .privacy import TransformedProblem
 from .problem import (
-    ConfigError, Problem, as_float, as_int, estimate_bounds, problem_from_dict, reading,
-    verify_sum_convexity,
+    ConfigError, Problem, as_float, as_int, as_numbers, estimate_bounds, problem_from_dict,
+    reading, verify_sum_convexity,
 )
 
 SCHEMA_VERSION = 1
@@ -173,7 +173,8 @@ def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scen
     init_kind = _read(raw, "init.kind", default=None)
     init_points = None
     if init_kind == "explicit":
-        init_points = _read(raw, "init.points", lambda p: np.asarray(p, dtype=float))
+        init_points = _read(raw, "init.points",
+                            lambda p: np.asarray(as_numbers(p, "init.points"), dtype=float))
     elif init_kind not in (None, "seeded-uniform"):
         raise ConfigError("field 'init.kind' must be 'seeded-uniform' or 'explicit'")
 

@@ -229,7 +229,7 @@ def _set_field(doc, path, value):
     *parents, key = path.split(".")
     for p in parents:  # a number picks an item of a list
         doc = doc[int(p)] if isinstance(doc, list) else doc[p]
-    doc[key] = value
+    doc[int(key) if isinstance(doc, list) else key] = value
 
 
 # (case, dotted field of scenario_doc and its value, text the error must name)
@@ -322,6 +322,40 @@ MALFORMED_CONFIGS = [
      "config error: component 'f2' params.c: expected a number, got '0'"),
     ("radius-string", "problem.set", {"variant": "ball", "center": [0.0, 0.0], "radius": "1"},
      "config error: set.radius: expected a number, got '1'"),
+    # array fields take only JSON numbers in their lists: no bool or string entry
+    ("lo-string-entry", "problem.set", {"variant": "box", "lo": ["-1", True], "hi": ["1", "2"]},
+     "config error: set.lo: expected a number, got '-1'"),
+    ("hi-bool-entry", "problem.set.hi", [1.0, True],
+     "config error: set.hi: expected a number, got True"),
+    ("center-string-entry", "problem.set", {"variant": "ball", "center": [0.0, "0"], "radius": 1.0},
+     "config error: set.center: expected a number, got '0'"),
+    ("points-bool-entry", "init", {"kind": "explicit", "points": [[0, 0], [0, True], [0, 0]]},
+     "config error: init.points: expected a number, got True"),
+    ("a-string-entry", "problem.components.0.params.a", [[1.0, 0.0], [0.0, "0.5"]],
+     "config error: component 'f0' params.a: expected a number, got '0.5'"),
+    ("b-bool-entry", "problem.components.1.params.b", [True, 0.25],
+     "config error: component 'f1' params.b: expected a number, got True"),
+    ("coeffs-string-entry", "problem.components.2",
+     {"id": "f2", "family": "polynomial-separable", "params": {"coeffs": [[0.0, 1.0, "2"], [1.0]]},
+      "grad_bound": 9.0, "lipschitz": 9.0},
+     "config error: component 'f2' params.coeffs: expected a number, got '2'"),
+    ("amplitude-bool-entry", "problem.components.2",
+     {"id": "f2", "family": "sine-perturbed-quadratic",
+      "params": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0,
+                 "amplitude": [0.1, False], "frequency": [1.0, 2.0]},
+      "grad_bound": 9.0, "lipschitz": 9.0},
+     "config error: component 'f2' params.amplitude: expected a number, got False"),
+    ("frequency-string-entry", "problem.components.2",
+     {"id": "f2", "family": "sine-perturbed-quadratic",
+      "params": {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0], "c": 0.0,
+                 "amplitude": [0.1, 0.1], "frequency": ["1", 2.0]},
+      "grad_bound": 9.0, "lipschitz": 9.0},
+     "config error: component 'f2' params.frequency: expected a number, got '1'"),
+    ("matrix-string-entry", "schedule.matrix", [["1", 0, 0], [0, 1, 0], [0, 0, 1]],
+     "config error: schedule.matrix: expected a number, got '1'"),
+    ("matrices-bool-entry", "schedule", {"variant": "cyclic", "matrices": [[[1, 0, 0], [0, 1, 0],
+                                                                          [0, 0, True]]]},
+     "config error: schedule.matrices: expected a number, got True"),
     # the mixing-matrix checks
     ("matrix-not-doubly-stochastic", "schedule.matrix",
      [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.5, 0.5]],

@@ -685,6 +685,32 @@ def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypat
             assert_same_run(trace, alone[cfg.seed])
 
 
+def test_the_slack_far_off_the_origin_is_the_direct_per_probe_form():
+    # states at |x| ~ 1e4 with S * D = 12: the engine folds the slack through the
+    # centred identity, with d = sum_j (v_j - x_j) from each agent's own difference;
+    # sum_j v_j - sum_j x_j would carry the rounding of two sums at |x| into it
+    S, D = 4, 3
+    fs = Box(np.full(D, 1e4), np.full(D, 1e4 + 2.0))
+    rng = np.random.default_rng(7)
+    comps = []
+    for j in range(S):
+        m = rng.uniform(-1.0, 1.0, (D, D))
+        a = m @ m.T + 0.1 * np.eye(D)
+        target = fs.center_point() + rng.uniform(-2.0, 2.0, D)
+        comps.append(quadratic(f"f{j}", a, -a @ target, bounds_for=fs))
+    prob = Problem(D, tuple(comps), fs)
+    sched = StaticSchedule(build_metropolis(ring_graph(S)))
+    cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 300, seed=s) for s in range(3)]
+    for cfg, trace in zip(cfgs, run_batch(cfgs)):
+        x = trace.states[:-1]  # the states each round fused, one record per round
+        v = np.matmul(sched.matrices[0], x)
+        y = engine._probe_points(fs, cfg.seed)[:, None, None]  # (P, 1, 1, D)
+        direct = np.square(v - y).sum(axis=(-2, -1)) - np.square(x - y).sum(axis=(-2, -1))
+        slack = trace.summary.max_nonexpansive_slack
+        assert abs(slack - direct.max()) <= 1e-12, (cfg.seed, slack, direct.max())
+        assert slack <= 1e-9
+
+
 def poison_gradients(monkeypatch, prob, iteration: int, row: int, agents, value) -> None:
     """Make round ``iteration`` of the next runs of ``prob`` see ``value`` in the
     first coordinate of the gradients of ``agents`` of batch row ``row``."""

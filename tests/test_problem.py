@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consopt import problem
 from consopt.problem import (
     Ball, Box, ConfigError, ConstructionError, Problem, as_point,
     component_from_dict, component_to_dict, estimate_bounds, grad_many, polynomial,
@@ -232,6 +233,49 @@ def test_out_forms_equal_the_allocating_forms_bitwise(family, in_ball):
     assert fs.project_many(v, out) is out and out.tobytes() == projected.tobytes()
     in_place = v.copy()
     assert fs.project_many(in_place, in_place).tobytes() == projected.tobytes()
+
+
+@pytest.mark.parametrize("family", ["quadratic", "polynomial-separable",
+                                    "sine-perturbed-quadratic", "mixed"])
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_a_batch_has_each_runs_gradients_also_after_a_run_left_it(family, dim):
+    # the quadratic kernels read their matrices as a copy laid out at the batch's
+    # shape, and a batch that a failed run left reads a prefix of that copy
+    fs = Box(np.full(dim, -1.0), np.full(dim, 1.5))
+
+    def stack():
+        if family == "mixed":
+            return mixed_stack_problem(fs, dim)
+        return stack_problem(family, fs, 6, dim)
+
+    for batch in (1, 3, 20):
+        prob, solo = stack(), stack()  # solo's kernels never see a batch of more than one
+        v = np.random.default_rng(batch).normal(0.0, 2.0, size=(batch, 6, dim))
+        alone = [solo.evaluator.grads(v[b:b + 1]) for b in range(batch)]
+        grads = prob.evaluator.grads(v)
+        assert [grads[b:b + 1].tobytes() for b in range(batch)] == [g.tobytes() for g in alone]
+        kept = np.arange(batch) != batch // 2  # the middle run leaves, as run_batch drops it
+        out = np.full((int(kept.sum()), 6, dim), np.nan)
+        survivors = prob.evaluator.grads(v[kept], out)
+        assert survivors.tobytes() == b"".join(g.tobytes() for g, k in zip(alone, kept) if k)
+
+
+def test_the_quadratic_matrices_are_laid_out_at_the_batch_shape_within_the_budget():
+    fs = Box(np.full(2, -1.0), np.full(2, 1.5))
+    prob = stack_problem("quadratic", fs, 6, 3)
+    (_, (laid, _, _), _), = prob.evaluator.groups
+    v = np.random.default_rng(3).normal(size=(20, 6, 2))
+    operand = laid.at(v)
+    assert operand.shape == (20, 6, 2, 2) and operand.flags.c_contiguous
+    assert 0 not in operand.strides
+    assert laid.at(v[:7]).shape == (7, 6, 2, 2) and np.shares_memory(laid.at(v[:7]), operand)
+    assert laid.at(v[0]) is laid.stack  # one run's (S, D) states: no batch axis
+    # shared points beyond the budget broadcast the stack and copy nothing
+    shared = np.random.default_rng(4).uniform(-1.0, 1.5, (500_000, 2))
+    sum_grad(prob, shared)
+    assert laid.at(shared[:, None]) is laid.stack
+    assert laid.at(v).base is operand.base  # the batch's copy is still the one built
+    assert operand.base.size <= problem._LAID_FLOATS
 
 
 def test_project_dimension_mismatch():
