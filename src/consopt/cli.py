@@ -251,13 +251,11 @@ def cmd_compare(config_path, *, out_dir=None, force=False, **overrides) -> int:
     # the transformed leg is the scenario itself
     res_t = execute_run(sc, use_seed, root / "transformed")
 
-    # the original leg reuses the schedule when the agent count is unchanged,
-    # otherwise falls back to Metropolis weights on the real graph
+    # the original leg reuses the schedule when the agent count is unchanged; only a
+    # transform, which needs a graph, changes it: then Metropolis weights on that graph
     if sc.run_config.problem.n_agents == sc.problem.n_agents:
         orig_schedule = sc.run_config.schedule
     else:
-        if sc.graph is None:
-            raise ConfigError("compare needs a 'graph' field to schedule the original problem")
         orig_schedule = StaticSchedule(build_metropolis(sc.graph))
     orig = dataclasses.replace(sc, transformed=None, run_config=dataclasses.replace(
         sc.run_config, problem=sc.problem, schedule=orig_schedule, initial_states=None))

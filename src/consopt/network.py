@@ -10,7 +10,6 @@ identical matrix.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,27 +28,31 @@ _DRAW_WORDS = 2**13  # random-schedule uniforms drawn per block; bounds the temp
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected communication graph without self-loops."""
+    """Undirected graph without self-loops, its ``edges`` kept as the frozenset of (i, j), i < j."""
 
     n_agents: int
     edges: frozenset
 
     def __post_init__(self):
-        if self.n_agents < 1:
+        n = as_int(self.n_agents, "graph.n_agents")
+        if n < 1:
             raise ConfigError("graph needs at least one agent")
         norm = set()
         for e in self.edges:
+            if np.shape(e) != (2,):
+                raise ConfigError(f"graph.edges: expected a pair of agents, got {e!r}")
             i, j = as_int(e[0], "graph.edges"), as_int(e[1], "graph.edges")
             if i == j:
                 raise ConfigError(f"self-loop ({i},{j}) not allowed in the edge set")
-            if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-                raise ConfigError(f"edge ({i},{j}) out of range for {self.n_agents} agents")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ConfigError(f"edge ({i},{j}) out of range for {n} agents")
             norm.add((min(i, j), max(i, j)))
+        object.__setattr__(self, "n_agents", n)
         object.__setattr__(self, "edges", frozenset(norm))
 
 
 def graph(n_agents: int, edges: Iterable) -> Graph:
-    return Graph(int(n_agents), frozenset(tuple(e) for e in edges))
+    return Graph(n_agents, edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -391,22 +394,18 @@ class RandomSchedule(WeightSchedule):
     seed: int
 
     def __post_init__(self):
-        n, p = self.n_agents, self.edge_probability
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ConfigError(f"schedule.n_agents: expected an integer, got {n!r}")
-        if isinstance(p, bool) or not isinstance(p, numbers.Real):
-            raise ConfigError(f"schedule.edge_probability: expected a number, got {p!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ConfigError(f"random schedule seed must be a non-negative integer, "
-                              f"got {self.seed!r}")
+        n = as_int(self.n_agents, "schedule.n_agents")
+        p = as_float(self.edge_probability, "schedule.edge_probability")
+        seed = as_int(self.seed, "random schedule seed")
+        if seed < 0:
+            raise ConfigError(f"random schedule seed must be a non-negative integer, got {seed}")
         if not (0.0 < p <= 1.0):
             raise ConfigError("edge_probability must lie in (0, 1]")
         if n < 2:
             raise ConfigError("random schedule needs at least two agents")
-        object.__setattr__(self, "n_agents", int(n))
-        object.__setattr__(self, "edge_probability", float(p))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_agents", n)
+        object.__setattr__(self, "edge_probability", p)
+        object.__setattr__(self, "seed", seed)
 
     def _build(self, ks: np.ndarray) -> np.ndarray:
         """The read-only stack of the matrices of rounds ``ks`` (each below 2**32).

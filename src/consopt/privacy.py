@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .problem import (
-    POLYNOMIAL, ComponentFunction, ConfigError, FeasibleSet, Problem, problem_to_dict, rebuild,
-    sum_grad, sum_value,
+    POLYNOMIAL, ComponentFunction, ConfigError, FeasibleSet, Problem, as_int, problem_to_dict,
+    rebuild, sum_grad, sum_value,
 )
 from .network import ConstructionError, Graph, adjacency, graph, is_connected, reachability
 
@@ -53,13 +53,12 @@ class PartitionPlan:
     virtual_edges: frozenset
 
     def __post_init__(self):
-        counts = tuple(int(m) for m in self.counts)
+        counts = tuple(as_int(m, "plan.counts") for m in self.counts)
         if any(m < 1 for m in counts):
             raise ConfigError("every agent needs at least one piece")
+        links = (sorted(as_int(x, "plan.virtual_edges") for x in e) for e in self.virtual_edges)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "virtual_edges",
-                           frozenset((min(int(u), int(v)), max(int(u), int(v)))
-                                     for u, v in self.virtual_edges))
+        object.__setattr__(self, "virtual_edges", frozenset((u, v) for u, v in links))
 
     @property
     def n_virtual(self) -> int:

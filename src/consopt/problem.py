@@ -12,6 +12,7 @@ checked by sampling, not assumed.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Sequence
@@ -57,17 +58,17 @@ def reading(what: str):
 
 
 def as_int(value, field: str) -> int:
-    """A config's integer ``field``: only a JSON integer, so a bool, a fraction
-    or a string is a ``ConfigError`` naming the field."""
-    if type(value) is not int:
+    """An integer ``field``, as an int: a Python or numpy integer that is not a
+    bool, so a JSON fraction, bool or string is a ``ConfigError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{field}: expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def as_float(value, field: str) -> float:
-    """A config's number ``field``, as a float: only a JSON number, so a bool or a
-    string is a ``ConfigError`` naming the field."""
-    if type(value) not in (int, float):
+    """A number ``field``, as a float: a Python or numpy real number that is not a
+    bool, so a JSON bool or string is a ``ConfigError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
     return float(value)
 
@@ -747,7 +748,7 @@ def problem_to_dict(prob: Problem) -> dict:
 
 def problem_from_dict(d: dict) -> Problem:
     with reading("problem"):
-        dim = int(d["dimension"])
+        dim = as_int(d["dimension"], "problem.dimension")
         fs = set_from_dict(d["set"])
         comps = tuple(component_from_dict(cd) for cd in d["components"])
     return Problem(dim, comps, fs)

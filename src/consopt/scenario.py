@@ -92,9 +92,10 @@ def parse_seeds(spec, field: str = "seeds") -> tuple[int, ...]:
             a, dots, b = spec.partition("..")
             spec = {"start": int(a), "stop": int(b)} if dots else int(spec)
         if isinstance(spec, dict):
-            spec = range(spec["start"], spec["stop"])
-        seeds = tuple(spec) if isinstance(spec, (list, range)) else (0 if spec is None else spec,)
-    if not seeds or any(type(s) is not int or s < 0 for s in seeds):
+            spec = range(*(as_int(spec[k], f"{field}.{k}") for k in ("start", "stop")))
+        seeds = spec if isinstance(spec, (list, range)) else [0 if spec is None else spec]
+        seeds = tuple(as_int(s, field) for s in seeds)
+    if not seeds or min(seeds) < 0:
         raise ConfigError(f"{field}: expected one or more non-negative integers, got {spec!r}")
     return seeds
 
@@ -137,7 +138,7 @@ def _path_component(name) -> str:
 def _parse_graph(spec) -> Graph | None:
     if spec is None:
         return None
-    return graph(as_int(spec["n_agents"], "graph.n_agents"), spec["edges"])
+    return graph(spec["n_agents"], spec["edges"])
 
 
 def load_scenario(path, *, seeds=None, n_iterations=None, decimate=None) -> Scenario:

@@ -137,6 +137,24 @@ def test_validate_concave_sum_fails(tmp_path, capsys):
     assert "FAIL sum-convexity" in out
 
 
+@pytest.mark.parametrize("schedule,code", [
+    (None, 0),
+    ({"variant": "static", "matrix": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]}, 2),
+], ids=["passing", "disconnected"])
+def test_validate_out_writes_the_printed_report(tmp_path, capsys, schedule, code):
+    doc = scenario_doc() if schedule is None else scenario_doc(schedule=schedule)
+    out = tmp_path / "out"
+    rc = main(["validate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    assert rc == code
+    report = json.loads((out / "tiny_triangle" / "validation.json").read_text())
+    status = lambda c: "PASS" if c["passed"] else ("WARN" if c["severity"] == "warning" else "FAIL")
+    assert printed[:-1] == [f"{status(c)} {c['name']}: {c['detail']}" for c in report["checks"]]
+    assert report["hard_pass"] is (code == 0)
+    assert printed[-1] == (f"validation {'passed' if report['hard_pass'] else 'FAILED'} "
+                           f"for scenario 'tiny_triangle'")
+
+
 def test_validate_disconnected_schedule_fails(tmp_path, capsys):
     doc = scenario_doc(
         name="disconnected",
@@ -280,6 +298,14 @@ MALFORMED_CONFIGS = [
      "config error: graph.edges: expected an integer, got 1.7"),
     ("edges-bool", "graph.edges", [[0, 1], [0, 2], [True, 2]],
      "config error: graph.edges: expected an integer, got True"),
+    ("edges-triple", "graph.edges", [[1, 2, 7], [0, 2], [0, 1]],
+     "config error: graph.edges: expected a pair of agents"),
+    ("dimension-fraction", "problem.dimension", 2.7,
+     "config error: problem.dimension: expected an integer, got 2.7"),
+    ("dimension-bool", "problem.dimension", True,
+     "config error: problem.dimension: expected an integer, got True"),
+    ("dimension-string", "problem.dimension", "2",
+     "config error: problem.dimension: expected an integer, got '2'"),
     ("pattern-fraction", "schedule",
      {"variant": "kappa", "pattern": [[1.9, 2], [0, 2], [0, 1]], "kappa": 0.25},
      "config error: schedule.pattern: expected an integer, got 1.9"),
@@ -427,6 +453,7 @@ BAD_SEEDS = [
     ("negative-config-range", ["sweep"], {"start": -1, "stop": 1}, "seeds"),
     ("empty-config-range", ["sweep"], {"start": 3, "stop": 3}, "seeds"),
     ("fractional-config-seed", ["sweep"], [0, 1.5], "seeds"),
+    ("bool-config-range-start", ["sweep"], {"start": True, "stop": 3}, "seeds"),
 ]
 
 
@@ -704,6 +731,23 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert rc == 1
     agg = json.loads((tmp_path / "out" / "tiny_triangle" / "aggregate.json").read_text())
     assert agg["n_runs"] == 3 and agg["n_pass"] == 0
+
+
+def test_sweep_records_a_failed_batch_as_one_error_row_per_seed(tmp_path, capsys, monkeypatch):
+    from consopt import cli
+
+    def fail(sc, seeds, out_dir):
+        raise RuntimeError("batch lost")
+
+    monkeypatch.setattr(cli, "_sweep_batch", fail)
+    cfg = write_config(tmp_path, scenario_doc(n_iterations=20))
+    rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    agg = json.loads((tmp_path / "out" / "tiny_triangle" / "aggregate.json").read_text())
+    assert agg["results"] == [{"seed": s, "error": "batch lost", "agent": None,
+                               "iteration": None} for s in range(3)]
+    assert agg["wall_s"] == [None] and agg["n_runs"] == 3 and agg["n_pass"] == 0
+    assert "failing seeds [0, 1, 2]" in capsys.readouterr().out
 
 
 def test_sweep_reports_failed_runs_and_keeps_the_rest(tmp_path):

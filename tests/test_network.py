@@ -255,6 +255,14 @@ def test_graph_rejects_self_loops_and_range():
         graph(3, [(0, 3)])
 
 
+def test_graph_and_two_link_matrix_take_numpy_integers_as_their_ints():
+    g = graph(np.int64(3), np.array([[0, 1], [1, 2]]))
+    assert g == graph(3, [[0, 1], [1, 2]]) and type(g.n_agents) is int
+    assert all(type(i) is int for e in g.edges for i in e)
+    np.testing.assert_array_equal(build_two_link_matrix(np.array(SIX_VIRTUAL_PATTERN), 0.25),
+                                  build_two_link_matrix(SIX_VIRTUAL_PATTERN, 0.25))
+
+
 # ---------------------------------------------------------------------------
 # fusion contract on stacked states
 
