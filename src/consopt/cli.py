@@ -22,7 +22,7 @@ from pathlib import Path
 from . import analysis, engine
 from .network import StaticSchedule, build_metropolis
 from .privacy import certify_equivalence, transformed_to_dict
-from .problem import ConfigError, ConstructionError, reading
+from .problem import ConfigError, ConstructionError, as_float, reading
 from .scenario import Scenario, load_scenario, parse_seeds, validate_scenario
 
 EXIT_OK = 0
@@ -295,7 +295,7 @@ def cmd_export(run_dir, out_dir=None) -> int:
     if oracle_path.exists():
         with reading(str(oracle_path)):
             f_star = json.loads(oracle_path.read_text())["f_star"]
-            f_star = None if f_star is None else float(f_star)
+            f_star = None if f_star is None else as_float(f_star, f"{oracle_path}: f_star")
     dest = Path(out_dir) if out_dir else src
     dest.mkdir(parents=True, exist_ok=True)
     parts = [dest / "trace.csv.part", dest / "plotdata.csv.part"]

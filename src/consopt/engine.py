@@ -7,10 +7,11 @@ The run is deterministic given its configuration and produces a trace of per
 iteration records plus a terminal summary of the fusion invariants
 (average preservation and sum non-expansiveness) tracked at every round.
 Runs that differ only in seed and initial states step together as one
-batch, each with the trace it would have alone.  A round only fuses and
-steps, writing into preallocated buffers; the records are gathered and the
-checks of every round (finite gradients, the fusion invariants) run once
-per block of rounds.
+batch, each with the trace it would have alone; a run whose gradient goes
+non-finite keeps its place in the batch, and its result is its error.  A
+round only fuses and steps, writing into preallocated buffers; the records
+are gathered and the checks of every round (finite gradients, the fusion
+invariants) run once per block of rounds.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .analysis import disagreement_caps, max_delta, max_disagreement
-from .problem import ConfigError, FeasibleSet, Problem, reading, sum_value
+from .problem import ConfigError, FeasibleSet, Problem, as_float, as_int, reading, sum_value
+from .problem import _BATCH_FLOATS as _CHECK_FLOATS  # one state per round of a check block
 from .network import WeightSchedule, max_contraction
 
 _STREAM_INIT = 11
 _STREAM_YSET = 12
-# floats of one state per round of a block awaiting one check: a check's
-# temporaries, two states per round, are at most 64 KB
-_CHECK_FLOATS = 2**12
 
 
 class EngineError(RuntimeError):
@@ -61,6 +60,8 @@ class StepSchedule:
     p: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "p"):
+            object.__setattr__(self, name, as_float(getattr(self, name), f"steps.{name}"))
         if not (np.isfinite(self.a) and self.a > 0):
             raise ConfigError("step schedule needs a > 0")
         if not (np.isfinite(self.b) and self.b >= 1):
@@ -95,8 +96,12 @@ class RunConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("n_iterations", "seed", "record_every"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n_iterations < 0:
             raise ConfigError("n_iterations must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.schedule.n_agents != self.problem.n_agents:
@@ -266,10 +271,11 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     non-expansiveness slack over a run's P probe points is folded through
     the centred identity of ``flush``, so the check of a block costs
     O(B*S*D + P*B*D) per round rather than O(P*B*S*D).
-    A run whose gradient goes non-finite steps on to the end of its block,
-    then leaves the stack, and its entry in the returned list is the
+    The stack keeps its (B, S, D) shape from the first round to the last.  A
+    run whose gradient goes non-finite keeps its place and steps on, but
+    nothing of it is read again: its entry in the returned list is the
     ``EngineError`` naming its seed and its first non-finite agent and
-    iteration; the other runs go on, bitwise as they would alone.
+    iteration, and the other runs go on, bitwise as they would alone.
     """
     if not cfgs:
         raise ConfigError("a batch needs at least one run config")
@@ -296,8 +302,8 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
     ks = np.r_[0:K:first.record_every, K]
     states = np.empty((ks.shape[0], B, S, D))
     states[0] = x
-    rows = np.arange(B)  # the batch row of each run still stepping
-    errors: dict[int, EngineError] = {}
+    alive = np.ones(B, dtype=bool)  # the runs whose gradients have all been finite
+    out: list[RunTrace | EngineError | None] = [None] * B
     max_drift = np.zeros(B)
     max_slack = np.full(B, -np.inf)
 
@@ -349,40 +355,37 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
                 np.matmul(mats[k % n_mats], x, out=v)
                 step(v, steps_k[k], g, x_next)
                 x = x_next
-            ok = np.isfinite(gs[:n]).all(axis=(0, 2, 3))
-            if not ok.all():
-                for i in np.flatnonzero(~ok):
-                    errors[int(rows[i])] = _nonfinite(gs[:n, i], k0, cfgs[rows[i]].seed)
-                # the survivors keep their buffered rounds, which are bitwise those
-                # they take alone; the failed runs stepped on to the block's end
-                rows, max_drift, max_slack = (a[ok] for a in (rows, max_drift, max_slack))
-                states, w, gs, probes = states[:, ok], w[:, :, ok], gs[:, ok], probes[ok]
-                if not rows.size:
-                    break
+            failed = alive & ~np.isfinite(gs[:n]).all(axis=(0, 2, 3))
+            if failed.any():
+                # a failed run keeps its row and steps on, row-wise apart from the
+                # others, but nothing of it is read again
+                for b in np.flatnonzero(failed).tolist():
+                    out[b] = _nonfinite(gs[:n, b], k0, cfgs[b].seed)
+                alive &= ~failed
+                if not alive.any():
+                    return out
             # the block's records, iterations k0 + 1 ... k0 + n, in one gather
             r1 = int(np.searchsorted(ks, k0 + n, side="right"))
             states[r:r1] = w[1, ks[r:r1] - k0]
             r = r1
             flush(n)
 
-    out: list[RunTrace | EngineError] = [errors.get(b) for b in range(B)]
-    if not rows.size:
-        return out
+    states[:, ~alive] = 0.0  # a failed run's rows are not finite, and reach no metric
     x_bar = states.mean(axis=2)
     f_bar = sum_value(prob, x_bar.reshape(-1, D)).reshape(x_bar.shape[:2])
     deltas, disagreements = max_delta(states), max_disagreement(states)
-    for i, b in enumerate(rows.tolist()):
+    for b in np.flatnonzero(alive).tolist():
         bound = None
         if bound_on:
             bound = disagreement_caps(nu, prob.l_bar, alpha[:K], float(delta0[b]), S)[ks]
         trace = RunTrace(
             ks=ks,
             alphas=alpha[ks],
-            states=states[:, i],
-            x_bar=x_bar[:, i],
-            f_bar=f_bar[:, i],
-            max_delta=deltas[:, i],
-            max_disagreement=disagreements[:, i],
+            states=states[:, b],
+            x_bar=x_bar[:, b],
+            f_bar=f_bar[:, b],
+            max_delta=deltas[:, b],
+            max_disagreement=disagreements[:, b],
             bound=bound,
             summary=None,
         )
@@ -393,8 +396,8 @@ def run_batch(cfgs: Sequence[RunConfig]) -> list[RunTrace | EngineError]:
             final_f_bar=float(trace.f_bar[-1]),
             final_max_disagreement=float(trace.max_disagreement[-1]),
             final_max_delta=float(trace.max_delta[-1]),
-            max_average_drift=float(max_drift[i]),
-            max_nonexpansive_slack=float(max_slack[i]) if np.isfinite(max_slack[i]) else 0.0,
+            max_average_drift=float(max_drift[b]),
+            max_nonexpansive_slack=float(max_slack[b]) if np.isfinite(max_slack[b]) else 0.0,
             nu=nu,
             delta0=float(delta0[b]),
             l_bar=prob.l_bar,

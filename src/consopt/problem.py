@@ -180,7 +180,7 @@ class Ball(FeasibleSet):
 
     def __post_init__(self):
         c = as_point(self.center)
-        r = float(self.radius)
+        r = as_float(self.radius, "set.radius")
         if not (np.isfinite(r) and r > 0):
             raise ConfigError("ball radius must be a positive finite scalar")
         object.__setattr__(self, "center", _freeze(c))
@@ -225,8 +225,7 @@ def set_from_dict(d: dict) -> FeasibleSet:
             return Box(np.asarray(as_numbers(d["lo"], "set.lo"), float),
                        np.asarray(as_numbers(d["hi"], "set.hi"), float))
         if variant == "ball":
-            return Ball(np.asarray(as_numbers(d["center"], "set.center"), float),
-                        as_float(d["radius"], "set.radius"))
+            return Ball(np.asarray(as_numbers(d["center"], "set.center"), float), d["radius"])
     raise ConfigError(f"unknown feasible set variant {variant!r}")
 
 
@@ -338,37 +337,31 @@ def _check_pts(pts, dim) -> np.ndarray:
 # broadcasting, so that a stack of component parameters lines up with the
 # component axis of the points.
 
-# floats of the largest batch-laid copy of a stacked matrix parameter (32 KB, the
-# engine's budget for one state of each round of a check block); past it the
-# stack is broadcast
-_LAID_FLOATS = 2**12
+# floats a batch lays out at once (32 KB): here the largest batch-laid copy of a
+# stacked matrix parameter, and in the engine one state per round of a block
+# awaiting one check, whose temporaries, two states per round, are at most 64 KB
+_BATCH_FLOATS = 2**12
 
 
 class _BatchLaid:
-    """A stack of matrices (S, D, D) with a copy laid out contiguous at a batch's
-    leading shape, (B, S, D, D).  ``at(x)`` is the operand to pair with points x
-    (B, S, D) in an einsum: the copy's first B rows, a view, so a batch that
-    shrinks when a run leaves it reads a prefix of the same copy.  Read with unit
-    strides rather than broadcast with stride 0, the einsum costs about half as
-    much at B = 20 and gives the same bits.  Points without one leading axis, or
-    a batch whose copy would pass ``_LAID_FLOATS``, get the stack itself."""
+    """A stack of matrices (S, D, D) with one copy laid out contiguous at the
+    last batch's leading shape, (B, S, D, D), laid again when B changes.
+    ``at(x)`` is the operand to pair with points x (B, S, D) in an einsum: read
+    with unit strides rather than broadcast with stride 0, the einsum costs about
+    half as much at B = 20 and gives the same bits.  Points without one leading
+    axis, or a batch whose copy would pass ``_BATCH_FLOATS``, get the stack itself."""
 
     def __init__(self, stack: np.ndarray):
-        self.stack = stack
-        self._copy = self._rows = stack[None]  # the largest copy, and the last batch's rows
+        self.stack, self._copy = stack, stack[None]
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        rows = self._rows
-        if x.ndim == rows.ndim - 1 and len(x) == len(rows):  # the last batch's shape
-            return rows
         if x.ndim != self.stack.ndim:
             return self.stack
-        if len(x) > len(self._copy):
-            if len(x) * self.stack.size > _LAID_FLOATS:
+        if len(x) != len(self._copy):
+            if len(x) * self.stack.size > _BATCH_FLOATS:
                 return self.stack
             self._copy = _freeze(np.broadcast_to(self.stack, (len(x), *self.stack.shape)).copy())
-        self._rows = self._copy[:len(x)]
-        return self._rows
+        return self._copy
 
 
 def _quadratic_values(a, b, c, x):

@@ -431,8 +431,9 @@ def test_validate_malformed_document_is_one_config_error(tmp_path, capsys, case)
     _assert_one_config_error(rc, capsys.readouterr().err, names)
 
 
-@pytest.mark.parametrize("oracle", ['{"x_star": [0.0, 0.0]}', "{not json"],
-                         ids=["no-f_star", "not-json"])
+@pytest.mark.parametrize("oracle", ['{"x_star": [0.0, 0.0]}', "{not json", '{"f_star": true}',
+                                    '{"f_star": "0.5"}'],
+                         ids=["no-f_star", "not-json", "bool-f_star", "string-f_star"])
 def test_export_malformed_oracle_is_one_config_error(tmp_path, capsys, oracle):
     cfg = write_config(tmp_path, scenario_doc(n_iterations=20))
     main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])  # verdict may fail
@@ -441,6 +442,7 @@ def test_export_malformed_oracle_is_one_config_error(tmp_path, capsys, oracle):
     capsys.readouterr()
     rc = main(["export", "--run-dir", str(run_dir), "--out", str(tmp_path / "exported")])
     _assert_one_config_error(rc, capsys.readouterr().err, str(run_dir / "oracle.json"))
+    assert not list((tmp_path / "exported").glob("*.csv*"))
 
 
 # (case, command and its seed options, the config's seeds, text the error must name)

@@ -105,6 +105,18 @@ def test_step_schedule_rejects_bad_params(a, b, p):
         StepSchedule(a, b, p)
 
 
+@pytest.mark.parametrize("value", [True, "2", None, [1.0]])
+def test_step_schedule_and_ball_take_only_numbers(value):
+    steps = StepSchedule(np.float32(0.5), 2, np.int64(1))  # a numpy or integer real is a number
+    assert (steps.a, steps.b, steps.p) == (0.5, 2.0, 1.0) and type(steps.b) is float
+    assert Ball(np.zeros(2), 2).radius == 2.0
+    for name in ("a", "b", "p"):
+        with pytest.raises(ConfigError, match=rf"^steps\.{name}: expected a number, got "):
+            StepSchedule(**{"a": 1.0, name: value})
+    with pytest.raises(ConfigError, match=r"^set\.radius: expected a number, got "):
+        Ball(np.zeros(2), value)
+
+
 # ---------------------------------------------------------------------------
 # fuse
 
@@ -483,6 +495,18 @@ def test_run_config_validation():
                   initial_states=np.array([[np.nan]]))  # not finite
 
 
+@pytest.mark.parametrize("field,value", [("n_iterations", True), ("n_iterations", 2.5),
+                                         ("seed", -1), ("seed", "3"), ("seed", 1.0),
+                                         ("record_every", 2.0), ("record_every", False)])
+def test_run_config_takes_only_integers_and_a_non_negative_seed(field, value):
+    args = {"problem": single_agent_problem(), "schedule": uniform_schedule(1),
+            "steps": StepSchedule(1.0), "n_iterations": 3}
+    cfg = RunConfig(**{**args, field: np.int64(2)})  # a numpy integer is an integer
+    assert getattr(cfg, field) == 2 and type(getattr(cfg, field)) is int
+    with pytest.raises(ConfigError, match=rf"^{field}"):
+        RunConfig(**{**args, field: value})
+
+
 # ---------------------------------------------------------------------------
 # trace serialization
 
@@ -685,6 +709,29 @@ def test_a_failure_inside_a_check_block_keeps_the_survivors_invariants(monkeypat
             assert_same_run(trace, alone[cfg.seed])
 
 
+def test_a_failed_run_keeps_its_row_in_every_round(monkeypatch):
+    # the overflowing probe of test_run_batch_drops_a_failing_run_and_keeps_the_others
+    # at B = 20, three rounds to a check block: seed 11 fails in the first block
+    prob = overflowing_problem()
+    sched = StaticSchedule(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    starts = np.random.default_rng(11).uniform(-0.9, 0.9, (20, 2, 1))
+    starts[11] = 2.8
+    cfgs = [RunConfig(prob, sched, StepSchedule(0.5), 40, seed=s, record_every=3,
+                      initial_states=x) for s, x in enumerate(starts)]
+    shapes, grads = [], prob.evaluator.grads
+
+    def recording(x, out=None):
+        shapes.append(x.shape)
+        return grads(x, out)
+
+    monkeypatch.setattr(prob.evaluator, "grads", recording)
+    force_check_block(monkeypatch, 3, cfgs)
+    out = run_batch(cfgs)
+    assert [b for b, e in enumerate(out) if isinstance(e, EngineError)] == [11]
+    assert (out[11].agent, out[11].iteration) == (1, 0)
+    assert shapes == [(20, 2, 1)] * 40
+
+
 def test_the_slack_far_off_the_origin_is_the_direct_per_probe_form():
     # states at |x| ~ 1e4 with S * D = 12: the engine folds the slack through the
     # centred identity, with d = sum_j (v_j - x_j) from each agent's own difference;
@@ -763,7 +810,7 @@ def test_row_sums_equal_numpy_sums_bitwise():
         big = drawn((2, 9, 4, m))
         for a in (drawn((m,)), drawn((5, m)), drawn((3, 2, m)), big,
                   big[:, :6],  # the stacked (2, n, B, m) view of a partly filled block
-                  big[:, :6, 1:], big[:, :6, [0, 2, 3]],  # after a run left the stack
+                  big[:, :6, 1:], big[:, :6, [0, 2, 3]],  # a strided and a gathered view
                   np.full((2, 3, m), -0.0)):
             assert engine._row_sums(a).tobytes() == a.sum(axis=-1).tobytes(), (m, a.shape)
     # the drift's sum over the agents of a (2, n, B, S, D) block, where numpy

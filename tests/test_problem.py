@@ -240,7 +240,7 @@ def test_out_forms_equal_the_allocating_forms_bitwise(family, in_ball):
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])
 def test_a_batch_has_each_runs_gradients_also_after_a_run_left_it(family, dim):
     # the quadratic kernels read their matrices as a copy laid out at the batch's
-    # shape, and a batch that a failed run left reads a prefix of that copy
+    # shape, and a batch of another length lays a copy of its own
     fs = Box(np.full(dim, -1.0), np.full(dim, 1.5))
 
     def stack():
@@ -254,7 +254,7 @@ def test_a_batch_has_each_runs_gradients_also_after_a_run_left_it(family, dim):
         alone = [solo.evaluator.grads(v[b:b + 1]) for b in range(batch)]
         grads = prob.evaluator.grads(v)
         assert [grads[b:b + 1].tobytes() for b in range(batch)] == [g.tobytes() for g in alone]
-        kept = np.arange(batch) != batch // 2  # the middle run leaves, as run_batch drops it
+        kept = np.arange(batch) != batch // 2  # a batch without the middle run
         out = np.full((int(kept.sum()), 6, dim), np.nan)
         survivors = prob.evaluator.grads(v[kept], out)
         assert survivors.tobytes() == b"".join(g.tobytes() for g, k in zip(alone, kept) if k)
@@ -267,15 +267,17 @@ def test_the_quadratic_matrices_are_laid_out_at_the_batch_shape_within_the_budge
     v = np.random.default_rng(3).normal(size=(20, 6, 2))
     operand = laid.at(v)
     assert operand.shape == (20, 6, 2, 2) and operand.flags.c_contiguous
-    assert 0 not in operand.strides
-    assert laid.at(v[:7]).shape == (7, 6, 2, 2) and np.shares_memory(laid.at(v[:7]), operand)
+    assert 0 not in operand.strides and operand.size <= problem._BATCH_FLOATS
+    assert laid.at(v) is operand  # one copy per batch length
+    shorter = laid.at(v[:7])  # another length lays a copy of its own
+    assert shorter.shape == (7, 6, 2, 2) and shorter.flags.c_contiguous
+    assert not np.shares_memory(shorter, operand) and laid.at(v[:7]) is shorter
     assert laid.at(v[0]) is laid.stack  # one run's (S, D) states: no batch axis
     # shared points beyond the budget broadcast the stack and copy nothing
     shared = np.random.default_rng(4).uniform(-1.0, 1.5, (500_000, 2))
     sum_grad(prob, shared)
     assert laid.at(shared[:, None]) is laid.stack
-    assert laid.at(v).base is operand.base  # the batch's copy is still the one built
-    assert operand.base.size <= problem._LAID_FLOATS
+    assert laid.at(v[:7]) is shorter  # the last length's copy is still the one laid
 
 
 def test_project_dimension_mismatch():

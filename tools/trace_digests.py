@@ -28,7 +28,12 @@ also those no shipped scenario uses.  Then come the ``random/`` lines: the
 sha256 of ``RandomSchedule(S, p, seed).distinct_matrices(H).tobytes()`` for a
 few schedules, among them a seed of several 32-bit words and an edge
 probability at which most rounds redraw, so the random builder is compared
-beyond the one schedule a shipped scenario uses.  Comparing the output
+beyond the one schedule a shipped scenario uses.  Last come the ``@fail``
+lines: one seeded ``run_batch`` of four runs on a 2-agent problem whose
+gradient overflows past a wall, in which one run fails at iteration 0, in the
+first check block, and one at iteration 596, in a later one; the sha256 of each
+survivor's ``trace.jsonl`` and ``summary.json`` and of each failure's message
+are printed, so the path of a failed run is compared too.  Comparing the output
 of two checkouts checks that a change kept every trace and report
 byte-identical: save one checkout's digests, then check the other against them,
 which prints the lines that differ and exits 1 on any difference:
@@ -54,7 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from consopt.cli import cmd_export, cmd_validate, execute_run, run_scenario
-from consopt.network import RandomSchedule, complete_graph
+from consopt.engine import EngineError, RunConfig, StepSchedule, run_batch, write_trace_csv
+from consopt.network import RandomSchedule, StaticSchedule, complete_graph
 from consopt.privacy import (
     default_plan, partition_problem, random_function_sharing, transformed_to_dict,
 )
@@ -75,6 +81,12 @@ TRANSFORM_SEED = 1608
 RANDOM_SCHEDULES = ((8, 0.4, 0, 4000), (3, 0.6, 1608, 1000), (8, 0.12, 2**64 + 5, 300),
                     (12, 0.3, 2**100 + 1, 300), (2, 0.3, 2**31 - 1, 1000),
                     (20, 0.15, 2**33 + 1, 1500))
+
+# the first coordinate of each agent's start in the @fail batch: at 2.8 the gradient
+# overflows at once; from about 6e-22 the iterate grows past the wall at 1.0023 at
+# iteration 596, while its step is still too long to stay there; the last two
+# runs stay far inside it
+FAIL_STARTS = ((2.8, 2.8), (5e-22, 7e-22), (2e-40, 1e-40), (-1e-40, -3e-40))
 
 
 def _sha256(path: Path) -> str:
@@ -124,6 +136,36 @@ def random_digests():
                f"{hashlib.sha256(mats.tobytes()).hexdigest()}")
 
 
+def _failing_batch():
+    """The @fail batch: two agents on [-3, 3]^2, each with the first coordinate's
+    -x^2/2 + 1e-4 x^1000, whose gradient walls off |x| < 1.0023 and overflows
+    from |x| > 2.04, and a second coordinate's (x -+ 1)^2/2, from seeded starts."""
+    wall = np.zeros(1001)
+    wall[2], wall[1000] = -0.5, 1e-4
+    fs = Box(np.full(2, -3.0), np.full(2, 3.0))
+    prob = Problem(2, tuple(polynomial(f"f{i}", [wall, [0.0, s, 0.5]], grad_bound=1e300,
+                                       lipschitz=1e300) for i, s in enumerate((-1.0, 1.0))), fs)
+    sched = StaticSchedule(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    second = np.random.default_rng(TRANSFORM_SEED).uniform(-3.0, 3.0, (len(FAIL_STARTS), 2))
+    return [RunConfig(prob, sched, StepSchedule(10.0), 2000, seed=s, record_every=7,
+                      initial_states=np.column_stack([first, x2]))
+            for s, (first, x2) in enumerate(zip(FAIL_STARTS, second))]
+
+
+def fail_digests(tmp: Path):
+    """Yield one line per survivor's file and per failure of the @fail batch."""
+    cfgs = _failing_batch()
+    for cfg, out in zip(cfgs, run_batch(cfgs)):
+        if isinstance(out, EngineError):
+            yield f"@fail seed{cfg.seed} error {hashlib.sha256(str(out).encode()).hexdigest()}"
+            continue
+        jsonl = tmp / f"fail-seed{cfg.seed}.jsonl"
+        write_trace_csv(out, tmp / "fail.csv", tmp / "fail-plot.csv", None, jsonl=jsonl)
+        summary = json.dumps(out.summary.to_dict(), indent=2).encode()
+        yield f"@fail seed{cfg.seed} trace.jsonl {_sha256(jsonl)}"
+        yield f"@fail seed{cfg.seed} summary.json {hashlib.sha256(summary).hexdigest()}"
+
+
 def digests():
     """Yield the digest lines, scenario by scenario."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,8 +195,9 @@ def digests():
             for seed, run_dir in zip(BATCH_SEEDS, dirs):
                 for fname in BATCH_FILES:
                     yield f"{name}@batch seed{seed} {fname} {_sha256(run_dir / fname)}"
-    yield from transform_digests()
-    yield from random_digests()
+        yield from transform_digests()
+        yield from random_digests()
+        yield from fail_digests(Path(tmp))
 
 
 def main(argv=None) -> int:
