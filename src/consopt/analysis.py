@@ -43,9 +43,10 @@ def max_disagreement(states):
     """
     x = _states(states)
     out = np.zeros(x.shape[:-2])
-    # one agent at a time, so no (..., S, S, D) difference array is formed
-    for i in range(x.shape[-2]):
-        dist = np.linalg.norm(x - x[..., i:i + 1, :], axis=-1)
+    # agent i against the agents after it, so each pair is measured once (its two
+    # differences are negatives, of one norm) and no (..., S, S, D) array is formed
+    for i in range(x.shape[-2] - 1):
+        dist = np.linalg.norm(x[..., i + 1:, :] - x[..., i:i + 1, :], axis=-1)
         out = np.maximum(out, dist.max(axis=-1))
     return _per_state(out)
 

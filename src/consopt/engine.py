@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -456,34 +455,57 @@ def _formatted(trace: RunTrace) -> TraceBlocks:
         for lo in range(0, R, _BLOCK)))
 
 
+def _joined(template: str, cols: Sequence[list]) -> str:
+    """The text of a block of rows: row i is ``template`` with its t-th ``%s``
+    replaced by ``cols[t][i]``, made by one ``join`` over the template's fixed
+    text and the columns, laid out together by slice assignment."""
+    seps = template.split("%s")
+    row = [None] * (2 * len(seps) - 1)
+    row[::2] = seps
+    parts = row * len(cols[0])
+    for t, col in enumerate(cols):
+        parts[2 * t + 1::len(row)] = col
+    return "".join(parts)
+
+
 def _trace_lines(trace: TraceBlocks, f_star: float | None, jsonl: bool):
-    """Yield the lines of ``trace.csv``, ``plotdata.csv`` and (if ``jsonl``) ``trace.jsonl``:
-    the headers, then each block's lines, joined from the block's number text."""
+    """Yield the number of records and the text of ``trace.csv``, ``plotdata.csv`` and
+    (if ``jsonl``) ``trace.jsonl``: first the headers, then each block's lines as one
+    string per file, :func:`_joined` from a row template built once per trace and the
+    block's number text, so no line is put together in Python.  A non-finite bound is an
+    empty cell in ``trace.csv`` and stays ``nan`` in ``plotdata.csv``; only a block
+    that holds a non-finite number is respelled for the JSONL, as ``json.dumps``
+    spells it."""
     S, D, bounded = trace.n_agents, trace.dimension, trace.bounded
     q = 4 + bounded  # a row's first x column; x_bar, which only the JSONL holds, follows x
     F = q + S * D + D
-    # a row's strings in the JSONL template's order, which is that of TRACE_FIELDS
-    pick = operator.itemgetter(0, *range(q, F), 1, 3, 2, *([4] if bounded else []))
+    # each file's row template; a cell the trace has no column for is empty
+    bound_cell, gap_cell = "%s" if bounded else "", "%s" if f_star is not None else ""
+    csv = f"%s,%s,%s,%s,%s,{bound_cell}," + ",".join(["%s"] * (S * D)) + "\n"
+    plot = f"%s,{gap_cell},%s,{bound_cell}\n"
     xs = ", ".join(["%s"] * D)
-    template = ('{"k": %s, "alpha": %s, "x": [' + ", ".join([f"[{xs}]"] * S)
-                + f'], "x_bar": [{xs}], "f_bar": %s, "max_delta": %s, "max_disagreement": %s, '
-                + ('"bound": %s}\n' if bounded else '"bound": null}\n'))
+    record = ('{"k": %s, "alpha": %s, "x": [' + ", ".join([f"[{xs}]"] * S)
+              + f'], "x_bar": [{xs}], "f_bar": %s, "max_delta": %s, "max_disagreement": %s, '
+              + ('"bound": %s}\n' if bounded else '"bound": null}\n'))
+    # a record's columns in the JSONL template's order, which is that of TRACE_FIELDS
+    picks = [0, *range(q, F), 1, 3, 2, *range(4, q)]
     names = ",".join(f"x_{j}_{d}" for j, d in np.ndindex(S, D))
-    yield [f"k,alpha,f_bar,max_disagreement,max_delta,bound,{names}\n"], \
-        ["k,f_gap,max_disagreement,bound\n"]
+    yield 0, (f"k,alpha,f_bar,max_disagreement,max_delta,bound,{names}\n",
+              "k,f_gap,max_disagreement,bound\n")
     for ks, s in trace.blocks:
-        rows = range(0, len(ks) * F, F)
-        bounds = s[4::F] if bounded else [""] * len(ks)
-        gaps = ([""] * len(ks) if f_star is None
-                else _reprs([float(f) - f_star for f in s[1::F]]))
-        lines = ([f"{k},{','.join(s[o:o + 4])},{'' if b in _JSON_SPELLING else b},"
-                  f"{','.join(s[o + q:o + q + S * D])}\n" for k, o, b in zip(ks, rows, bounds)],
-                 [f"{k},{g},{m},{b}\n" for k, g, m, b in zip(ks, gaps, s[2::F], bounds)])
+        k, cols = list(map(str, ks)), [s[j::F] for j in range(F)]
+        bound = cols[4:q]  # the bound column, if the trace has one
+        gap = [_reprs([float(f) - f_star for f in cols[1]])] if f_star is not None else []
+        csv_bound = bound
+        if bound and not _JSON_SPELLING.keys().isdisjoint(bound[0]):
+            csv_bound = [["" if b in _JSON_SPELLING else b for b in bound[0]]]
+        texts = (_joined(csv, [k, *cols[:4], *csv_bound, *cols[q:q + S * D]]),
+                 _joined(plot, [k, *gap, cols[2], *bound]))
         if jsonl:
             if not _JSON_SPELLING.keys().isdisjoint(s):
-                s = [_JSON_SPELLING.get(c, c) for c in s]
-            lines += ([template % ((k,) + pick(s[o:o + F])) for k, o in zip(ks, rows)],)
-        yield lines
+                cols = [[_JSON_SPELLING.get(c, c) for c in col] for col in cols]
+            texts += (_joined(record, [k, *(cols[j] for j in picks)]),)
+        yield len(ks), texts
 
 
 def write_trace_csv(trace: RunTrace | TraceBlocks, path, plotdata, f_star: float | None,
@@ -497,14 +519,14 @@ def write_trace_csv(trace: RunTrace | TraceBlocks, path, plotdata, f_star: float
     :func:`read_trace_blocks` are copied as they were read."""
     if isinstance(trace, RunTrace):
         trace = _formatted(trace)
-    n = -1  # the header
+    n = 0
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "w", newline="\n"))
                  for p in (path, plotdata, jsonl) if p is not None]
-        for lines in _trace_lines(trace, f_star, jsonl is not None):
-            for fh, block in zip(files, lines):
-                fh.writelines(block)
-            n += len(lines[1])
+        for count, texts in _trace_lines(trace, f_star, jsonl is not None):
+            for fh, text in zip(files, texts):
+                fh.write(text)
+            n += count
     return n
 
 
@@ -552,8 +574,7 @@ def _parse_block(lines, S: int, D: int, bounded: bool) -> tuple[list, list]:
         tokens += (r["alpha"], r["f_bar"], r["max_disagreement"], r["max_delta"])
         if bounded:
             tokens.append(r["bound"])
-        for row in x:
-            tokens += row
+        tokens += itertools.chain.from_iterable(x)
         tokens += x_bar
     # every record has the 8 fields, so any further quote is a string or another field
     if sum(map(str.count, lines, itertools.repeat('"'))) != 2 * len(TRACE_FIELDS) * len(recs):

@@ -67,10 +67,14 @@ def as_int(value, field: str) -> int:
 
 def as_float(value, field: str) -> float:
     """A number ``field``, as a float: a Python or numpy real number that is not a
-    bool, so a JSON bool or string is a ``ConfigError`` naming the field."""
+    bool and that a float can hold, so a JSON bool or string, or an integer past
+    the float range, is a ``ConfigError`` naming the field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field}: expected a number, got one too large for a float") from None
 
 
 def as_numbers(value, field: str):
@@ -148,9 +152,11 @@ class Box(FeasibleSet):
         object.__setattr__(self, "lo", _freeze(lo))
         object.__setattr__(self, "hi", _freeze(hi))
         object.__setattr__(self, "dimension", lo.shape[0])
+        object.__setattr__(self, "_bounds", (_BatchLaid(self.lo), _BatchLaid(self.hi)))
 
     def project_many(self, pts, out=None):
-        return pts.clip(self.lo, self.hi, out=out)
+        lo, hi = self._bounds
+        return pts.clip(lo.at(pts), hi.at(pts), out=out)
 
     def distance_many(self, pts):
         return np.linalg.norm(pts - np.clip(pts, self.lo, self.hi), axis=-1)
@@ -338,40 +344,44 @@ def _check_pts(pts, dim) -> np.ndarray:
 # component axis of the points.
 
 # floats a batch lays out at once (32 KB): here the largest batch-laid copy of a
-# stacked matrix parameter, and in the engine one state per round of a block
+# kernel operand or a box bound, and in the engine one state per round of a block
 # awaiting one check, whose temporaries, two states per round, are at most 64 KB
 _BATCH_FLOATS = 2**12
 
 
 class _BatchLaid:
-    """A stack of matrices (S, D, D) with one copy laid out contiguous at the
-    last batch's leading shape, (B, S, D, D), laid again when B changes.
-    ``at(x)`` is the operand to pair with points x (B, S, D) in an einsum: read
-    with unit strides rather than broadcast with stride 0, the einsum costs about
-    half as much at B = 20 and gives the same bits.  Points without one leading
-    axis, or a batch whose copy would pass ``_BATCH_FLOATS``, get the stack itself."""
+    """An operand of a round's ufuncs, ``stack`` (a quadratic family's matrices
+    (S, D, D) or offsets (S, D), or a box bound (D,)), with one copy laid out
+    contiguous at the shape it takes against the last batch of states x (B, S, D),
+    laid again when that shape changes.  ``at(x)`` is the operand to pair with x:
+    read with unit strides rather than broadcast with stride 0, an einsum, add or
+    clip costs about half as much and gives the same bits.  ``extra`` counts the
+    operand's axes past a point's, 1 for the matrices.  Points that are not one
+    batch of states, such as one run's (S, D), or a copy that would pass
+    ``_BATCH_FLOATS`` get the stack itself."""
 
-    def __init__(self, stack: np.ndarray):
-        self.stack, self._copy = stack, stack[None]
+    def __init__(self, stack: np.ndarray, extra: int = 0):
+        self.stack, self._pad = stack, (1,) * extra
+        self._shape, self._copy = None, stack
 
     def at(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != self.stack.ndim:
-            return self.stack
-        if len(x) != len(self._copy):
-            if len(x) * self.stack.size > _BATCH_FLOATS:
+        if x.shape != self._shape:
+            # the copy's size, a stack for each state or a bound for each agent
+            if x.ndim != 3 or max(len(x) * self.stack.size, x.size) > _BATCH_FLOATS:
                 return self.stack
-            self._copy = _freeze(np.broadcast_to(self.stack, (len(x), *self.stack.shape)).copy())
+            shape = np.broadcast_shapes(x.shape + self._pad, self.stack.shape)
+            self._shape, self._copy = x.shape, _freeze(np.broadcast_to(self.stack, shape).copy())
         return self._copy
 
 
 def _quadratic_values(a, b, c, x):
     v = 0.5 * np.einsum("...d,...d->...", x, np.einsum("...ij,...j->...i", a.at(x), x))
-    v += np.einsum("...d,...d->...", x, b) + c
+    v += np.einsum("...d,...d->...", x, b.stack) + c
     return v
 
 
 def _quadratic_grads(a, b, c, x, out=None):
-    return np.add(np.einsum("...ij,...j->...i", a.at(x), x, out=out), b, out=out)
+    return np.add(np.einsum("...ij,...j->...i", a.at(x), x, out=out), b.at(x), out=out)
 
 
 def _sine_quadratic_values(a, b, c, amp, freq, x):
@@ -421,8 +431,8 @@ def rebuild(comp: ComponentFunction, cid: str, fs: FeasibleSet, /, **params) -> 
 
 
 def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
-    """Stacked kernel parameters of components from one family; the matrices of
-    the quadratic families are a :class:`_BatchLaid`."""
+    """Stacked kernel parameters of components from one family; the matrices and
+    offsets of the quadratic families are each a :class:`_BatchLaid`."""
     if family == POLYNOMIAL:
         dim = comps[0].dimension
         kmax = max(max(cf.size for cf in c.params["coeffs"]) for c in comps)
@@ -437,8 +447,8 @@ def _kernel_params(family: str, comps: Sequence[ComponentFunction]) -> tuple:
         # which the engine checks every round
         with np.errstate(over="ignore"):
             return coefs, coefs[..., 1:] * np.arange(1, kmax)
-    a, *rest = (np.array([c.params[k] for c in comps]) for k in _FAMILY_TABLE[family][1])
-    return _BatchLaid(a), *rest
+    a, b, *rest = (np.array([c.params[k] for c in comps]) for k in _FAMILY_TABLE[family][1])
+    return _BatchLaid(a, 1), _BatchLaid(b), *rest
 
 
 class _Evaluator:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +38,17 @@ def test_max_disagreement_matches_brute_force():
         for i in range(6) for j in range(6)
     )
     assert max_disagreement(x) == brute
+    # on (R, B, S, D) stacks, bitwise the largest distance over both orders of every
+    # pair; from D = 8 on, the norm's sum is numpy's pairwise one
+    for n_agents, dim in itertools.product(range(1, 9), range(1, 10)):
+        scale = 10.0 ** rng.integers(-3, 4, (3, 2, n_agents, 1))
+        x = rng.normal(0, 2, (3, 2, n_agents, dim)) * scale
+        brute = np.array([[max(float(np.sqrt(np.sum(np.square(s[i] - s[j]))))
+                                for i in range(n_agents) for j in range(n_agents))
+                            for s in run] for run in x])
+        got = max_disagreement(x)
+        assert got.shape == (3, 2) and got.tobytes() == brute.tobytes()
+        assert n_agents > 1 or not got.any()
 
 
 def test_max_delta_examples():

@@ -23,7 +23,7 @@ from consopt.network import (
 )
 from consopt.privacy import SIX_VIRTUAL_PATTERN
 from consopt.problem import (
-    Ball, Box, ConfigError, Problem, polynomial, quadratic, sine_quadratic, sum_value,
+    Ball, Box, ConfigError, Problem, as_float, polynomial, quadratic, sine_quadratic, sum_value,
 )
 from consopt.scenario import (
     load_scenario, load_shipped, shipped_scenario_names, shipped_scenario_path,
@@ -115,6 +115,19 @@ def test_step_schedule_and_ball_take_only_numbers(value):
             StepSchedule(**{"a": 1.0, name: value})
     with pytest.raises(ConfigError, match=r"^set\.radius: expected a number, got "):
         Ball(np.zeros(2), value)
+
+
+def test_a_number_past_the_float_range_is_a_config_error_naming_its_field():
+    big = 10**400
+    assert as_float(2**1000, "x") == 2.0**1000  # an integer a float holds is its float
+    with pytest.raises(ConfigError, match=r"^x: expected a number, got one too large for a float$"):
+        as_float(big, "x")
+    with pytest.raises(ConfigError, match=r"^steps\.a: expected a number, got one too large for a float$"):
+        StepSchedule(big)
+    with pytest.raises(ConfigError, match=r"^set\.radius: expected a number, got one too large for a float$"):
+        Ball(np.zeros(2), big)
+    with pytest.raises(ConfigError, match=r"^schedule\.edge_probability: expected a number, got one too large for a float$"):
+        RandomSchedule(3, big, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -263,8 +263,31 @@ def test_a_batch_has_each_runs_gradients_also_after_a_run_left_it(family, dim):
 def test_the_quadratic_matrices_are_laid_out_at_the_batch_shape_within_the_budget():
     fs = Box(np.full(2, -1.0), np.full(2, 1.5))
     prob = stack_problem("quadratic", fs, 6, 3)
-    (_, (laid, _, _), _), = prob.evaluator.groups
+    (_, (laid, offset, _), _), = prob.evaluator.groups
     v = np.random.default_rng(3).normal(size=(20, 6, 2))
+    # the offsets and the box bounds are a round's other operands, laid the same way
+    lo, hi = fs._bounds
+    for n in (1, 20, 7):
+        x = v[:n]
+        for op, stack in ((offset, offset.stack), (lo, fs.lo), (hi, fs.hi)):
+            operand = op.at(x)
+            assert operand.shape == x.shape and operand.flags.c_contiguous
+            assert 0 not in operand.strides and op.at(x) is operand  # one copy per length
+            np.testing.assert_array_equal(operand, np.broadcast_to(stack, x.shape))
+        # the round's gradients and projections are bitwise those of the broadcast stacks
+        grads = np.add(np.einsum("...ij,...j->...i", laid.stack, x), offset.stack)
+        assert prob.evaluator.grads(x).tobytes() == grads.tobytes()
+        assert fs.project_many(x).tobytes() == x.clip(fs.lo, fs.hi).tobytes()
+    assert not np.shares_memory(offset.at(v[:7]), offset.at(v))  # laid again for a new length
+    for op in (offset, lo, hi):
+        assert op.at(v[0]) is op.stack  # one run's (S, D) states, as descend steps them
+    # a batch whose copy would pass the budget gets the stacks, and the same bits
+    wide = np.random.default_rng(5).normal(size=(400, 6, 2))
+    assert wide[0].size * 400 > problem._BATCH_FLOATS
+    assert all(op.at(wide) is op.stack for op in (laid, offset, lo, hi))
+    grads = np.add(np.einsum("...ij,...j->...i", laid.stack, wide), offset.stack)
+    assert prob.evaluator.grads(wide).tobytes() == grads.tobytes()
+    assert fs.project_many(wide).tobytes() == wide.clip(fs.lo, fs.hi).tobytes()
     operand = laid.at(v)
     assert operand.shape == (20, 6, 2, 2) and operand.flags.c_contiguous
     assert 0 not in operand.strides and operand.size <= problem._BATCH_FLOATS
